@@ -603,3 +603,106 @@ pub fn format_report(r: &BisectReport) -> String {
         r.detail
     )
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use snap_snapshot::{fnv1a, Snapshot};
+
+    /// Boot code that arms timer 0 and sleeps: the timer, energy and
+    /// profile sections all carry live state afterwards.
+    const BOOT: &str = "\
+        li r1, 0
+        schedhi r1, r0
+        li r2, 40
+        schedlo r1, r2
+        done
+    ";
+
+    fn booted(config: CoreConfig) -> Processor {
+        let program = snap_asm::assemble(BOOT).unwrap();
+        let mut cpu = Processor::new(config);
+        cpu.load_image(0, &program.imem_image()).unwrap();
+        cpu.run_until_idle(100).unwrap();
+        cpu
+    }
+
+    /// What the bisector concludes about two live cores.
+    fn compare(a: &Processor, b: &Processor) -> (bool, Option<String>) {
+        let (a, b) = (a.export_snapshot(), b.export_snapshot());
+        (arch_eq(&a, &b), snapshot_diff(&a, &b))
+    }
+
+    /// Offsets at which `pattern` occurs in `bytes`.
+    fn occurrences(bytes: &[u8], pattern: u64) -> Vec<usize> {
+        let pattern = pattern.to_le_bytes();
+        (0..=bytes.len() - 8)
+            .filter(|&i| bytes[i..i + 8] == pattern)
+            .collect()
+    }
+
+    fn snapshot_bytes(cpu: &Processor) -> Vec<u8> {
+        Snapshot::Core(Box::new(cpu.export_snapshot())).to_bytes()
+    }
+
+    /// `cpu` restored from its own snapshot with the one 8-byte field
+    /// holding `from` rewritten to `to` (checksum recomputed).
+    fn patched(cpu: &Processor, from: u64, to: u64) -> Processor {
+        let mut bytes = snapshot_bytes(cpu);
+        let hits = occurrences(&bytes, from);
+        assert_eq!(hits.len(), 1, "{from:#x} must name exactly one field");
+        bytes[hits[0]..hits[0] + 8].copy_from_slice(&to.to_le_bytes());
+        let sum = fnv1a(&bytes[17..]);
+        bytes[9..17].copy_from_slice(&sum.to_le_bytes());
+        let snap = Snapshot::from_bytes(&bytes).unwrap();
+        Processor::from_snapshot(snap.as_core().unwrap()).unwrap()
+    }
+
+    /// The bisector compares the whole architectural state, not just
+    /// what `diff::Observed` carries: LFSR state, timer expiries and
+    /// per-class energy bits all split universes and are named. Only
+    /// the config (engine, predecode) is ignored.
+    #[test]
+    fn comparison_covers_state_the_observed_diff_does_not() {
+        let base = booted(CoreConfig::default());
+        assert_eq!(compare(&base, &base.clone()), (true, None));
+
+        // A different LFSR seed changes nothing but the live LFSR.
+        let other_lfsr = booted(CoreConfig {
+            lfsr_seed: 0x1234,
+            ..CoreConfig::default()
+        });
+        let (eq, detail) = compare(&base, &other_lfsr);
+        assert!(!eq);
+        assert!(detail.unwrap().starts_with("lfsr"));
+
+        let expiry = base.next_timer_expiry().unwrap().as_ps();
+        let (eq, detail) = compare(&base, &patched(&base, expiry, expiry + 1));
+        assert!(!eq);
+        assert!(detail.unwrap().starts_with("timers"));
+
+        // One class's energy, low mantissa bit: the total is untouched.
+        let bytes = snapshot_bytes(&base);
+        let class_bits = base
+            .acct()
+            .per_class()
+            .map(|(_, s)| s.energy.as_pj().to_bits())
+            .find(|&bits| occurrences(&bytes, bits).len() == 1)
+            .expect("a class with a unique energy pattern");
+        let (eq, detail) = compare(&base, &patched(&base, class_bits, class_bits ^ 1));
+        assert!(!eq);
+        assert!(detail.unwrap().starts_with("acct"));
+
+        // Engine and predecode are config, not state.
+        let interp = booted(CoreConfig {
+            engine: Engine::Interp,
+            predecode: false,
+            ..CoreConfig::default()
+        });
+        let aot = booted(CoreConfig {
+            engine: Engine::Aot,
+            ..CoreConfig::default()
+        });
+        assert_eq!(compare(&interp, &aot), (true, None));
+    }
+}
