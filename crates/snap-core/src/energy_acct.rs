@@ -12,6 +12,7 @@ use dess::SimDuration;
 use snap_energy::model::{BusModel, InstrShape, SnapEnergyModel, SnapTimingModel};
 use snap_energy::{ComponentEnergy, Energy, OperatingPoint};
 use snap_isa::{Instruction, InstructionClass};
+use snap_snapshot::{Encode, Reader, SnapshotError, Writer};
 
 /// Derive the energy-model shape of an instruction.
 pub fn shape_of(ins: &Instruction) -> InstrShape {
@@ -249,32 +250,34 @@ impl EnergyAccountant {
         &self.components
     }
 
-    /// Rebuild every accumulator from a snapshot (the models are kept —
-    /// they are pure functions of the config the accountant was built
-    /// with). Energy values arrive as the exact `f64`s that were
-    /// running when the snapshot was taken, so subsequent accumulation
-    /// continues bit-identically.
-    pub(crate) fn restore(
-        &mut self,
-        components: ComponentEnergy,
-        per_class: [ClassStats; InstructionClass::ALL.len()],
-        total_energy: Energy,
-        busy_time: SimDuration,
-        instructions: u64,
-        cycles: u64,
-    ) {
-        self.components = components;
-        self.per_class = per_class;
-        self.total_energy = total_energy;
-        self.busy_time = busy_time;
-        self.instructions = instructions;
-        self.cycles = cycles;
-    }
-
-    /// The raw per-class array, Snapshot export side (includes classes
-    /// with zero counts, unlike [`EnergyAccountant::per_class`]).
-    pub(crate) fn per_class_raw(&self) -> &[ClassStats; InstructionClass::ALL.len()] {
-        &self.per_class
+    /// Decode the accumulators. The models are pure functions of the
+    /// operating point and bus, which are config, so the caller supplies
+    /// those; energy comes back as the exact running `f64`s.
+    pub(crate) fn decode(
+        r: &mut Reader,
+        point: OperatingPoint,
+        bus: BusModel,
+    ) -> Result<EnergyAccountant, SnapshotError> {
+        let mut acct = EnergyAccountant::with_bus(point, bus);
+        let slots = acct.components.as_array_mut();
+        if r.len()? != slots.len() {
+            return Err(SnapshotError::Corrupt("component count"));
+        }
+        for slot in slots {
+            *slot = Energy::from_pj(f64::from_bits(r.u64()?));
+        }
+        if r.len()? != acct.per_class.len() {
+            return Err(SnapshotError::Corrupt("instruction class count"));
+        }
+        for class in &mut acct.per_class {
+            class.count = r.u64()?;
+            class.energy = Energy::from_pj(f64::from_bits(r.u64()?));
+        }
+        acct.total_energy = Energy::from_pj(f64::from_bits(r.u64()?));
+        acct.busy_time = SimDuration::from_ps(r.u64()?);
+        acct.instructions = r.u64()?;
+        acct.cycles = r.u64()?;
+        Ok(acct)
     }
 
     /// Reset all counters (the models are kept).
@@ -285,6 +288,26 @@ impl EnergyAccountant {
         self.busy_time = SimDuration::ZERO;
         self.instructions = 0;
         self.cycles = 0;
+    }
+}
+
+/// The accumulators, not the models; every class, zero counts included.
+impl Encode for EnergyAccountant {
+    fn encode(&self, w: &mut Writer) {
+        let components = self.components.as_array();
+        w.len(components.len());
+        for e in components {
+            w.u64(e.as_pj().to_bits());
+        }
+        w.len(self.per_class.len());
+        for class in &self.per_class {
+            w.u64(class.count);
+            w.u64(class.energy.as_pj().to_bits());
+        }
+        w.u64(self.total_energy.as_pj().to_bits());
+        w.u64(self.busy_time.as_ps());
+        w.u64(self.instructions);
+        w.u64(self.cycles);
     }
 }
 

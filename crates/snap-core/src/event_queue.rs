@@ -10,7 +10,8 @@
 //! dropped (paper §4.2 raises exactly this concern when sizing
 //! handlers). Drops are counted so benchmarks can report them.
 
-use snap_isa::EventToken;
+use snap_isa::{EventKind, EventToken};
+use snap_snapshot::{Encode, Reader, SnapshotError, Writer};
 use std::collections::VecDeque;
 
 /// Default queue capacity in tokens. The paper does not publish the
@@ -82,38 +83,34 @@ impl EventQueue {
         self.stamps.is_some()
     }
 
-    /// Queue contents and counters for a snapshot: tokens front-first,
-    /// their stamps (when stamping is on), and the lifetime counters.
-    pub(crate) fn export(&self) -> (Vec<EventToken>, Option<Vec<u64>>, u64, u64) {
-        (
-            self.fifo.iter().copied().collect(),
-            self.stamps.as_ref().map(|s| s.iter().copied().collect()),
-            self.dropped,
-            self.inserted,
-        )
-    }
-
-    /// Rebuild queue contents and counters from a snapshot. `tokens`
-    /// beyond `capacity` cannot occur in a well-formed snapshot (the
-    /// queue never held more than its capacity); extras are dropped
-    /// without counting, keeping restore fail-safe.
-    pub(crate) fn restore(
-        &mut self,
-        tokens: &[EventToken],
-        stamps: Option<&[u64]>,
-        dropped: u64,
-        inserted: u64,
-    ) {
-        self.fifo.clear();
-        self.fifo.extend(tokens.iter().copied().take(self.capacity));
-        self.stamps = stamps.map(|s| {
-            let mut q: VecDeque<u64> = s.iter().copied().take(self.capacity).collect();
-            q.resize(self.fifo.len(), UNKNOWN_STAMP);
-            q
-        });
-        self.dropped = dropped;
-        self.inserted = inserted;
-        self.max_len = self.fifo.len();
+    /// Decode a queue. The capacity is config, so the caller supplies
+    /// it; the high-water mark restarts at the restored length.
+    pub(crate) fn decode(r: &mut Reader, capacity: usize) -> Result<EventQueue, SnapshotError> {
+        let mut fifo = VecDeque::new();
+        for _ in 0..r.len()? {
+            let kind = EventKind::from_index(usize::from(r.u8()?))
+                .ok_or(SnapshotError::Corrupt("event token index"))?;
+            fifo.push_back(EventToken::new(kind));
+        }
+        if fifo.len() > capacity {
+            return Err(SnapshotError::Corrupt("event queue overflow"));
+        }
+        let stamps = if r.bool()? {
+            if r.len()? != fifo.len() {
+                return Err(SnapshotError::Corrupt("stamp count"));
+            }
+            Some(fifo.iter().map(|_| r.u64()).collect::<Result<_, _>>()?)
+        } else {
+            None
+        };
+        Ok(EventQueue {
+            max_len: fifo.len(),
+            fifo,
+            capacity,
+            dropped: r.u64()?,
+            inserted: r.u64()?,
+            stamps,
+        })
     }
 
     /// Insert a token at the tail. Returns `false` (and counts a drop)
@@ -193,6 +190,24 @@ impl EventQueue {
     /// about demand rather than occupancy.
     pub fn max_len(&self) -> usize {
         self.max_len
+    }
+}
+
+impl Encode for EventQueue {
+    fn encode(&self, w: &mut Writer) {
+        w.len(self.fifo.len());
+        for t in &self.fifo {
+            w.u8(t.table_index() as u8);
+        }
+        w.bool(self.stamps.is_some());
+        if let Some(stamps) = &self.stamps {
+            w.len(stamps.len());
+            for &s in stamps {
+                w.u64(s);
+            }
+        }
+        w.u64(self.dropped);
+        w.u64(self.inserted);
     }
 }
 

@@ -17,6 +17,7 @@
 //! conversion so the core is never stalled on the serial stream.
 
 use snap_isa::{EventKind, MsgCommand, Word};
+use snap_snapshot::{Decode, Encode, Reader, SnapshotError, Writer};
 use std::collections::VecDeque;
 
 /// An action the message coprocessor asks the node environment to take.
@@ -181,38 +182,32 @@ impl MsgCoprocessor {
     pub fn words_received(&self) -> u64 {
         self.words_rx
     }
+}
 
-    /// Full coprocessor state for a snapshot: the outgoing FIFO
-    /// front-first, the three mode flags/latches and both counters.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn export(&self) -> (Vec<Word>, bool, bool, u16, u64, u64) {
-        (
-            self.outgoing.iter().copied().collect(),
-            self.awaiting_tx_payload,
-            self.rx_enabled,
-            self.port,
-            self.words_tx,
-            self.words_rx,
-        )
+impl Encode for MsgCoprocessor {
+    fn encode(&self, w: &mut Writer) {
+        w.len(self.outgoing.len());
+        for &word in &self.outgoing {
+            w.u16(word);
+        }
+        w.bool(self.awaiting_tx_payload);
+        w.bool(self.rx_enabled);
+        w.u16(self.port);
+        w.u64(self.words_tx);
+        w.u64(self.words_rx);
     }
+}
 
-    /// Rebuild coprocessor state from a snapshot.
-    pub(crate) fn restore(
-        &mut self,
-        outgoing: &[Word],
-        awaiting_tx_payload: bool,
-        rx_enabled: bool,
-        port: u16,
-        words_tx: u64,
-        words_rx: u64,
-    ) {
-        self.outgoing.clear();
-        self.outgoing.extend(outgoing.iter().copied());
-        self.awaiting_tx_payload = awaiting_tx_payload;
-        self.rx_enabled = rx_enabled;
-        self.port = port;
-        self.words_tx = words_tx;
-        self.words_rx = words_rx;
+impl Decode for MsgCoprocessor {
+    fn decode(r: &mut Reader) -> Result<MsgCoprocessor, SnapshotError> {
+        Ok(MsgCoprocessor {
+            outgoing: r.seq_u16()?.into(),
+            awaiting_tx_payload: r.bool()?,
+            rx_enabled: r.bool()?,
+            port: r.u16()?,
+            words_tx: r.u64()?,
+            words_rx: r.u64()?,
+        })
     }
 }
 

@@ -31,6 +31,7 @@ use snap_isa::{
     Addr, AluImmOp, AluOp, DecodeError, EventKind, EventToken, Instruction, Reg, Word,
     EVENT_TABLE_ENTRIES, MEM_WORDS,
 };
+use snap_snapshot::{Decode, Encode, Reader, SnapshotError, Writer};
 
 /// Which translation tier [`Processor::run_burst`] executes with.
 ///
@@ -40,19 +41,34 @@ use snap_isa::{
 /// driver holds them to that). [`Processor::step`] always interprets,
 /// whatever the engine; engine selection only affects the batched
 /// burst path.
+///
+/// The discriminants are pinned: snapshots store them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// Pure interpreter: one decode/dispatch per dynamic instruction
     /// (the reference semantics).
-    Interp,
+    Interp = 0,
     /// Tier 1: superinstruction fusion over the predecode cache — hot
     /// multi-word idioms replay as threaded micro-op traces.
     #[default]
-    Fused,
+    Fused = 1,
     /// Tier 2: fusion plus AOT-compiled basic blocks for regions
     /// installed via [`Processor::install_aot`] (snap-lint-proven
     /// handlers); falls back to tier 1, then the interpreter.
-    Aot,
+    Aot = 2,
+}
+
+impl Encode for Engine {
+    fn encode(&self, w: &mut Writer) {
+        w.u8(*self as u8);
+    }
+}
+
+impl Decode for Engine {
+    fn decode(r: &mut Reader) -> Result<Engine, SnapshotError> {
+        let variants = [Engine::Interp, Engine::Fused, Engine::Aot];
+        r.variant(&variants, "engine discriminant")
+    }
 }
 
 /// Configuration of a [`Processor`].
@@ -102,15 +118,80 @@ impl CoreConfig {
     }
 }
 
+/// Captured so a restore rebuilds the identical energy and timing
+/// models before replaying a single instruction.
+impl Encode for CoreConfig {
+    fn encode(&self, w: &mut Writer) {
+        w.u64(self.operating_point.vdd().to_bits());
+        w.u64(self.operating_point.delay_factor().to_bits());
+        w.bool(self.bus == BusModel::Flat);
+        w.u64(self.event_queue_capacity as u64);
+        w.u64(self.timer_tick.as_ps());
+        w.u16(self.lfsr_seed);
+        w.bool(self.predecode);
+        self.engine.encode(w);
+    }
+}
+
+/// Rejects values the constructors downstream would panic on:
+/// non-finite or out-of-range operating points, a zero tick, a zero or
+/// oversized queue capacity.
+impl Decode for CoreConfig {
+    fn decode(r: &mut Reader) -> Result<CoreConfig, SnapshotError> {
+        let vdd = f64::from_bits(r.u64()?);
+        if !vdd.is_finite() || vdd <= 0.0 {
+            return Err(SnapshotError::Corrupt("operating point vdd"));
+        }
+        let delay = f64::from_bits(r.u64()?);
+        if !delay.is_finite() || delay < 1.0 {
+            return Err(SnapshotError::Corrupt("operating point delay factor"));
+        }
+        // Encoded as a bool: `true` for the flat ablation bus.
+        let bus = r.variant(&[BusModel::Hierarchical, BusModel::Flat], "bool flag")?;
+        let capacity = r.u64()?;
+        if capacity == 0 || capacity > u64::from(u32::MAX) {
+            return Err(SnapshotError::Corrupt("event queue capacity"));
+        }
+        let tick = r.u64()?;
+        if tick == 0 {
+            return Err(SnapshotError::Corrupt("timer tick"));
+        }
+        Ok(CoreConfig {
+            operating_point: OperatingPoint::new(vdd, delay),
+            event_queue_capacity: capacity as usize,
+            timer_tick: SimDuration::from_ps(tick),
+            lfsr_seed: r.u16()?,
+            bus,
+            predecode: r.bool()?,
+            engine: Engine::decode(r)?,
+        })
+    }
+}
+
 /// The core's activity state.
+///
+/// The discriminants are pinned: snapshots store them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoreState {
     /// Executing boot code or a handler.
-    Running,
+    Running = 0,
     /// All switching activity stopped; waiting on the event queue.
-    Asleep,
+    Asleep = 1,
     /// Stopped by the simulator-only `halt` instruction.
-    Halted,
+    Halted = 2,
+}
+
+impl Encode for CoreState {
+    fn encode(&self, w: &mut Writer) {
+        w.u8(*self as u8);
+    }
+}
+
+impl Decode for CoreState {
+    fn decode(r: &mut Reader) -> Result<CoreState, SnapshotError> {
+        let variants = [CoreState::Running, CoreState::Asleep, CoreState::Halted];
+        r.variant(&variants, "core state discriminant")
+    }
 }
 
 /// What one [`Processor::step`] call did.
@@ -520,6 +601,16 @@ impl Processor {
     /// The handler-table entry for an event.
     pub fn handler(&self, event: EventKind) -> Addr {
         self.handler_table[event.index()]
+    }
+
+    /// The event whose handler is running, if any.
+    pub fn current_event(&self) -> Option<EventKind> {
+        self.current_event
+    }
+
+    /// The current state of the `rand` LFSR.
+    pub fn lfsr_state(&self) -> u16 {
+        self.lfsr.state()
     }
 
     /// A snapshot of cumulative statistics.

@@ -9,6 +9,7 @@
 use dess::SimDuration;
 use snap_energy::Energy;
 use snap_isa::{EventKind, EVENT_TABLE_ENTRIES};
+use snap_snapshot::{Decode, Encode, Reader, SnapshotError, Writer};
 
 /// Accumulated statistics for one handler (or boot).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -112,20 +113,44 @@ impl HandlerProfile {
     pub fn total_instructions(&self) -> u64 {
         self.boot.instructions + self.per_event.iter().map(|s| s.instructions).sum::<u64>()
     }
+}
 
-    /// All buckets for a snapshot.
-    pub(crate) fn export(&self) -> (HandlerStats, [HandlerStats; EVENT_TABLE_ENTRIES]) {
-        (self.boot, self.per_event)
+impl Encode for HandlerStats {
+    fn encode(&self, w: &mut Writer) {
+        w.u64(self.dispatches);
+        w.u64(self.instructions);
+        w.u64(self.energy.as_pj().to_bits());
+        w.u64(self.busy_time.as_ps());
     }
+}
 
-    /// Rebuild all buckets from a snapshot.
-    pub(crate) fn restore(
-        &mut self,
-        boot: HandlerStats,
-        per_event: [HandlerStats; EVENT_TABLE_ENTRIES],
-    ) {
-        self.boot = boot;
-        self.per_event = per_event;
+impl Decode for HandlerStats {
+    fn decode(r: &mut Reader) -> Result<HandlerStats, SnapshotError> {
+        Ok(HandlerStats {
+            dispatches: r.u64()?,
+            instructions: r.u64()?,
+            energy: Energy::from_pj(f64::from_bits(r.u64()?)),
+            busy_time: SimDuration::from_ps(r.u64()?),
+        })
+    }
+}
+
+impl Encode for HandlerProfile {
+    fn encode(&self, w: &mut Writer) {
+        self.boot.encode(w);
+        w.seq(&self.per_event);
+    }
+}
+
+impl Decode for HandlerProfile {
+    fn decode(r: &mut Reader) -> Result<HandlerProfile, SnapshotError> {
+        Ok(HandlerProfile {
+            boot: HandlerStats::decode(r)?,
+            per_event: r
+                .seq()?
+                .try_into()
+                .map_err(|_| SnapshotError::Corrupt("profile bucket count"))?,
+        })
     }
 }
 

@@ -6,6 +6,7 @@
 //! is handled by the core's operand routing.
 
 use snap_isa::{Reg, Word, NUM_PHYSICAL_REGS};
+use snap_snapshot::{Decode, Encode, Reader, SnapshotError, Writer};
 
 /// The fifteen-entry register file and carry flag.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -66,16 +67,24 @@ impl RegFile {
         self.regs.fill(0);
         self.carry = false;
     }
+}
 
-    /// All registers plus carry, for a snapshot.
-    pub(crate) fn export(&self) -> ([Word; NUM_PHYSICAL_REGS], bool) {
-        (self.regs, self.carry)
+impl Encode for RegFile {
+    fn encode(&self, w: &mut Writer) {
+        w.seq_u16(&self.regs);
+        w.bool(self.carry);
     }
+}
 
-    /// Rebuild from a snapshot.
-    pub(crate) fn restore(&mut self, regs: [Word; NUM_PHYSICAL_REGS], carry: bool) {
-        self.regs = regs;
-        self.carry = carry;
+impl Decode for RegFile {
+    fn decode(r: &mut Reader) -> Result<RegFile, SnapshotError> {
+        Ok(RegFile {
+            regs: r
+                .seq_u16()?
+                .try_into()
+                .map_err(|_| SnapshotError::Corrupt("register count"))?,
+            carry: r.bool()?,
+        })
     }
 }
 

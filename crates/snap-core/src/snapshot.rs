@@ -1,9 +1,14 @@
-//! Core state export/restore against the `snap-snapshot` format.
+//! Processor checkpoints in the `snap-snapshot` format.
 //!
 //! [`Processor::export_snapshot`] captures the complete observable
 //! state of a core; [`Processor::from_snapshot`] rebuilds a core that
 //! resumes **bit-identically** — registers, memories, event order,
 //! timing and energy `f64` bits all match a never-snapshotted run.
+//!
+//! Each component encodes itself in the module that owns it (the
+//! config in `processor`, then `regfile`, `event_queue`, `timer_cop`,
+//! `msg_cop`, `energy_acct`, `profile`); this module writes the
+//! processor's own scalars and the order of the sections.
 //!
 //! Two classes of state are deliberately *not* captured:
 //!
@@ -14,183 +19,26 @@
 //!   Embedders running [`crate::Engine::Aot`] may re-run their static
 //!   analysis and [`Processor::install_aot`] after restore to get the
 //!   tier-2 speed back — correctness does not depend on it.
-//! * **Telemetry** (the per-dispatch sampler): observation-only by
-//!   construction. A restored core has sampling off; queue stamps are
-//!   preserved so re-enabling it keeps exact queue waits.
+//! * **Telemetry** (the per-dispatch sampler, the `swev` counters and
+//!   the queue high-water mark): observation-only by construction. A
+//!   restored core has sampling off; queue stamps are preserved so
+//!   re-enabling it keeps exact queue waits.
 
-use crate::energy_acct::ClassStats;
-use crate::processor::{CoreConfig, CoreState, Engine, Processor};
-use crate::profile::HandlerStats;
+use crate::energy_acct::EnergyAccountant;
+use crate::event_queue::EventQueue;
+use crate::msg_cop::MsgCoprocessor;
+use crate::processor::{CoreConfig, CoreState, Processor};
+use crate::profile::HandlerProfile;
+use crate::regfile::RegFile;
+use crate::timer_cop::TimerCoprocessor;
 use dess::{Lfsr16, SimDuration, SimTime};
-use snap_energy::model::BusModel;
-use snap_energy::{Component, ComponentEnergy, Energy, OperatingPoint};
-use snap_isa::{
-    EventKind, EventToken, InstructionClass, EVENT_TABLE_ENTRIES, MEM_WORDS, NUM_PHYSICAL_REGS,
-};
-use snap_snapshot::core::{engine, state};
-use snap_snapshot::{
-    AcctSnapshot, ClassStatSnap, CoreConfigSnap, CoreSnapshot, HandlerStatSnap, MsgSnapshot,
-    ProfileSnapshot, QueueSnapshot, SnapshotError, TimerRegSnap, TimerSnapshot,
-};
-
-fn engine_to_wire(e: Engine) -> u8 {
-    match e {
-        Engine::Interp => engine::INTERP,
-        Engine::Fused => engine::FUSED,
-        Engine::Aot => engine::AOT,
-    }
-}
-
-fn engine_from_wire(w: u8) -> Result<Engine, SnapshotError> {
-    match w {
-        engine::INTERP => Ok(Engine::Interp),
-        engine::FUSED => Ok(Engine::Fused),
-        engine::AOT => Ok(Engine::Aot),
-        _ => Err(SnapshotError::Corrupt("engine discriminant")),
-    }
-}
-
-fn state_to_wire(s: CoreState) -> u8 {
-    match s {
-        CoreState::Running => state::RUNNING,
-        CoreState::Asleep => state::ASLEEP,
-        CoreState::Halted => state::HALTED,
-    }
-}
-
-fn state_from_wire(w: u8) -> Result<CoreState, SnapshotError> {
-    match w {
-        state::RUNNING => Ok(CoreState::Running),
-        state::ASLEEP => Ok(CoreState::Asleep),
-        state::HALTED => Ok(CoreState::Halted),
-        _ => Err(SnapshotError::Corrupt("core state discriminant")),
-    }
-}
-
-/// Export a [`CoreConfig`] to its wire form.
-pub fn config_to_snap(config: &CoreConfig) -> CoreConfigSnap {
-    CoreConfigSnap {
-        vdd_bits: config.operating_point.vdd().to_bits(),
-        delay_factor_bits: config.operating_point.delay_factor().to_bits(),
-        bus_flat: config.bus == BusModel::Flat,
-        event_queue_capacity: config.event_queue_capacity as u64,
-        timer_tick_ps: config.timer_tick.as_ps(),
-        lfsr_seed: config.lfsr_seed,
-        predecode: config.predecode,
-        engine: engine_to_wire(config.engine),
-    }
-}
-
-/// Rebuild a [`CoreConfig`] from its wire form.
-///
-/// # Errors
-///
-/// Rejects non-finite or out-of-range operating points and zero
-/// capacities rather than panicking in the constructors downstream.
-pub fn config_from_snap(snap: &CoreConfigSnap) -> Result<CoreConfig, SnapshotError> {
-    let vdd = f64::from_bits(snap.vdd_bits);
-    let delay = f64::from_bits(snap.delay_factor_bits);
-    if !vdd.is_finite() || vdd <= 0.0 {
-        return Err(SnapshotError::Corrupt("operating point vdd"));
-    }
-    if !delay.is_finite() || delay < 1.0 {
-        return Err(SnapshotError::Corrupt("operating point delay factor"));
-    }
-    if snap.timer_tick_ps == 0 {
-        return Err(SnapshotError::Corrupt("timer tick"));
-    }
-    if snap.event_queue_capacity == 0 || snap.event_queue_capacity > u32::MAX as u64 {
-        return Err(SnapshotError::Corrupt("event queue capacity"));
-    }
-    Ok(CoreConfig {
-        operating_point: OperatingPoint::new(vdd, delay),
-        event_queue_capacity: snap.event_queue_capacity as usize,
-        timer_tick: SimDuration::from_ps(snap.timer_tick_ps),
-        lfsr_seed: snap.lfsr_seed,
-        bus: if snap.bus_flat {
-            BusModel::Flat
-        } else {
-            BusModel::Hierarchical
-        },
-        predecode: snap.predecode,
-        engine: engine_from_wire(snap.engine)?,
-    })
-}
+use snap_isa::{EventKind, MEM_WORDS};
+use snap_snapshot::{CoreSnapshot, Decode, Encode, Reader, SnapshotError, Writer};
 
 impl Processor {
     /// Capture the complete observable core state.
     pub fn export_snapshot(&self) -> CoreSnapshot {
-        let (regs, carry) = self.regs.export();
-        let (fifo, stamps, dropped, inserted) = self.event_queue.export();
-        let (timer_regs, scheduled, expired, cancelled) = self.timer.export();
-        let (outgoing, awaiting_tx, rx_enabled, port, words_tx, words_rx) = self.msg.export();
-        let (boot, per_event) = self.profile.export();
-        CoreSnapshot {
-            config: config_to_snap(&self.config),
-            regs: regs.to_vec(),
-            carry,
-            imem: self.imem.as_words().to_vec(),
-            dmem: self.dmem.as_words().to_vec(),
-            pc: self.pc,
-            state: state_to_wire(self.state),
-            now_ps: self.now.as_ps(),
-            handler_table: self.handler_table.to_vec(),
-            lfsr: self.lfsr.state(),
-            current_event: self.current_event.map(|e| e.index() as u8),
-            queue: QueueSnapshot {
-                fifo: fifo.iter().map(|t| t.table_index() as u8).collect(),
-                stamps,
-                dropped,
-                inserted,
-            },
-            timers: TimerSnapshot {
-                timers: timer_regs
-                    .iter()
-                    .map(|&(staged_hi, expiry)| TimerRegSnap {
-                        staged_hi,
-                        expiry_ps: expiry.map(|t| t.as_ps()),
-                    })
-                    .collect(),
-                scheduled,
-                expired,
-                cancelled,
-            },
-            msg: MsgSnapshot {
-                outgoing,
-                awaiting_tx_payload: awaiting_tx,
-                rx_enabled,
-                port,
-                words_tx,
-                words_rx,
-            },
-            acct: AcctSnapshot {
-                components: Component::ALL
-                    .iter()
-                    .map(|&c| self.acct.components().get(c).as_pj().to_bits())
-                    .collect(),
-                per_class: self
-                    .acct
-                    .per_class_raw()
-                    .iter()
-                    .map(|s| ClassStatSnap {
-                        count: s.count,
-                        energy_bits: s.energy.as_pj().to_bits(),
-                    })
-                    .collect(),
-                total_energy_bits: self.acct.total_energy().as_pj().to_bits(),
-                busy_ps: self.acct.busy_time().as_ps(),
-                instructions: self.acct.instructions(),
-                cycles: self.acct.cycles(),
-            },
-            profile: ProfileSnapshot {
-                boot: handler_stats_to_snap(&boot),
-                per_event: per_event.iter().map(handler_stats_to_snap).collect(),
-            },
-            sleep_ps: self.sleep_time.as_ps(),
-            wakeup_ps: self.wakeup_time.as_ps(),
-            wakeups: self.wakeups,
-            handlers_dispatched: self.handlers_dispatched,
-        }
+        CoreSnapshot::encode(self)
     }
 
     /// Rebuild a core from a snapshot. The restored core resumes
@@ -201,199 +49,116 @@ impl Processor {
     ///
     /// Rejects structurally invalid snapshots ([`SnapshotError::Corrupt`]).
     pub fn from_snapshot(snap: &CoreSnapshot) -> Result<Processor, SnapshotError> {
-        let config = config_from_snap(&snap.config)?;
+        snap.decode()
+    }
+}
+
+/// The config comes first: it is the header `snap-smith`'s bisector
+/// skips when comparing architectural state.
+impl Encode for Processor {
+    fn encode(&self, w: &mut Writer) {
+        self.config.encode(w);
+        self.regs.encode(w);
+        w.seq_u16(self.imem.as_words());
+        w.seq_u16(self.dmem.as_words());
+        w.u16(self.pc);
+        self.state.encode(w);
+        w.u64(self.now.as_ps());
+        w.seq_u16(&self.handler_table);
+        w.u16(self.lfsr.state());
+        w.opt_u8(self.current_event.map(|e| e.index() as u8));
+        self.event_queue.encode(w);
+        self.timer.encode(w);
+        self.msg.encode(w);
+        self.acct.encode(w);
+        self.profile.encode(w);
+        w.u64(self.sleep_time.as_ps());
+        w.u64(self.wakeup_time.as_ps());
+        w.u64(self.wakeups);
+        w.u64(self.handlers_dispatched);
+    }
+}
+
+impl Decode for Processor {
+    fn decode(r: &mut Reader) -> Result<Processor, SnapshotError> {
+        let config = CoreConfig::decode(r)?;
         let mut cpu = Processor::new(config);
-
-        let regs: [u16; NUM_PHYSICAL_REGS] = snap
-            .regs
-            .as_slice()
-            .try_into()
-            .map_err(|_| SnapshotError::Corrupt("register count"))?;
-        cpu.regs.restore(regs, snap.carry);
-
-        if snap.imem.len() != MEM_WORDS || snap.dmem.len() != MEM_WORDS {
-            return Err(SnapshotError::Corrupt("memory bank size"));
-        }
-        cpu.imem
-            .load(0, &snap.imem)
+        cpu.regs = RegFile::decode(r)?;
+        // The loaders leave every cache cold against the restored IMEM.
+        cpu.load_image(0, &bank(r)?)
             .map_err(|_| SnapshotError::Corrupt("imem image"))?;
-        cpu.dmem
-            .load(0, &snap.dmem)
+        cpu.load_data(0, &bank(r)?)
             .map_err(|_| SnapshotError::Corrupt("dmem image"))?;
-        // Caches rebuild lazily against the restored IMEM.
-        cpu.decode.invalidate_all();
-
-        cpu.handler_table = snap
-            .handler_table
-            .as_slice()
+        cpu.pc = r.u16()?;
+        cpu.state = CoreState::decode(r)?;
+        cpu.now = SimTime::from_ps(r.u64()?);
+        cpu.handler_table = r
+            .seq_u16()?
             .try_into()
             .map_err(|_| SnapshotError::Corrupt("handler table size"))?;
-        cpu.pc = snap.pc;
-        cpu.state = state_from_wire(snap.state)?;
-        cpu.now = SimTime::from_ps(snap.now_ps);
-        cpu.lfsr = Lfsr16::new(snap.lfsr);
-        cpu.current_event = match snap.current_event {
+        cpu.lfsr = Lfsr16::new(r.u16()?);
+        cpu.current_event = match r.opt_u8()? {
             Some(i) => Some(
-                EventKind::from_index(i as usize)
+                EventKind::from_index(usize::from(i))
                     .ok_or(SnapshotError::Corrupt("current event index"))?,
             ),
             None => None,
         };
-
-        let mut tokens = Vec::with_capacity(snap.queue.fifo.len());
-        for &i in &snap.queue.fifo {
-            let kind = EventKind::from_index(i as usize)
-                .ok_or(SnapshotError::Corrupt("event token index"))?;
-            tokens.push(EventToken::new(kind));
-        }
-        if tokens.len() > cpu.config.event_queue_capacity {
-            return Err(SnapshotError::Corrupt("event queue overflow"));
-        }
-        cpu.event_queue.restore(
-            &tokens,
-            snap.queue.stamps.as_deref(),
-            snap.queue.dropped,
-            snap.queue.inserted,
-        );
-
-        if snap.timers.timers.len() != crate::timer_cop::NUM_TIMERS {
-            return Err(SnapshotError::Corrupt("timer register count"));
-        }
-        let mut timer_regs = [(0u8, None); crate::timer_cop::NUM_TIMERS];
-        for (r, t) in timer_regs.iter_mut().zip(&snap.timers.timers) {
-            *r = (t.staged_hi, t.expiry_ps.map(SimTime::from_ps));
-        }
-        cpu.timer.restore(
-            timer_regs,
-            snap.timers.scheduled,
-            snap.timers.expired,
-            snap.timers.cancelled,
-        );
-
-        cpu.msg.restore(
-            &snap.msg.outgoing,
-            snap.msg.awaiting_tx_payload,
-            snap.msg.rx_enabled,
-            snap.msg.port,
-            snap.msg.words_tx,
-            snap.msg.words_rx,
-        );
-
-        if snap.acct.components.len() != Component::ALL.len() {
-            return Err(SnapshotError::Corrupt("component count"));
-        }
-        if snap.acct.per_class.len() != InstructionClass::ALL.len() {
-            return Err(SnapshotError::Corrupt("instruction class count"));
-        }
-        let mut components = ComponentEnergy::new();
-        for (slot, &bits) in components
-            .as_array_mut()
-            .iter_mut()
-            .zip(&snap.acct.components)
-        {
-            *slot = Energy::from_pj(f64::from_bits(bits));
-        }
-        let mut per_class = [ClassStats::default(); InstructionClass::ALL.len()];
-        for (slot, s) in per_class.iter_mut().zip(&snap.acct.per_class) {
-            *slot = ClassStats {
-                count: s.count,
-                energy: Energy::from_pj(f64::from_bits(s.energy_bits)),
-            };
-        }
-        cpu.acct.restore(
-            components,
-            per_class,
-            Energy::from_pj(f64::from_bits(snap.acct.total_energy_bits)),
-            SimDuration::from_ps(snap.acct.busy_ps),
-            snap.acct.instructions,
-            snap.acct.cycles,
-        );
-
-        if snap.profile.per_event.len() != EVENT_TABLE_ENTRIES {
-            return Err(SnapshotError::Corrupt("profile bucket count"));
-        }
-        let mut per_event = [HandlerStats::default(); EVENT_TABLE_ENTRIES];
-        for (slot, s) in per_event.iter_mut().zip(&snap.profile.per_event) {
-            *slot = handler_stats_from_snap(s);
-        }
-        cpu.profile
-            .restore(handler_stats_from_snap(&snap.profile.boot), per_event);
-
-        cpu.sleep_time = SimDuration::from_ps(snap.sleep_ps);
-        cpu.wakeup_time = SimDuration::from_ps(snap.wakeup_ps);
-        cpu.wakeups = snap.wakeups;
-        cpu.handlers_dispatched = snap.handlers_dispatched;
+        cpu.event_queue = EventQueue::decode(r, config.event_queue_capacity)?;
+        cpu.timer = TimerCoprocessor::decode(r, config.timer_tick)?;
+        cpu.msg = MsgCoprocessor::decode(r)?;
+        cpu.acct = EnergyAccountant::decode(r, config.operating_point, config.bus)?;
+        cpu.profile = HandlerProfile::decode(r)?;
+        cpu.sleep_time = SimDuration::from_ps(r.u64()?);
+        cpu.wakeup_time = SimDuration::from_ps(r.u64()?);
+        cpu.wakeups = r.u64()?;
+        cpu.handlers_dispatched = r.u64()?;
         Ok(cpu)
     }
 }
 
-fn handler_stats_to_snap(s: &HandlerStats) -> HandlerStatSnap {
-    HandlerStatSnap {
-        dispatches: s.dispatches,
-        instructions: s.instructions,
-        energy_bits: s.energy.as_pj().to_bits(),
-        busy_ps: s.busy_time.as_ps(),
+/// One full memory bank image.
+fn bank(r: &mut Reader) -> Result<Vec<u16>, SnapshotError> {
+    let words = r.seq_u16()?;
+    if words.len() != MEM_WORDS {
+        return Err(SnapshotError::Corrupt("memory bank size"));
     }
-}
-
-fn handler_stats_from_snap(s: &HandlerStatSnap) -> HandlerStats {
-    HandlerStats {
-        dispatches: s.dispatches,
-        instructions: s.instructions,
-        energy: Energy::from_pj(f64::from_bits(s.energy_bits)),
-        busy_time: SimDuration::from_ps(s.busy_ps),
-    }
+    Ok(words)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snap_isa::{AluImmOp, Instruction, Reg, Word};
+    use crate::processor::Engine;
+    use snap_energy::OperatingPoint;
     use snap_snapshot::Snapshot;
 
-    fn li(rd: Reg, imm: Word) -> Instruction {
-        Instruction::AluImm {
-            op: AluImmOp::Li,
-            rd,
-            imm,
-        }
-    }
+    /// Boot installs a sensor-IRQ handler, arms timer 0 and draws
+    /// from the LFSR.
+    const BUSY: &str = "
+            li      r1, 5           ; sensor IRQ
+            li      r2, irq
+            setaddr r1, r2
+            li      r3, 0
+            li      r4, 50
+            schedlo r3, r4
+            seed    r2
+            rand    r5
+            done
+        irq:
+            addi    r6, 1
+            done
+    ";
 
-    /// A core mid-flight: handler installed, timers armed, tokens
+    /// A core mid-flight: handler installed, timer armed, two tokens
     /// queued, energy accumulated.
     fn busy_core(engine: Engine) -> Processor {
-        let boot = [
-            li(Reg::R1, EventKind::SensorIrq.index() as Word),
-            li(Reg::R2, 200),
-            Instruction::SetAddr {
-                rev: Reg::R1,
-                raddr: Reg::R2,
-            },
-            li(Reg::R3, 0),
-            li(Reg::R4, 50),
-            Instruction::SchedLo {
-                rt: Reg::R3,
-                rv: Reg::R4,
-            },
-            Instruction::Seed { rs: Reg::R2 },
-            Instruction::Rand { rd: Reg::R5 },
-            Instruction::Done,
-        ];
-        let handler = [
-            Instruction::AluImm {
-                op: AluImmOp::Addi,
-                rd: Reg::R6,
-                imm: 1,
-            },
-            Instruction::Done,
-        ];
+        let program = snap_asm::assemble(BUSY).unwrap();
         let mut cpu = Processor::new(CoreConfig {
             engine,
             ..CoreConfig::default()
         });
-        cpu.load_program(&boot).unwrap();
-        let img: Vec<Word> = handler.iter().flat_map(|i| i.encode()).collect();
-        cpu.load_image(200, &img).unwrap();
+        cpu.load_image(0, &program.imem_image()).unwrap();
         cpu.run_until_idle(100).unwrap();
         cpu.post_sensor_irq();
         cpu.post_sensor_irq();
@@ -401,23 +166,15 @@ mod tests {
     }
 
     #[test]
-    fn export_import_round_trip_is_exact() {
+    fn round_trip_through_bytes_is_exact() {
         for engine in [Engine::Interp, Engine::Fused, Engine::Aot] {
-            let cpu = busy_core(engine);
-            let snap = cpu.export_snapshot();
+            let snap = busy_core(engine).export_snapshot();
+            let bytes = Snapshot::Core(Box::new(snap.clone())).to_bytes();
+            let back = Snapshot::from_bytes(&bytes).unwrap();
+            assert_eq!(back.as_core(), Some(&snap));
             let restored = Processor::from_snapshot(&snap).unwrap();
-            // The snapshot of the restored core is identical.
             assert_eq!(restored.export_snapshot(), snap);
         }
-    }
-
-    #[test]
-    fn snapshot_serializes_through_bytes() {
-        let cpu = busy_core(Engine::Fused);
-        let snap = cpu.export_snapshot();
-        let bytes = Snapshot::Core(Box::new(snap.clone())).to_bytes();
-        let back = Snapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(back.as_core().unwrap(), &snap);
     }
 
     #[test]
@@ -447,36 +204,54 @@ mod tests {
         }
     }
 
+    type Patch<'a> = &'a dyn Fn(&mut Vec<u8>);
+
+    /// Decode `cpu`'s encoding with `patch` applied; the error, if any.
+    fn rejection(cpu: &Processor, patch: Patch) -> Option<SnapshotError> {
+        let mut bytes = cpu.encoded();
+        patch(&mut bytes);
+        Processor::decode(&mut Reader::new(&bytes)).err()
+    }
+
     #[test]
     fn corrupt_fields_are_rejected() {
-        let snap = busy_core(Engine::Fused).export_snapshot();
+        let corrupt = |what| Some(SnapshotError::Corrupt(what));
+        let cpu = busy_core(Engine::Fused);
+        // The config opens with vdd and, at 17, the queue capacity; the
+        // registers and the IMEM length follow it.
+        let regs_at = cpu.config.encoded().len();
+        let imem_at = regs_at + cpu.regs.encoded().len();
+        let cases: [(Patch, _); 4] = [
+            (
+                &|b| b[..8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes()),
+                "operating point vdd",
+            ),
+            (&|b| b[regs_at] = 14, "register count"),
+            (&|b| b[imem_at + 1] = 0, "memory bank size"),
+            // Both queued sensor IRQs no longer fit.
+            (&|b| b[17] = 1, "event queue overflow"),
+        ];
+        for (patch, want) in cases {
+            assert_eq!(rejection(&cpu, patch), corrupt(want));
+        }
 
-        let mut s = snap.clone();
-        s.regs.pop();
-        assert!(Processor::from_snapshot(&s).is_err());
-
-        let mut s = snap.clone();
-        s.imem.truncate(10);
-        assert!(Processor::from_snapshot(&s).is_err());
-
-        let mut s = snap.clone();
-        s.config.vdd_bits = f64::NAN.to_bits();
-        assert!(Processor::from_snapshot(&s).is_err());
-
-        let mut s = snap.clone();
-        s.current_event = Some(9);
-        assert!(Processor::from_snapshot(&s).is_err());
-
-        let mut s = snap;
-        s.queue.fifo = vec![0; 64];
-        assert!(Processor::from_snapshot(&s).is_err());
+        // Mid-handler. Past both memories come the PC, state, clock,
+        // handler table and LFSR, then the current event's presence
+        // byte and index.
+        let mut mid = busy_core(Engine::Fused);
+        mid.step().unwrap();
+        let event_at = imem_at + 2 * (8 + 2 * MEM_WORDS) + 2 + 1 + 8 + (8 + 2 * 8) + 2 + 1;
+        let event = mid.current_event.unwrap().index() as u8;
+        assert_eq!(mid.encoded()[event_at], event);
+        let bad_event = rejection(&mid, &|b| b[event_at] = 9);
+        assert_eq!(bad_event, corrupt("current event index"));
     }
 
     #[test]
     fn config_round_trips_at_every_paper_point() {
         for point in OperatingPoint::PAPER_POINTS {
             let config = CoreConfig::at(point);
-            let back = config_from_snap(&config_to_snap(&config)).unwrap();
+            let back = CoreConfig::decode(&mut Reader::new(&config.encoded())).unwrap();
             assert_eq!(back, config);
         }
     }

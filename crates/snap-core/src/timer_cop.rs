@@ -16,6 +16,7 @@
 
 use dess::{SimDuration, SimTime};
 use snap_isa::EventKind;
+use snap_snapshot::{Encode, Reader, SnapshotError, Writer};
 
 /// Number of timer registers.
 pub const NUM_TIMERS: usize = 3;
@@ -158,31 +159,37 @@ impl TimerCoprocessor {
         self.cancelled
     }
 
-    /// Per-register `(staged_hi, expiry)` plus the lifetime counters,
-    /// for a snapshot.
-    pub(crate) fn export(&self) -> ([(u8, Option<SimTime>); NUM_TIMERS], u64, u64, u64) {
-        let mut regs = [(0u8, None); NUM_TIMERS];
-        for (r, t) in regs.iter_mut().zip(self.timers.iter()) {
-            *r = (t.staged_hi, t.expiry);
+    /// Decode the registers and counters; the tick is config, so the
+    /// caller supplies it.
+    pub(crate) fn decode(
+        r: &mut Reader,
+        tick: SimDuration,
+    ) -> Result<TimerCoprocessor, SnapshotError> {
+        if r.len()? != NUM_TIMERS {
+            return Err(SnapshotError::Corrupt("timer register count"));
         }
-        (regs, self.scheduled, self.expired, self.cancelled)
+        let mut cop = TimerCoprocessor::new(tick);
+        for t in &mut cop.timers {
+            t.staged_hi = r.u8()?;
+            t.expiry = r.opt_u64()?.map(SimTime::from_ps);
+        }
+        cop.scheduled = r.u64()?;
+        cop.expired = r.u64()?;
+        cop.cancelled = r.u64()?;
+        Ok(cop)
     }
+}
 
-    /// Rebuild register and counter state from a snapshot.
-    pub(crate) fn restore(
-        &mut self,
-        regs: [(u8, Option<SimTime>); NUM_TIMERS],
-        scheduled: u64,
-        expired: u64,
-        cancelled: u64,
-    ) {
-        for (t, (staged_hi, expiry)) in self.timers.iter_mut().zip(regs) {
-            t.staged_hi = staged_hi;
-            t.expiry = expiry;
+impl Encode for TimerCoprocessor {
+    fn encode(&self, w: &mut Writer) {
+        w.len(NUM_TIMERS);
+        for t in &self.timers {
+            w.u8(t.staged_hi);
+            w.opt_u64(t.expiry.map(SimTime::as_ps));
         }
-        self.scheduled = scheduled;
-        self.expired = expired;
-        self.cancelled = cancelled;
+        w.u64(self.scheduled);
+        w.u64(self.expired);
+        w.u64(self.cancelled);
     }
 }
 

@@ -9,6 +9,7 @@
 use dess::{SimTime, SplitMix64};
 use snap_isa::Word;
 use snap_node::NodeId;
+use snap_snapshot::{Decode, Encode, Reader, SnapshotError, Writer};
 
 /// One word on the air.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,6 +28,26 @@ impl Transmission {
     /// `true` when two transmissions overlap in time.
     pub fn overlaps(&self, other: &Transmission) -> bool {
         self.start < other.end && other.start < self.end
+    }
+}
+
+impl Encode for Transmission {
+    fn encode(&self, w: &mut Writer) {
+        w.u32(self.from.0);
+        w.u16(self.word);
+        w.u64(self.start.as_ps());
+        w.u64(self.end.as_ps());
+    }
+}
+
+impl Decode for Transmission {
+    fn decode(r: &mut Reader) -> Result<Transmission, SnapshotError> {
+        Ok(Transmission {
+            from: NodeId(r.u32()?),
+            word: r.u16()?,
+            start: SimTime::from_ps(r.u64()?),
+            end: SimTime::from_ps(r.u64()?),
+        })
     }
 }
 
@@ -144,40 +165,39 @@ impl Channel {
     pub fn collisions(&self) -> u64 {
         self.collisions
     }
+}
 
-    /// All state for a snapshot: `(active, collisions, deliveries,
-    /// faded, loss_probability, rng state)`.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn export(&self) -> (&[Transmission], u64, u64, u64, f64, u64) {
-        (
-            &self.active,
-            self.collisions,
-            self.deliveries,
-            self.faded,
-            self.loss_probability,
-            self.rng.state(),
-        )
+impl Encode for Channel {
+    fn encode(&self, w: &mut Writer) {
+        w.seq(&self.active);
+        w.u64(self.collisions);
+        w.u64(self.deliveries);
+        w.u64(self.faded);
+        w.u64(self.loss_probability.to_bits());
+        w.u64(self.rng.state());
     }
+}
 
-    /// Rebuild from a snapshot. `SplitMix64::new(state)` stores the
-    /// state verbatim, so the fade-dice sequence resumes exactly. The
-    /// caller has validated `loss_probability` (finite, in `[0, 1]`).
-    pub(crate) fn restore(
-        active: Vec<Transmission>,
-        collisions: u64,
-        deliveries: u64,
-        faded: u64,
-        loss_probability: f64,
-        rng_state: u64,
-    ) -> Channel {
-        Channel {
+/// `SplitMix64::new` keeps the state verbatim: the fade dice resume
+/// exactly.
+impl Decode for Channel {
+    fn decode(r: &mut Reader) -> Result<Channel, SnapshotError> {
+        let active = r.seq()?;
+        let collisions = r.u64()?;
+        let deliveries = r.u64()?;
+        let faded = r.u64()?;
+        let loss_probability = f64::from_bits(r.u64()?);
+        if !(0.0..=1.0).contains(&loss_probability) {
+            return Err(SnapshotError::Corrupt("channel loss probability"));
+        }
+        Ok(Channel {
             active,
             collisions,
             deliveries,
             faded,
             loss_probability,
-            rng: SplitMix64::new(rng_state),
-        }
+            rng: SplitMix64::new(r.u64()?),
+        })
     }
 }
 

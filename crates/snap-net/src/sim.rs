@@ -48,6 +48,7 @@ use snap_energy::BatteryConfig;
 use snap_isa::Word;
 use snap_node::atmega::AvrCore;
 use snap_node::{Node, NodeConfig, NodeError, NodeId, NodeKind, NodeOutput};
+use snap_snapshot::{Decode, Encode, Reader, SnapshotError, Writer};
 use snap_telemetry::Histogram;
 use std::collections::VecDeque;
 
@@ -72,28 +73,52 @@ pub const AUTO_SHARDED_THRESHOLD: usize = 100_000;
 const FULL_TRACE_NODE_LIMIT: usize = 10_000;
 
 /// Which scheduling strategy [`NetworkSim::run_until`] uses.
+///
+/// The discriminants are pinned: snapshots store them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
     /// Advance every node every round (the original O(nodes)-per-round
     /// scheduler; reference implementation and bench baseline).
-    Lockstep,
+    Lockstep = 0,
     /// Advance only nodes that are due, driven by the wake calendar
     /// (cost proportional to active nodes).
-    EventDriven,
+    EventDriven = 1,
     /// Spatially sharded conservative-lookahead engine: per-shard wake
     /// calendars advance independently between delivery barriers. The
     /// scalable path for 10⁵–10⁶-node fleets; bit-identical to the
     /// sequential schedulers for any shard count.
-    Sharded,
+    Sharded = 2,
     /// Pick per fleet at [`NetworkSim::run_until`] time: event-driven
     /// below [`AUTO_SHARDED_THRESHOLD`] nodes, sharded (with a shard
     /// count scaled to the fleet) at or above it. The default — and
     /// bit-identical to whichever scheduler it resolves to.
     #[default]
-    Auto,
+    Auto = 3,
+}
+
+impl Encode for Scheduler {
+    fn encode(&self, w: &mut Writer) {
+        w.u8(*self as u8);
+    }
+}
+
+impl Decode for Scheduler {
+    fn decode(r: &mut Reader) -> Result<Scheduler, SnapshotError> {
+        let variants = [
+            Scheduler::Lockstep,
+            Scheduler::EventDriven,
+            Scheduler::Sharded,
+            Scheduler::Auto,
+        ];
+        r.variant(&variants, "scheduler discriminant")
+    }
 }
 
 /// An external stimulus injected into a node on schedule.
+///
+/// Snapshots store a pinned discriminant (`SensorIrq` = 0,
+/// `SensorReading` = 1), then the sensor id and value (0 for
+/// `SensorIrq`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stimulus {
     /// Assert the node's sensor-interrupt pin.
@@ -105,6 +130,29 @@ pub enum Stimulus {
         /// New value.
         value: Word,
     },
+}
+
+impl Encode for Stimulus {
+    fn encode(&self, w: &mut Writer) {
+        let (tag, id, value) = match *self {
+            Stimulus::SensorIrq => (0, 0, 0),
+            Stimulus::SensorReading { id, value } => (1, id, value),
+        };
+        w.u8(tag);
+        w.u16(id);
+        w.u16(value);
+    }
+}
+
+impl Decode for Stimulus {
+    fn decode(r: &mut Reader) -> Result<Stimulus, SnapshotError> {
+        let (tag, id, value) = (r.u8()?, r.u16()?, r.u16()?);
+        match tag {
+            0 => Ok(Stimulus::SensorIrq),
+            1 => Ok(Stimulus::SensorReading { id, value }),
+            _ => Err(SnapshotError::Corrupt("stimulus discriminant")),
+        }
+    }
 }
 
 /// When the core asks for the tier-2 engine, run snap-lint's

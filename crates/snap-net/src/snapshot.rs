@@ -1,4 +1,4 @@
-//! Fleet state export/restore against the `snap-snapshot` format.
+//! Fleet checkpoints in the `snap-snapshot` format.
 //!
 //! [`NetworkSim::export_snapshot`] captures a whole network — every
 //! node (via [`snap_node::snapshot`]), the topology, the channel with
@@ -6,6 +6,11 @@
 //! such that a restored fleet resumes **bit-identically** under every
 //! scheduler. `snap-net/tests/snapshot_equiv.rs` enforces that across
 //! the full engine × scheduler matrix.
+//!
+//! The channel, transmissions, trace, scheduler and stimuli encode
+//! themselves in their own modules; this module writes the fleet's
+//! fields in order. Positions and the calendars come from types that
+//! know nothing of snapshots, so they are written field by field here.
 //!
 //! ## Why snapshots compose with every scheduler
 //!
@@ -26,288 +31,133 @@
 //! Not captured, by design: the worker pool (rebuilt fresh; thread
 //! count never affects results), telemetry (observation-only — call
 //! [`NetworkSim::enable_telemetry`] again after restore), and AOT
-//! artifacts (for [`snap_core::Engine::Aot`] nodes the restore re-runs
-//! snap-lint's proof over the restored IMEM and recompiles — caches
-//! are pure functions of state, and all tiers are bit-identical).
+//! artifacts (each node's restore recompiles them; see
+//! [`snap_node::snapshot`]).
 
 use crate::channel::{Channel, Transmission};
 use crate::sim::{NetworkSim, Scheduler, Stimulus};
 use crate::topology::Position;
-use crate::trace::{Trace, TraceEvent, TraceKind, TraceMode};
+use crate::trace::Trace;
 use dess::SimTime;
-use snap_node::{Node, NodeId, NodeKind};
-use snap_snapshot::fleet::{scheduler, stimulus, trace_kind, trace_mode};
-use snap_snapshot::{
-    ChannelSnapshot, DeliverySnap, FleetSnapshot, PositionSnap, SnapshotError, StimulusSnap,
-    TraceEventSnap, TraceSnapshot, TransmissionSnap,
-};
-
-fn scheduler_to_wire(s: Scheduler) -> u8 {
-    match s {
-        Scheduler::Lockstep => scheduler::LOCKSTEP,
-        Scheduler::EventDriven => scheduler::EVENT_DRIVEN,
-        Scheduler::Sharded => scheduler::SHARDED,
-        Scheduler::Auto => scheduler::AUTO,
-    }
-}
-
-fn scheduler_from_wire(w: u8) -> Result<Scheduler, SnapshotError> {
-    match w {
-        scheduler::LOCKSTEP => Ok(Scheduler::Lockstep),
-        scheduler::EVENT_DRIVEN => Ok(Scheduler::EventDriven),
-        scheduler::SHARDED => Ok(Scheduler::Sharded),
-        scheduler::AUTO => Ok(Scheduler::Auto),
-        _ => Err(SnapshotError::Corrupt("scheduler discriminant")),
-    }
-}
-
-fn tx_to_snap(tx: &Transmission) -> TransmissionSnap {
-    TransmissionSnap {
-        from: tx.from.0,
-        word: tx.word,
-        start_ps: tx.start.as_ps(),
-        end_ps: tx.end.as_ps(),
-    }
-}
-
-fn tx_from_snap(s: &TransmissionSnap) -> Transmission {
-    Transmission {
-        from: NodeId(s.from),
-        word: s.word,
-        start: SimTime::from_ps(s.start_ps),
-        end: SimTime::from_ps(s.end_ps),
-    }
-}
-
-fn trace_event_to_snap(e: &TraceEvent) -> TraceEventSnap {
-    let (kind, payload, from) = match e.kind {
-        TraceKind::Transmit { word } => (trace_kind::TRANSMIT, word, 0),
-        TraceKind::Deliver { word, from } => (trace_kind::DELIVER, word, from.0),
-        TraceKind::Collision { from } => (trace_kind::COLLISION, 0, from.0),
-        TraceKind::Led { value } => (trace_kind::LED, value, 0),
-        TraceKind::Stimulus => (trace_kind::STIMULUS, 0, 0),
-        TraceKind::NodeDeath => (trace_kind::NODE_DEATH, 0, 0),
-    };
-    TraceEventSnap {
-        at_ps: e.at_ps,
-        node: e.node.0,
-        kind,
-        payload,
-        from,
-    }
-}
-
-fn trace_event_from_snap(s: &TraceEventSnap) -> Result<TraceEvent, SnapshotError> {
-    let kind = match s.kind {
-        trace_kind::TRANSMIT => TraceKind::Transmit { word: s.payload },
-        trace_kind::DELIVER => TraceKind::Deliver {
-            word: s.payload,
-            from: NodeId(s.from),
-        },
-        trace_kind::COLLISION => TraceKind::Collision {
-            from: NodeId(s.from),
-        },
-        trace_kind::LED => TraceKind::Led { value: s.payload },
-        trace_kind::STIMULUS => TraceKind::Stimulus,
-        trace_kind::NODE_DEATH => TraceKind::NodeDeath,
-        _ => return Err(SnapshotError::Corrupt("trace event kind")),
-    };
-    Ok(TraceEvent {
-        at_ps: s.at_ps,
-        node: NodeId(s.node),
-        kind,
-    })
-}
+use snap_node::NodeId;
+use snap_snapshot::{Decode, Encode, FleetSnapshot, Reader, SnapshotError, Writer};
 
 impl NetworkSim {
     /// Capture the complete observable fleet state. Call between runs —
     /// the borrow checker already guarantees no run is in progress.
     pub fn export_snapshot(&self) -> FleetSnapshot {
-        let (active, collisions, deliveries, faded, loss, rng_state) = self.channel.export();
-        let (events, mode, recorded, sealed) = self.trace.export();
-        let (mode_wire, ring_cap) = match mode {
-            TraceMode::Full => (trace_mode::FULL, 0),
-            TraceMode::Ring(cap) => (trace_mode::RING, cap as u64),
-            TraceMode::CountOnly => (trace_mode::COUNT_ONLY, 0),
-        };
-        FleetSnapshot {
-            now_ps: self.now.as_ps(),
-            scheduler: scheduler_to_wire(self.scheduler),
-            num_shards: self.num_shards as u64,
-            parallel_threshold: self.parallel_threshold as u64,
-            trace_mode_explicit: self.trace_mode_explicit,
-            range_bits: self.topology.range().to_bits(),
-            positions: self
-                .nodes
-                .iter()
-                .map(|n| {
-                    let p = self
-                        .topology
-                        .position(n.id())
-                        .expect("every node is placed");
-                    PositionSnap {
-                        node: n.id().0,
-                        x_bits: p.x.to_bits(),
-                        y_bits: p.y.to_bits(),
-                    }
-                })
-                .collect(),
-            nodes: self.nodes.iter().map(Node::export_snapshot).collect(),
-            channel: ChannelSnapshot {
-                active: active.iter().map(tx_to_snap).collect(),
-                collisions,
-                deliveries,
-                faded,
-                loss_bits: loss.to_bits(),
-                rng_state,
-            },
-            deliveries: self
-                .deliveries
-                .snapshot_entries()
-                .iter()
-                .map(|(at, tx)| DeliverySnap {
-                    at_ps: at.as_ps(),
-                    tx: tx_to_snap(tx),
-                })
-                .collect(),
-            stimuli: self
-                .stimuli
-                .snapshot_entries()
-                .iter()
-                .map(|&(at, (node, stim))| match stim {
-                    Stimulus::SensorIrq => StimulusSnap {
-                        at_ps: at.as_ps(),
-                        node: node.0,
-                        kind: stimulus::SENSOR_IRQ,
-                        id: 0,
-                        value: 0,
-                    },
-                    Stimulus::SensorReading { id, value } => StimulusSnap {
-                        at_ps: at.as_ps(),
-                        node: node.0,
-                        kind: stimulus::SENSOR_READING,
-                        id,
-                        value,
-                    },
-                })
-                .collect(),
-            trace: TraceSnapshot {
-                mode: mode_wire,
-                ring_cap,
-                recorded,
-                sealed: sealed as u64,
-                events: events.iter().map(trace_event_to_snap).collect(),
-            },
-        }
+        FleetSnapshot::encode(self)
     }
 
     /// Rebuild a fleet from a snapshot. The restored simulation resumes
     /// bit-identically under every scheduler; for
     /// [`snap_core::Engine::Aot`] nodes the tier-2 image is recompiled
-    /// from the restored IMEM (see the module docs).
+    /// from the restored IMEM.
     ///
     /// # Errors
     ///
     /// Rejects structurally invalid snapshots ([`SnapshotError::Corrupt`]).
     pub fn from_snapshot(snap: &FleetSnapshot) -> Result<NetworkSim, SnapshotError> {
-        let range = f64::from_bits(snap.range_bits);
+        snap.decode()
+    }
+}
+
+impl Encode for NetworkSim {
+    fn encode(&self, w: &mut Writer) {
+        w.u64(self.now.as_ps());
+        self.scheduler.encode(w);
+        w.u64(self.num_shards as u64);
+        w.u64(self.parallel_threshold as u64);
+        w.bool(self.trace_mode_explicit);
+        w.u64(self.topology.range().to_bits());
+        w.len(self.nodes.len());
+        for node in &self.nodes {
+            let p = self
+                .topology
+                .position(node.id())
+                .expect("every node is placed");
+            w.u32(node.id().0);
+            w.u64(p.x.to_bits());
+            w.u64(p.y.to_bits());
+        }
+        w.seq(&self.nodes);
+        self.channel.encode(w);
+        let deliveries = self.deliveries.snapshot_entries();
+        w.len(deliveries.len());
+        for (at, tx) in &deliveries {
+            w.u64(at.as_ps());
+            tx.encode(w);
+        }
+        let stimuli = self.stimuli.snapshot_entries();
+        w.len(stimuli.len());
+        for (at, (node, stimulus)) in &stimuli {
+            w.u64(at.as_ps());
+            w.u32(node.0);
+            stimulus.encode(w);
+        }
+        self.trace.encode(w);
+    }
+}
+
+/// Node ids run 1..=n in slot order (they index the node vector), every
+/// position is finite and in [`Topology`](crate::Topology) bounds, and
+/// every stimulus targets an existing node.
+impl Decode for NetworkSim {
+    fn decode(r: &mut Reader) -> Result<NetworkSim, SnapshotError> {
+        let now = SimTime::from_ps(r.u64()?);
+        let scheduler = Scheduler::decode(r)?;
+        let num_shards = r.u64()?;
+        let parallel_threshold = r.u64()?;
+        if num_shards == 0 {
+            return Err(SnapshotError::Corrupt("shard count"));
+        }
+        if parallel_threshold == 0 {
+            return Err(SnapshotError::Corrupt("parallel threshold"));
+        }
+        let trace_mode_explicit = r.bool()?;
+        let range = f64::from_bits(r.u64()?);
         if !range.is_finite() || range <= 0.0 {
             return Err(SnapshotError::Corrupt("radio range"));
         }
-        let loss = f64::from_bits(snap.channel.loss_bits);
-        if !loss.is_finite() || !(0.0..=1.0).contains(&loss) {
-            return Err(SnapshotError::Corrupt("channel loss probability"));
-        }
-        if snap.positions.len() != snap.nodes.len() {
-            return Err(SnapshotError::Corrupt("position/node count mismatch"));
-        }
         let mut sim = NetworkSim::new(range);
-        sim.now = SimTime::from_ps(snap.now_ps);
-        sim.scheduler = scheduler_from_wire(snap.scheduler)?;
-        sim.num_shards = (snap.num_shards.max(1)) as usize;
-        sim.parallel_threshold = (snap.parallel_threshold.max(1)) as usize;
-        sim.trace_mode_explicit = snap.trace_mode_explicit;
+        sim.now = now;
+        sim.scheduler = scheduler;
+        sim.num_shards = num_shards as usize;
+        sim.parallel_threshold = parallel_threshold as usize;
+        sim.trace_mode_explicit = trace_mode_explicit;
 
-        let mut placed = Vec::with_capacity(snap.nodes.len());
-        for (i, (ns, ps)) in snap.nodes.iter().zip(&snap.positions).enumerate() {
-            // Ids are assigned sequentially from 1 and index the node
-            // slot directly; a permuted snapshot is corrupt.
-            if ns.id != i as u32 + 1 || ps.node != ns.id {
-                return Err(SnapshotError::Corrupt("node id sequence"));
-            }
-            let x = f64::from_bits(ps.x_bits);
-            let y = f64::from_bits(ps.y_bits);
-            if !x.is_finite() || !y.is_finite() {
+        let mut placed = Vec::new();
+        for _ in 0..r.len()? {
+            let id = NodeId(r.u32()?);
+            let p = Position::new(f64::from_bits(r.u64()?), f64::from_bits(r.u64()?));
+            if !sim.topology.in_bounds(p) {
                 return Err(SnapshotError::Corrupt("node position"));
             }
-            let mut node = Node::from_snapshot(ns)?;
-            // Tier-2 recompile: prove and compile against the restored
-            // IMEM, exactly as loading the original program would have.
-            // AVR motes restore from their own opaque state blob and
-            // have no SNAP engine to recompile.
-            if node.kind() != NodeKind::Avr && node.cpu().config().engine == snap_core::Engine::Aot
-            {
-                let analysis = snap_lint::analyze_image(
-                    node.cpu().imem().as_words(),
-                    node.cpu().config().operating_point,
-                );
-                let regions: Vec<snap_core::AotRegion> = analysis
-                    .regions
-                    .iter()
-                    .map(|r| snap_core::AotRegion {
-                        entry: r.entry,
-                        addrs: r.addrs.clone(),
-                    })
-                    .collect();
-                node.cpu_mut().install_aot(&regions);
-            }
-            placed.push((node.id(), Position::new(x, y)));
-            sim.nodes.push(node);
+            placed.push((id, p));
+        }
+        sim.nodes = r.seq()?;
+        let in_slot_order = placed.len() == sim.nodes.len()
+            && (sim.nodes.iter().zip(&placed).enumerate())
+                .all(|(i, (n, &(id, _)))| n.id() == id && id.0 as usize == i + 1);
+        if !in_slot_order {
+            return Err(SnapshotError::Corrupt("node id sequence"));
         }
         sim.topology.place_many(placed);
 
-        sim.channel = Channel::restore(
-            snap.channel.active.iter().map(tx_from_snap).collect(),
-            snap.channel.collisions,
-            snap.channel.deliveries,
-            snap.channel.faded,
-            loss,
-            snap.channel.rng_state,
-        );
-        for d in &snap.deliveries {
-            sim.deliveries
-                .schedule(SimTime::from_ps(d.at_ps), tx_from_snap(&d.tx));
+        sim.channel = Channel::decode(r)?;
+        for _ in 0..r.len()? {
+            let at = SimTime::from_ps(r.u64()?);
+            sim.deliveries.schedule(at, Transmission::decode(r)?);
         }
-        for s in &snap.stimuli {
-            let stim = match s.kind {
-                stimulus::SENSOR_IRQ => Stimulus::SensorIrq,
-                stimulus::SENSOR_READING => Stimulus::SensorReading {
-                    id: s.id,
-                    value: s.value,
-                },
-                _ => return Err(SnapshotError::Corrupt("stimulus kind")),
-            };
-            sim.stimuli
-                .schedule(SimTime::from_ps(s.at_ps), (NodeId(s.node), stim));
+        for _ in 0..r.len()? {
+            let at = SimTime::from_ps(r.u64()?);
+            let node = NodeId(r.u32()?);
+            if node.0 == 0 || node.0 as usize > sim.nodes.len() {
+                return Err(SnapshotError::Corrupt("stimulus target node"));
+            }
+            sim.stimuli.schedule(at, (node, Stimulus::decode(r)?));
         }
-        let mode = match snap.trace.mode {
-            trace_mode::FULL => TraceMode::Full,
-            trace_mode::RING => TraceMode::Ring((snap.trace.ring_cap.max(1)) as usize),
-            trace_mode::COUNT_ONLY => TraceMode::CountOnly,
-            _ => return Err(SnapshotError::Corrupt("trace mode")),
-        };
-        let events = snap
-            .trace
-            .events
-            .iter()
-            .map(trace_event_from_snap)
-            .collect::<Result<Vec<_>, _>>()?;
-        sim.trace = Trace::restore(
-            events,
-            mode,
-            snap.trace.recorded,
-            snap.trace.sealed as usize,
-        );
+        sim.trace = Trace::decode(r)?;
         Ok(sim)
     }
 }

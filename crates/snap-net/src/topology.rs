@@ -67,6 +67,14 @@ impl Topology {
         }
     }
 
+    /// Whether `position` lies within 2^52 cells of the origin, so its
+    /// 3×3 cell neighbourhood fits `i64` (checked on restore).
+    pub(crate) fn in_bounds(&self, position: Position) -> bool {
+        const MAX_CELLS: f64 = (1u64 << 52) as f64;
+        let ok = |v: f64| (v / self.range).abs() < MAX_CELLS;
+        ok(position.x) && ok(position.y)
+    }
+
     /// The grid cell containing `position` (cell side = radio range).
     fn cell_of(&self, position: Position) -> (i64, i64) {
         (

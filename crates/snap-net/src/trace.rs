@@ -2,8 +2,15 @@
 
 use snap_isa::Word;
 use snap_node::NodeId;
+use snap_snapshot::{Decode, Encode, Reader, SnapshotError, Writer};
 
 /// What happened.
+///
+/// Snapshots store a pinned discriminant (the variant's position
+/// below, `Transmit` = 0 … `NodeDeath` = 5), a payload word
+/// (`Transmit`/`Deliver` word, `Led` value) and a peer node
+/// (`Deliver`/`Collision` sender); unused fields are 0. See the
+/// [`TraceEvent`] codec.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
     /// A word went on the air.
@@ -45,12 +52,52 @@ pub struct TraceEvent {
     pub kind: TraceKind,
 }
 
+impl Encode for TraceEvent {
+    fn encode(&self, w: &mut Writer) {
+        let (tag, payload, from) = match self.kind {
+            TraceKind::Transmit { word } => (0, word, 0),
+            TraceKind::Deliver { word, from } => (1, word, from.0),
+            TraceKind::Collision { from } => (2, 0, from.0),
+            TraceKind::Led { value } => (3, value, 0),
+            TraceKind::Stimulus => (4, 0, 0),
+            TraceKind::NodeDeath => (5, 0, 0),
+        };
+        w.u64(self.at_ps);
+        w.u32(self.node.0);
+        w.u8(tag);
+        w.u16(payload);
+        w.u32(from);
+    }
+}
+
+impl Decode for TraceEvent {
+    fn decode(r: &mut Reader) -> Result<TraceEvent, SnapshotError> {
+        let at_ps = r.u64()?;
+        let node = NodeId(r.u32()?);
+        let (tag, word, from) = (r.u8()?, r.u16()?, NodeId(r.u32()?));
+        let kind = match tag {
+            0 => TraceKind::Transmit { word },
+            1 => TraceKind::Deliver { word, from },
+            2 => TraceKind::Collision { from },
+            3 => TraceKind::Led { value: word },
+            4 => TraceKind::Stimulus,
+            5 => TraceKind::NodeDeath,
+            _ => return Err(SnapshotError::Corrupt("trace kind discriminant")),
+        };
+        Ok(TraceEvent { at_ps, node, kind })
+    }
+}
+
 /// How a [`Trace`] stores what it records.
 ///
 /// Long benchmark runs record millions of events; keeping them all
 /// ([`TraceMode::Full`], the default) would make trace memory — not
 /// simulation — the bottleneck. Ring mode keeps a sliding tail for
 /// post-mortems; count-only mode keeps nothing but the total.
+///
+/// Snapshots store a pinned discriminant (`Full` = 0, `Ring` = 1,
+/// `CountOnly` = 2) and the ring capacity (0 outside ring mode); see
+/// the [`Trace`] codec.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceMode {
     /// Keep every event (the default; what tests compare).
@@ -194,27 +241,6 @@ impl Trace {
         self.events().iter().filter(|e| pred(e)).count()
     }
 
-    /// All state for a snapshot: `(events, mode, recorded, sealed)`.
-    pub(crate) fn export(&self) -> (&[TraceEvent], TraceMode, u64, usize) {
-        (&self.events, self.mode, self.recorded, self.sealed)
-    }
-
-    /// Rebuild from a snapshot. `sealed` is clamped to the event count
-    /// so a corrupt index cannot slice out of bounds later.
-    pub(crate) fn restore(
-        events: Vec<TraceEvent>,
-        mode: TraceMode,
-        recorded: u64,
-        sealed: usize,
-    ) -> Trace {
-        Trace {
-            sealed: sealed.min(events.len()),
-            events,
-            mode,
-            recorded,
-        }
-    }
-
     /// Render the trace as JSON lines (one event per line) for external
     /// analysis. Hand-rolled writer: the event structure is flat and
     /// the workspace deliberately avoids a JSON dependency.
@@ -238,6 +264,51 @@ impl Trace {
             out.push('\n');
         }
         out
+    }
+}
+
+/// The whole event buffer: in ring mode it may hold up to twice the
+/// capacity (see [`Trace::record`]).
+impl Encode for Trace {
+    fn encode(&self, w: &mut Writer) {
+        let (tag, cap) = match self.mode {
+            TraceMode::Full => (0, 0),
+            TraceMode::Ring(cap) => (1, cap),
+            TraceMode::CountOnly => (2, 0),
+        };
+        w.u8(tag);
+        w.u64(cap as u64);
+        w.u64(self.recorded);
+        w.u64(self.sealed as u64);
+        w.seq(&self.events);
+    }
+}
+
+/// A sealed prefix longer than the buffer would slice out of bounds at
+/// the next [`Trace::seal`], and a count-only trace holds no events.
+impl Decode for Trace {
+    fn decode(r: &mut Reader) -> Result<Trace, SnapshotError> {
+        let mode = match (r.u8()?, r.u64()?) {
+            (0, _) => TraceMode::Full,
+            (1, cap) => TraceMode::Ring(cap as usize),
+            (2, _) => TraceMode::CountOnly,
+            _ => return Err(SnapshotError::Corrupt("trace mode discriminant")),
+        };
+        let recorded = r.u64()?;
+        let sealed = r.u64()?;
+        let events: Vec<TraceEvent> = r.seq()?;
+        if sealed > events.len() as u64 {
+            return Err(SnapshotError::Corrupt("trace sealed prefix"));
+        }
+        if mode == TraceMode::CountOnly && !events.is_empty() {
+            return Err(SnapshotError::Corrupt("events in a count-only trace"));
+        }
+        Ok(Trace {
+            events,
+            mode,
+            recorded,
+            sealed: sealed as usize,
+        })
     }
 }
 

@@ -382,32 +382,16 @@ fn print_distributions(cpu: &snap_core::Processor) {
     println!("handler nJ:   {}", span(&nj));
 }
 
-/// Restore a node from a `snap-snapshot` checkpoint, re-proving and
-/// recompiling the AOT image when the checkpointed engine is tier 2
-/// (caches are pure functions of state; results are bit-identical).
+/// Restore a node from a `snap-snapshot` checkpoint (the restore
+/// re-proves and recompiles the AOT image when the checkpointed engine
+/// is tier 2).
 fn load_checkpoint(path: &str) -> Result<Node, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     let snap = snap_snapshot::Snapshot::from_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
     let ns = snap.as_node().ok_or_else(|| {
         format!("{path}: not a node checkpoint (fleet snapshots restore via snap-serve)")
     })?;
-    let mut node = Node::from_snapshot(ns).map_err(|e| format!("{path}: {e}"))?;
-    if node.cpu().config().engine == snap_core::Engine::Aot {
-        let analysis = snap_lint::analyze_image(
-            node.cpu().imem().as_words(),
-            node.cpu().config().operating_point,
-        );
-        let regions: Vec<snap_core::AotRegion> = analysis
-            .regions
-            .iter()
-            .map(|r| snap_core::AotRegion {
-                entry: r.entry,
-                addrs: r.addrs.clone(),
-            })
-            .collect();
-        node.cpu_mut().install_aot(&regions);
-    }
-    Ok(node)
+    Node::from_snapshot(ns).map_err(|e| format!("{path}: {e}"))
 }
 
 /// A loaded input: a full [`snap_asm::Program`] (symbols and source

@@ -6,6 +6,7 @@
 //! blinks and check displayed values.
 
 use dess::SimTime;
+use snap_snapshot::{Decode, Encode, Reader, SnapshotError, Writer};
 
 /// The 12-bit output port with change history.
 #[derive(Debug, Clone, Default)]
@@ -41,16 +42,6 @@ impl LedPort {
         self.history.len()
     }
 
-    /// All state for a snapshot: `(value, history)`.
-    pub(crate) fn export(&self) -> (u16, &[(SimTime, u16)]) {
-        (self.value, &self.history)
-    }
-
-    /// Rebuild from a snapshot.
-    pub(crate) fn restore(value: u16, history: Vec<(SimTime, u16)>) -> LedPort {
-        LedPort { value, history }
-    }
-
     /// Number of value *changes* (a blink toggles, so one blink = one
     /// change).
     pub fn changes(&self) -> usize {
@@ -63,6 +54,27 @@ impl LedPort {
             }
         }
         n
+    }
+}
+
+impl Encode for LedPort {
+    fn encode(&self, w: &mut Writer) {
+        w.u16(self.value);
+        w.len(self.history.len());
+        for &(at, value) in &self.history {
+            w.u64(at.as_ps());
+            w.u16(value);
+        }
+    }
+}
+
+impl Decode for LedPort {
+    fn decode(r: &mut Reader) -> Result<LedPort, SnapshotError> {
+        let value = r.u16()?;
+        let history = (0..r.len()?)
+            .map(|_| Ok((SimTime::from_ps(r.u64()?), r.u16()?)))
+            .collect::<Result<_, SnapshotError>>()?;
+        Ok(LedPort { value, history })
     }
 }
 

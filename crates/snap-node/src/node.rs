@@ -22,6 +22,7 @@ use snap_asm::Program;
 use snap_core::{CoreConfig, CoreState, EnvAction, Processor, StepError};
 use snap_energy::{BatteryConfig, Energy};
 use snap_isa::Word;
+use snap_snapshot::{Decode, Encode, Reader, SnapshotError, Writer};
 use std::fmt;
 
 /// Identifies a node within a network simulation.
@@ -61,18 +62,33 @@ impl Default for NodeConfig {
 }
 
 /// What hardware a [`Node`] runs, and its role in the fleet.
+///
+/// The discriminants are pinned: snapshots store them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NodeKind {
     /// A SNAP/LE sensor node (the paper's processor).
     #[default]
-    Snap,
+    Snap = 0,
     /// An ATmega-baseline mote: an AVR core running the TinyOS-like
     /// runtime, adapted to the node contract by [`crate::avr::AvrMote`].
-    Avr,
+    Avr = 1,
     /// A mains-powered SNAP node that bridges radio traffic upstream:
     /// every word it hears is logged to [`Node::uplink`]. Gateways
     /// never carry a battery budget.
-    Gateway,
+    Gateway = 2,
+}
+
+impl Encode for NodeKind {
+    fn encode(&self, w: &mut Writer) {
+        w.u8(*self as u8);
+    }
+}
+
+impl Decode for NodeKind {
+    fn decode(r: &mut Reader) -> Result<NodeKind, SnapshotError> {
+        let variants = [NodeKind::Snap, NodeKind::Avr, NodeKind::Gateway];
+        r.variant(&variants, "node kind discriminant")
+    }
 }
 
 /// The processor behind a node: kind-level dispatch lives here so the
@@ -96,6 +112,22 @@ pub struct UplinkFrame {
     pub at: SimTime,
     /// The word.
     pub word: Word,
+}
+
+impl Encode for UplinkFrame {
+    fn encode(&self, w: &mut Writer) {
+        w.u64(self.at.as_ps());
+        w.u16(self.word);
+    }
+}
+
+impl Decode for UplinkFrame {
+    fn decode(r: &mut Reader) -> Result<UplinkFrame, SnapshotError> {
+        Ok(UplinkFrame {
+            at: SimTime::from_ps(r.u64()?),
+            word: r.u16()?,
+        })
+    }
 }
 
 /// Externally visible things a node did during a run.
@@ -188,10 +220,34 @@ impl fmt::Display for NodeError {
 
 impl std::error::Error for NodeError {}
 
+/// A node's self-event. Snapshots store a pinned discriminant (0 for
+/// `TxDone`, 1 for `SensorReply`) and the reply word (0 for `TxDone`).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Pending {
     TxDone,
     SensorReply(Word),
+}
+
+impl Encode for Pending {
+    fn encode(&self, w: &mut Writer) {
+        let (kind, value) = match *self {
+            Pending::TxDone => (0, 0),
+            Pending::SensorReply(v) => (1, v),
+        };
+        w.u8(kind);
+        w.u16(value);
+    }
+}
+
+impl Decode for Pending {
+    fn decode(r: &mut Reader) -> Result<Pending, SnapshotError> {
+        let (kind, value) = (r.u8()?, r.u16()?);
+        match kind {
+            0 => Ok(Pending::TxDone),
+            1 => Ok(Pending::SensorReply(value)),
+            _ => Err(SnapshotError::Corrupt("pending event discriminant")),
+        }
+    }
 }
 
 /// Earliest of two optional instants (`None` = never).

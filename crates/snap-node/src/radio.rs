@@ -8,6 +8,7 @@
 
 use dess::{SimDuration, SimTime};
 use snap_isa::Word;
+use snap_snapshot::{Decode, Encode, Reader, SnapshotError, Writer};
 
 /// Bits per radio word (the datapath width).
 pub const WORD_BITS: u32 = 16;
@@ -16,14 +17,29 @@ pub const WORD_BITS: u32 = 16;
 pub const DEFAULT_BIT_RATE: f64 = 19_200.0;
 
 /// Transceiver mode.
+///
+/// The discriminants are pinned: snapshots store them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RadioMode {
     /// Powered down: neither receives nor transmits.
-    Off,
+    Off = 0,
     /// Receiver enabled.
-    Rx,
+    Rx = 1,
     /// Serializing a word onto the air (returns to `Rx` when done).
-    Tx,
+    Tx = 2,
+}
+
+impl Encode for RadioMode {
+    fn encode(&self, w: &mut Writer) {
+        w.u8(*self as u8);
+    }
+}
+
+impl Decode for RadioMode {
+    fn decode(r: &mut Reader) -> Result<RadioMode, SnapshotError> {
+        let variants = [RadioMode::Off, RadioMode::Rx, RadioMode::Tx];
+        r.variant(&variants, "radio mode discriminant")
+    }
 }
 
 /// The radio transceiver.
@@ -138,38 +154,44 @@ impl Radio {
     pub fn words_heard(&self) -> u64 {
         self.words_heard
     }
+}
 
-    /// All state for a snapshot: `(bit_rate, mode, tx_done_at, tx_word,
-    /// words_sent, words_heard)`.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn export(&self) -> (f64, RadioMode, Option<SimTime>, Option<Word>, u64, u64) {
-        (
-            self.bit_rate,
-            self.mode,
-            self.tx_done_at,
-            self.tx_word,
-            self.words_sent,
-            self.words_heard,
-        )
+/// The bit rate travels as its `f64` bit pattern; an in-flight
+/// transmission as its completion time and word.
+impl Encode for Radio {
+    fn encode(&self, w: &mut Writer) {
+        w.u64(self.bit_rate.to_bits());
+        self.mode.encode(w);
+        w.opt_u64(self.tx_done_at.map(SimTime::as_ps));
+        w.opt_u16(self.tx_word);
+        w.u64(self.words_sent);
+        w.u64(self.words_heard);
     }
+}
 
-    /// Rebuild from a snapshot. The caller has validated `bit_rate`
-    /// (finite, positive).
-    pub(crate) fn restore(
-        bit_rate: f64,
-        mode: RadioMode,
-        tx_done_at: Option<SimTime>,
-        tx_word: Option<Word>,
-        words_sent: u64,
-        words_heard: u64,
-    ) -> Radio {
-        let mut r = Radio::with_bit_rate(bit_rate);
-        r.mode = mode;
-        r.tx_done_at = tx_done_at;
-        r.tx_word = tx_word;
-        r.words_sent = words_sent;
-        r.words_heard = words_heard;
-        r
+impl Decode for Radio {
+    fn decode(r: &mut Reader) -> Result<Radio, SnapshotError> {
+        let bit_rate = f64::from_bits(r.u64()?);
+        if !bit_rate.is_finite() || bit_rate <= 0.0 {
+            return Err(SnapshotError::Corrupt("radio bit rate"));
+        }
+        let radio = Radio {
+            bit_rate,
+            mode: RadioMode::decode(r)?,
+            tx_done_at: r.opt_u64()?.map(SimTime::from_ps),
+            tx_word: r.opt_u16()?,
+            words_sent: r.u64()?,
+            words_heard: r.u64()?,
+        };
+        // An in-flight transmission carries both its word and its
+        // completion time, or neither, and only while transmitting.
+        if radio.tx_done_at.is_some() != radio.tx_word.is_some() {
+            return Err(SnapshotError::Corrupt("in-flight transmission"));
+        }
+        if radio.tx_done_at.is_some() != (radio.mode == RadioMode::Tx) {
+            return Err(SnapshotError::Corrupt("radio mode vs in-flight tx"));
+        }
+        Ok(radio)
     }
 }
 

@@ -9,6 +9,7 @@
 
 use dess::SimDuration;
 use snap_isa::Word;
+use snap_snapshot::{Decode, Encode, Reader, SnapshotError, Writer};
 use std::collections::BTreeMap;
 
 /// Default latency between a `Query` command and the reply event:
@@ -66,28 +67,40 @@ impl SensorBank {
     pub fn queries(&self) -> u64 {
         self.queries
     }
+}
 
-    /// All state for a snapshot: `(readings, reply_latency, queries)`.
-    /// Readings come out in ascending id order (BTreeMap iteration).
-    pub(crate) fn export(&self) -> (Vec<(u16, Word)>, SimDuration, u64) {
-        (
-            self.readings.iter().map(|(&k, &v)| (k, v)).collect(),
-            self.reply_latency,
-            self.queries,
-        )
-    }
-
-    /// Rebuild from a snapshot.
-    pub(crate) fn restore(
-        readings: &[(u16, Word)],
-        reply_latency: SimDuration,
-        queries: u64,
-    ) -> SensorBank {
-        SensorBank {
-            readings: readings.iter().map(|&(k, v)| (k & 0x0fff, v)).collect(),
-            reply_latency,
-            queries,
+/// `(id, reading)` pairs in ascending id order, then the reply latency
+/// and the query count.
+impl Encode for SensorBank {
+    fn encode(&self, w: &mut Writer) {
+        w.len(self.readings.len());
+        for (&id, &value) in &self.readings {
+            w.u16(id);
+            w.u16(value);
         }
+        w.u64(self.reply_latency.as_ps());
+        w.u64(self.queries);
+    }
+}
+
+/// Ids must be 12-bit and strictly ascending, as the live map keeps
+/// them.
+impl Decode for SensorBank {
+    fn decode(r: &mut Reader) -> Result<SensorBank, SnapshotError> {
+        let mut readings = BTreeMap::new();
+        for _ in 0..r.len()? {
+            let id = r.u16()?;
+            let after_last = readings.last_key_value().is_none_or(|(&last, _)| id > last);
+            if id > 0x0fff || !after_last {
+                return Err(SnapshotError::Corrupt("sensor id"));
+            }
+            readings.insert(id, r.u16()?);
+        }
+        Ok(SensorBank {
+            readings,
+            reply_latency: SimDuration::from_ps(r.u64()?),
+            queries: r.u64()?,
+        })
     }
 }
 

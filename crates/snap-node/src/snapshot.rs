@@ -1,255 +1,209 @@
-//! Node state export/restore against the `snap-snapshot` format.
+//! Node checkpoints in the `snap-snapshot` format.
 //!
-//! Extends the core snapshot ([`snap_core::snapshot`]) with the node's
-//! peripherals: radio (including an in-flight transmission), sensor
-//! bank, output port history, the pending-event calendar, and the
-//! runaway-handler budget. Format v2 adds the fleet-heterogeneity
-//! state: the node kind, the opaque AVR core blob for
-//! [`NodeKind::Avr`] motes (its own versioned format, see
+//! A node snapshot is the core snapshot ([`snap_core::snapshot`])
+//! plus the node's peripherals: radio (including an in-flight
+//! transmission), sensor bank, output port history, the pending-event
+//! calendar, and the runaway-handler budget. Format v2 adds the
+//! fleet-heterogeneity state: the node kind, the opaque AVR core blob
+//! for [`NodeKind::Avr`] motes (its own versioned format, see
 //! [`atmega::state`]), the battery budget, the death instant, and the
-//! gateway uplink queue. A restored node resumes bit-identically —
-//! see the format crate's docs for the invariant.
+//! gateway uplink queue. A restored node resumes bit-identically — see
+//! the format crate's docs for the invariant.
+//!
+//! The radio, sensors, LED port, node kind, pending events and uplink
+//! frames encode themselves in their own modules; this module writes
+//! the node's fields in order. [`BatteryConfig`] and the calendar come
+//! from crates that know nothing of snapshots, so they are written
+//! field by field here.
+//!
+//! AOT artifacts are caches, not state: for [`Engine::Aot`] cores the
+//! restore re-runs snap-lint's proof over the restored IMEM and
+//! recompiles, exactly as loading the program did. All tiers are
+//! bit-identical, so this only restores speed.
 
 use crate::avr::AvrMote;
-use crate::node::{Node, NodeCpu, NodeKind, Pending, UplinkFrame};
-use crate::radio::{Radio, RadioMode};
+use crate::led::LedPort;
+use crate::node::{Node, NodeCpu, NodeKind, Pending};
+use crate::radio::Radio;
 use crate::sensor::SensorBank;
-use crate::{LedPort, NodeId};
+use crate::NodeId;
 use atmega::AvrCore;
-use dess::{Calendar, SimDuration, SimTime};
-use snap_core::Processor;
+use dess::{Calendar, SimTime};
+use snap_core::{AotRegion, Engine, Processor};
 use snap_energy::BatteryConfig;
-use snap_snapshot::node::{node_kind, pending, radio_mode};
-use snap_snapshot::{
-    BatterySnapshot, LedSnapshot, NodeSnapshot, PendingSnap, RadioSnapshot, SensorSnapshot,
-    SnapshotError,
-};
-
-fn mode_to_wire(m: RadioMode) -> u8 {
-    match m {
-        RadioMode::Off => radio_mode::OFF,
-        RadioMode::Rx => radio_mode::RX,
-        RadioMode::Tx => radio_mode::TX,
-    }
-}
-
-fn mode_from_wire(w: u8) -> Result<RadioMode, SnapshotError> {
-    match w {
-        radio_mode::OFF => Ok(RadioMode::Off),
-        radio_mode::RX => Ok(RadioMode::Rx),
-        radio_mode::TX => Ok(RadioMode::Tx),
-        _ => Err(SnapshotError::Corrupt("radio mode discriminant")),
-    }
-}
-
-fn kind_to_wire(k: NodeKind) -> u8 {
-    match k {
-        NodeKind::Snap => node_kind::SNAP,
-        NodeKind::Avr => node_kind::AVR,
-        NodeKind::Gateway => node_kind::GATEWAY,
-    }
-}
-
-fn kind_from_wire(w: u8) -> Result<NodeKind, SnapshotError> {
-    match w {
-        node_kind::SNAP => Ok(NodeKind::Snap),
-        node_kind::AVR => Ok(NodeKind::Avr),
-        node_kind::GATEWAY => Ok(NodeKind::Gateway),
-        _ => Err(SnapshotError::Corrupt("node kind discriminant")),
-    }
-}
-
-fn battery_to_wire(b: &BatteryConfig) -> BatterySnapshot {
-    BatterySnapshot {
-        capacity_uah_bits: b.capacity_uah.to_bits(),
-        voltage_v_bits: b.voltage_v.to_bits(),
-        sleep_ua_bits: b.sleep_ua.to_bits(),
-        tx_pj_per_word_bits: b.tx_pj_per_word.to_bits(),
-    }
-}
-
-fn battery_from_wire(s: &BatterySnapshot) -> Result<BatteryConfig, SnapshotError> {
-    let b = BatteryConfig {
-        capacity_uah: f64::from_bits(s.capacity_uah_bits),
-        voltage_v: f64::from_bits(s.voltage_v_bits),
-        sleep_ua: f64::from_bits(s.sleep_ua_bits),
-        tx_pj_per_word: f64::from_bits(s.tx_pj_per_word_bits),
-    };
-    let sane = |v: f64| v.is_finite() && v >= 0.0;
-    if !(sane(b.capacity_uah) && sane(b.voltage_v) && sane(b.sleep_ua) && sane(b.tx_pj_per_word)) {
-        return Err(SnapshotError::Corrupt("battery config field"));
-    }
-    Ok(b)
-}
+use snap_snapshot::{Decode, Encode, NodeSnapshot, Reader, SnapshotError, Writer};
 
 impl Node {
     /// Capture the complete observable node state.
     pub fn export_snapshot(&self) -> NodeSnapshot {
-        let (bit_rate, mode, tx_done_at, tx_word, words_sent, words_heard) = self.radio.export();
-        let (readings, reply_latency, queries) = self.sensors.export();
-        let (led_value, led_history) = self.led.export();
-        let (core, avr_state, avr_tx_emitted, avr_listen) = match &self.cpu {
-            NodeCpu::Snap(cpu) => (Some(cpu.export_snapshot()), Vec::new(), 0, false),
-            NodeCpu::Avr(mote) => (
-                None,
-                mote.core().export_state(),
-                mote.tx_emitted as u64,
-                mote.listen,
-            ),
-        };
-        NodeSnapshot {
-            id: self.id.0,
-            kind: kind_to_wire(self.kind),
-            core,
-            avr_state,
-            avr_tx_emitted,
-            avr_listen,
-            radio: RadioSnapshot {
-                bit_rate_bits: bit_rate.to_bits(),
-                mode: mode_to_wire(mode),
-                tx_done_at_ps: tx_done_at.map(|t| t.as_ps()),
-                tx_word,
-                words_sent,
-                words_heard,
-            },
-            sensors: SensorSnapshot {
-                readings,
-                reply_latency_ps: reply_latency.as_ps(),
-                queries,
-            },
-            led: LedSnapshot {
-                value: led_value,
-                history: led_history.iter().map(|&(t, v)| (t.as_ps(), v)).collect(),
-            },
-            pending: self
-                .pending
-                .snapshot_entries()
-                .iter()
-                .map(|&(at, ev)| match ev {
-                    Pending::TxDone => PendingSnap {
-                        at_ps: at.as_ps(),
-                        kind: pending::TX_DONE,
-                        value: 0,
-                    },
-                    Pending::SensorReply(v) => PendingSnap {
-                        at_ps: at.as_ps(),
-                        kind: pending::SENSOR_REPLY,
-                        value: v,
-                    },
-                })
-                .collect(),
-            step_limit: self.step_limit,
-            run_steps: self.run_steps,
-            battery: self.battery.as_ref().map(battery_to_wire),
-            died_at_ps: self.died_at.map(|t| t.as_ps()),
-            uplink: self.uplink.iter().map(|f| (f.at.as_ps(), f.word)).collect(),
-        }
+        NodeSnapshot::encode(self)
     }
 
     /// Rebuild a node from a snapshot. The restored node resumes
-    /// bit-identically to the original.
+    /// bit-identically to the original; a tier-2 core gets its AOT
+    /// image recompiled (see the module docs).
     ///
     /// # Errors
     ///
     /// Rejects structurally invalid snapshots ([`SnapshotError::Corrupt`]).
     pub fn from_snapshot(snap: &NodeSnapshot) -> Result<Node, SnapshotError> {
-        let kind = kind_from_wire(snap.kind)?;
-        let bit_rate = f64::from_bits(snap.radio.bit_rate_bits);
-        if !bit_rate.is_finite() || bit_rate <= 0.0 {
-            return Err(SnapshotError::Corrupt("radio bit rate"));
+        snap.decode()
+    }
+}
+
+/// A SNAP core is present exactly when the kind is not AVR; the AVR
+/// blob, drain cursor and listen flag are empty, 0 and `false` on SNAP
+/// nodes.
+impl Encode for Node {
+    fn encode(&self, w: &mut Writer) {
+        w.u32(self.id.0);
+        self.kind.encode(w);
+        match &self.cpu {
+            NodeCpu::Snap(cpu) => {
+                w.bool(true);
+                cpu.encode(w);
+                w.bytes(&[]);
+                w.u64(0);
+                w.bool(false);
+            }
+            NodeCpu::Avr(mote) => {
+                w.bool(false);
+                w.bytes(&mote.core.export_state());
+                w.u64(mote.tx_emitted as u64);
+                w.bool(mote.listen);
+            }
         }
-        let mode = mode_from_wire(snap.radio.mode)?;
-        // An in-flight transmission carries both its word and its
-        // completion time, or neither.
-        if snap.radio.tx_done_at_ps.is_some() != snap.radio.tx_word.is_some() {
-            return Err(SnapshotError::Corrupt("in-flight transmission"));
+        self.radio.encode(w);
+        self.sensors.encode(w);
+        self.led.encode(w);
+        let pending = self.pending.snapshot_entries();
+        w.len(pending.len());
+        for (at, event) in &pending {
+            w.u64(at.as_ps());
+            event.encode(w);
         }
-        if snap.radio.tx_done_at_ps.is_some() != (mode == RadioMode::Tx) {
-            return Err(SnapshotError::Corrupt("radio mode vs in-flight tx"));
+        w.u64(self.step_limit);
+        w.u64(self.run_steps);
+        w.bool(self.battery.is_some());
+        if let Some(b) = &self.battery {
+            for v in [b.capacity_uah, b.voltage_v, b.sleep_ua, b.tx_pj_per_word] {
+                w.u64(v.to_bits());
+            }
         }
-        // Kind-specific structural invariants. The in-memory struct can
-        // be built by hand, so re-check what the wire decoder checks.
-        if (kind == NodeKind::Avr) != snap.core.is_none() {
-            return Err(SnapshotError::Corrupt("node kind / core presence mismatch"));
-        }
-        if (kind == NodeKind::Avr) == snap.avr_state.is_empty() {
-            return Err(SnapshotError::Corrupt("node kind / avr state mismatch"));
-        }
-        if kind == NodeKind::Gateway && snap.battery.is_some() {
-            return Err(SnapshotError::Corrupt("battery on mains-powered gateway"));
-        }
-        if kind != NodeKind::Gateway && !snap.uplink.is_empty() {
-            return Err(SnapshotError::Corrupt("uplink frames on non-gateway node"));
-        }
-        let cpu = match &snap.core {
-            Some(core) => NodeCpu::Snap(Processor::from_snapshot(core)?),
-            None => {
-                let core = AvrCore::restore_state(&snap.avr_state)
+        w.opt_u64(self.died_at.map(SimTime::as_ps));
+        w.seq(&self.uplink);
+    }
+}
+
+impl Decode for Node {
+    fn decode(r: &mut Reader) -> Result<Node, SnapshotError> {
+        let id = NodeId(r.u32()?);
+        let kind = NodeKind::decode(r)?;
+        let core = if r.bool()? {
+            Some(Processor::decode(r)?)
+        } else {
+            None
+        };
+        let avr_state = r.bytes()?;
+        let avr_tx_emitted = r.u64()?;
+        let avr_listen = r.bool()?;
+        let cpu = match (kind, core) {
+            (NodeKind::Avr, None) => {
+                let core = AvrCore::restore_state(&avr_state)
                     .map_err(|_| SnapshotError::Corrupt("avr core state blob"))?;
-                if snap.avr_tx_emitted as usize > core.spi_sent().len() {
+                if avr_tx_emitted > core.spi_sent().len() as u64 {
                     return Err(SnapshotError::Corrupt("avr tx drain cursor"));
                 }
                 let mut mote = AvrMote::new(core);
-                mote.tx_emitted = snap.avr_tx_emitted as usize;
-                mote.listen = snap.avr_listen;
+                mote.tx_emitted = avr_tx_emitted as usize;
+                mote.listen = avr_listen;
                 NodeCpu::Avr(mote)
             }
+            (NodeKind::Snap | NodeKind::Gateway, Some(mut cpu)) => {
+                if cpu.config().engine == Engine::Aot {
+                    let point = cpu.config().operating_point;
+                    let analysis = snap_lint::analyze_image(cpu.imem().as_words(), point);
+                    let regions: Vec<AotRegion> = analysis
+                        .regions
+                        .iter()
+                        .map(|r| AotRegion {
+                            entry: r.entry,
+                            addrs: r.addrs.clone(),
+                        })
+                        .collect();
+                    cpu.install_aot(&regions);
+                }
+                NodeCpu::Snap(cpu)
+            }
+            _ => return Err(SnapshotError::Corrupt("node kind / core presence mismatch")),
         };
-        let mut pending_cal = Calendar::new();
-        for p in &snap.pending {
-            let ev = match p.kind {
-                pending::TX_DONE => Pending::TxDone,
-                pending::SENSOR_REPLY => Pending::SensorReply(p.value),
-                _ => return Err(SnapshotError::Corrupt("pending event kind")),
-            };
-            pending_cal.schedule(SimTime::from_ps(p.at_ps), ev);
+        let radio = Radio::decode(r)?;
+        let sensors = SensorBank::decode(r)?;
+        let led = LedPort::decode(r)?;
+        // Re-scheduling in pop order reassigns fresh but ordered
+        // sequence numbers, so FIFO order among equal times survives.
+        let mut pending = Calendar::new();
+        for _ in 0..r.len()? {
+            let at = SimTime::from_ps(r.u64()?);
+            pending.schedule(at, Pending::decode(r)?);
+        }
+        let step_limit = r.u64()?;
+        let run_steps = r.u64()?;
+        let battery = if r.bool()? {
+            Some(decode_battery(r)?)
+        } else {
+            None
+        };
+        let died_at = r.opt_u64()?.map(SimTime::from_ps);
+        let uplink = r.seq()?;
+        if kind == NodeKind::Gateway && battery.is_some() {
+            return Err(SnapshotError::Corrupt("battery on mains-powered gateway"));
+        }
+        if kind != NodeKind::Gateway && !uplink.is_empty() {
+            return Err(SnapshotError::Corrupt("uplink frames on non-gateway node"));
         }
         Ok(Node {
-            id: NodeId(snap.id),
+            id,
             kind,
             cpu,
-            radio: Radio::restore(
-                bit_rate,
-                mode,
-                snap.radio.tx_done_at_ps.map(SimTime::from_ps),
-                snap.radio.tx_word,
-                snap.radio.words_sent,
-                snap.radio.words_heard,
-            ),
-            sensors: SensorBank::restore(
-                &snap.sensors.readings,
-                SimDuration::from_ps(snap.sensors.reply_latency_ps),
-                snap.sensors.queries,
-            ),
-            led: LedPort::restore(
-                snap.led.value,
-                snap.led
-                    .history
-                    .iter()
-                    .map(|&(t, v)| (SimTime::from_ps(t), v))
-                    .collect(),
-            ),
-            pending: pending_cal,
-            step_limit: snap.step_limit,
-            run_steps: snap.run_steps,
-            battery: snap.battery.as_ref().map(battery_from_wire).transpose()?,
-            died_at: snap.died_at_ps.map(SimTime::from_ps),
-            uplink: snap
-                .uplink
-                .iter()
-                .map(|&(at, word)| UplinkFrame {
-                    at: SimTime::from_ps(at),
-                    word,
-                })
-                .collect(),
+            radio,
+            sensors,
+            led,
+            pending,
+            step_limit,
+            run_steps,
+            battery,
+            died_at,
+            uplink,
         })
     }
+}
+
+/// The four [`BatteryConfig`] fields as `f64` bit patterns, each finite
+/// and non-negative.
+fn decode_battery(r: &mut Reader) -> Result<BatteryConfig, SnapshotError> {
+    let mut field = || -> Result<f64, SnapshotError> {
+        let v = f64::from_bits(r.u64()?);
+        if v.is_finite() && v >= 0.0 {
+            Ok(v)
+        } else {
+            Err(SnapshotError::Corrupt("battery config field"))
+        }
+    };
+    Ok(BatteryConfig {
+        capacity_uah: field()?,
+        voltage_v: field()?,
+        sleep_ua: field()?,
+        tx_pj_per_word: field()?,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::NodeConfig;
+    use crate::radio::RadioMode;
+    use crate::{NodeConfig, UplinkFrame};
+    use dess::SimDuration;
     use snap_asm::assemble;
     use snap_snapshot::Snapshot;
 
@@ -296,22 +250,22 @@ mod tests {
     }
 
     #[test]
-    fn export_import_round_trip_is_exact() {
-        let node = busy_node();
-        let snap = node.export_snapshot();
-        let restored = Node::from_snapshot(&snap).unwrap();
-        assert_eq!(restored.export_snapshot(), snap);
+    fn round_trip_through_bytes_is_exact() {
+        for node in [busy_node(), busy_avr_node()] {
+            let snap = node.export_snapshot();
+            let bytes = Snapshot::Node(Box::new(snap.clone())).to_bytes();
+            assert_eq!(Snapshot::from_bytes(&bytes).unwrap().as_node(), Some(&snap));
+            let restored = Node::from_snapshot(&snap).unwrap();
+            assert_eq!(restored.export_snapshot(), snap);
+        }
     }
 
     #[test]
     fn avr_round_trip_is_exact_and_resumes() {
-        let node = busy_avr_node();
-        let snap = node.export_snapshot();
-        assert_eq!(snap.kind, node_kind::AVR);
-        assert!(snap.core.is_none());
-        assert!(!snap.avr_state.is_empty());
+        let snap = busy_avr_node().export_snapshot();
         let restored = Node::from_snapshot(&snap).unwrap();
-        assert_eq!(restored.export_snapshot(), snap);
+        assert_eq!(restored.kind(), NodeKind::Avr);
+        assert!(restored.avr().is_some());
 
         let mut straight = busy_avr_node();
         let mut resumed = Node::from_snapshot(&snap).unwrap();
@@ -327,10 +281,10 @@ mod tests {
         node.load(&assemble("halt").unwrap()).unwrap();
         node.deliver_rx(0xabcd);
         let snap = node.export_snapshot();
-        assert_eq!(snap.kind, node_kind::GATEWAY);
-        assert_eq!(snap.uplink, vec![(0, 0xabcd)]);
         let restored = Node::from_snapshot(&snap).unwrap();
+        assert_eq!(restored.kind(), NodeKind::Gateway);
         assert_eq!(restored.uplink(), node.uplink());
+        assert_eq!(restored.uplink().len(), 1);
         assert_eq!(restored.export_snapshot(), snap);
     }
 
@@ -351,63 +305,78 @@ mod tests {
         );
     }
 
-    #[test]
-    fn node_snapshot_serializes_through_bytes() {
-        let snap = busy_node().export_snapshot();
-        let bytes = Snapshot::Node(Box::new(snap.clone())).to_bytes();
-        let back = Snapshot::from_bytes(&bytes).unwrap();
-        assert_eq!(back.as_node().unwrap(), &snap);
+    type Patch = fn(&mut Vec<u8>);
 
-        let snap = busy_avr_node().export_snapshot();
-        let bytes = Snapshot::Node(Box::new(snap.clone())).to_bytes();
-        assert_eq!(Snapshot::from_bytes(&bytes).unwrap().as_node(), Some(&snap));
+    /// Decode `value`'s encoding with `patch` applied; the error, if any.
+    fn rejection<T: Encode + Decode>(value: &T, patch: Patch) -> Option<SnapshotError> {
+        let mut bytes = value.encoded();
+        patch(&mut bytes);
+        T::decode(&mut Reader::new(&bytes)).err()
     }
 
     #[test]
-    fn corrupt_node_fields_are_rejected() {
-        let snap = busy_node().export_snapshot();
-
-        let mut s = snap.clone();
-        s.radio.bit_rate_bits = (-1.0f64).to_bits();
-        assert!(Node::from_snapshot(&s).is_err());
-
-        let mut s = snap.clone();
-        s.radio.mode = 9;
-        assert!(Node::from_snapshot(&s).is_err());
-
-        let mut s = snap.clone();
-        s.radio.tx_word = None; // in-flight time without a word
-        assert!(Node::from_snapshot(&s).is_err());
-
-        let mut s = snap.clone();
-        s.pending[0].kind = 7;
-        assert!(Node::from_snapshot(&s).is_err());
-
-        // Kind-consistency and battery sanity checks.
-        let mut s = snap.clone();
-        s.kind = node_kind::AVR; // AVR kind but a SNAP core present
-        assert!(Node::from_snapshot(&s).is_err());
-
-        let mut s = snap.clone();
-        s.uplink = vec![(1, 2)]; // uplink frames on a non-gateway
-        assert!(Node::from_snapshot(&s).is_err());
-
-        let mut s = snap;
-        s.battery = Some(BatterySnapshot {
-            capacity_uah_bits: f64::NAN.to_bits(),
-            voltage_v_bits: 3.0f64.to_bits(),
-            sleep_ua_bits: 0.0f64.to_bits(),
-            tx_pj_per_word_bits: 0.0f64.to_bits(),
+    fn corrupt_fields_are_rejected() {
+        let corrupt = |what| Some(SnapshotError::Corrupt(what));
+        let node = busy_node();
+        let mut foreign_uplink = busy_node();
+        foreign_uplink.uplink.push(UplinkFrame {
+            at: SimTime::ZERO,
+            word: 2,
         });
-        assert!(Node::from_snapshot(&s).is_err());
-
-        let avr = busy_avr_node().export_snapshot();
-        let mut s = avr.clone();
-        s.avr_state[0] ^= 0xff; // corrupt the opaque blob's magic
-        assert!(Node::from_snapshot(&s).is_err());
-
-        let mut s = avr;
-        s.avr_tx_emitted = u64::MAX; // drain cursor past the send log
-        assert!(Node::from_snapshot(&s).is_err());
+        let mut nan_battery = busy_node();
+        nan_battery.battery = Some(BatteryConfig {
+            capacity_uah: f64::NAN,
+            ..BatteryConfig::coin_cell_avr()
+        });
+        let mut runaway_cursor = busy_avr_node();
+        if let NodeCpu::Avr(mote) = &mut runaway_cursor.cpu {
+            mote.tx_emitted = usize::MAX;
+        }
+        let unchanged = |_: &mut Vec<u8>| {};
+        // Node: [0..4) id, [4] kind, [5] core present; an AVR blob's
+        // own bytes start at 14.
+        let cases: [(&Node, Patch, _); 6] = [
+            (&node, |b| b[4] = 9, "node kind discriminant"),
+            (
+                &node,
+                |b| b[4] = NodeKind::Avr as u8,
+                "node kind / core presence mismatch",
+            ),
+            (
+                &foreign_uplink,
+                unchanged,
+                "uplink frames on non-gateway node",
+            ),
+            (&nan_battery, unchanged, "battery config field"),
+            (&busy_avr_node(), |b| b[14] ^= 0xff, "avr core state blob"),
+            (&runaway_cursor, unchanged, "avr tx drain cursor"),
+        ];
+        for (node, patch, want) in cases {
+            assert_eq!(rejection(node, patch), corrupt(want));
+        }
+        // Radio: [0..8) bit rate, [8] mode, [9..18) tx end, [18..21)
+        // the in-flight word.
+        let cases: [(Patch, _); 4] = [
+            (
+                |b| b[..8].copy_from_slice(&(-1f64).to_bits().to_le_bytes()),
+                "radio bit rate",
+            ),
+            (|b| b[8] = 9, "radio mode discriminant"),
+            (|b| b[8] = RadioMode::Rx as u8, "radio mode vs in-flight tx"),
+            (
+                |b| {
+                    b.drain(19..21);
+                    b[18] = 0;
+                },
+                "in-flight transmission",
+            ),
+        ];
+        for (patch, want) in cases {
+            assert_eq!(rejection(&node.radio, patch), corrupt(want));
+        }
+        assert_eq!(
+            rejection(&Pending::TxDone, |b| b[0] = 7),
+            corrupt("pending event discriminant")
+        );
     }
 }

@@ -5,7 +5,9 @@
 //! `server-smoke` job runs.
 
 use dess::{SimDuration, SimTime};
+use snap_net::NetworkSim;
 use snap_node::NodeId;
+use snap_snapshot::{fnv1a, Snapshot};
 use snap_telemetry::{parse, Value};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -151,9 +153,14 @@ fn submit_stream_snapshot_fork_resume_equality() {
     // paused instant.
     let (status, snap_bytes) = request(addr, "GET", &format!("/sims/{id}/snapshot"), b"");
     assert_eq!(status, 200);
-    let decoded = snap_snapshot::Snapshot::from_bytes(&snap_bytes).expect("snapshot decodes");
+    let decoded = Snapshot::from_bytes(&snap_bytes).expect("snapshot decodes");
     let fleet = decoded.as_fleet().expect("fleet snapshot");
-    assert_eq!(fleet.now_ps / 1_000_000, paused_at as u64, "snapshot clock");
+    let restored = NetworkSim::from_snapshot(fleet).expect("snapshot restores");
+    assert_eq!(
+        restored.now().as_ps() / 1_000_000,
+        paused_at as u64,
+        "snapshot clock"
+    );
 
     // Fork (server-side snapshot+restore) and restore (round trip of
     // the downloaded bytes) both yield paused siblings.
@@ -267,6 +274,16 @@ fn bad_requests_get_clean_errors() {
     assert_eq!(status, 404);
 
     let (status, body) = request(addr, "POST", "/sims/restore", b"garbage bytes");
+    assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
+
+    // A well-framed snapshot (valid checksum) whose payload holds a
+    // shard count of 0: restore must refuse it, not clamp it to 1.
+    let mut forged = Snapshot::Fleet(Box::new(NetworkSim::new(10.0).export_snapshot())).to_bytes();
+    forged[17 + 9..17 + 17].copy_from_slice(&0u64.to_le_bytes());
+    let sum = fnv1a(&forged[17..]);
+    forged[9..17].copy_from_slice(&sum.to_le_bytes());
+    assert!(Snapshot::from_bytes(&forged).is_ok(), "framing must pass");
+    let (status, body) = request(addr, "POST", "/sims/restore", &forged);
     assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
 
     let (status, _) = request(addr, "GET", "/nope", b"");

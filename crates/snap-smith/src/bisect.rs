@@ -6,19 +6,20 @@
 //! module localizes that instant:
 //!
 //! 1. **Checkpoint pass** — both legs run once under one driver,
-//!    exporting a [`snap_snapshot::CoreSnapshot`] every `interval`
-//!    executed instructions. The snapshot *is* the canonical
+//!    keeping a copy of the core every `interval` executed
+//!    instructions. The core's snapshot encoding *is* the canonical
 //!    architectural observation: two cores agree at a boundary iff
-//!    their snapshots are equal modulo the config header (engine and
+//!    their encodings are equal past the config header (engine and
 //!    predecode settings legitimately differ between legs; caches are
-//!    never serialized, so warm-vs-cold state cannot leak in).
+//!    never encoded, so warm-vs-cold state cannot leak in).
 //! 2. **Binary search** — over the aligned checkpoint boundaries for
-//!    the first one where the snapshots differ, giving a divergence
+//!    the first one where the states differ, giving a divergence
 //!    window of at most `interval` instructions.
-//! 3. **Replay** — both legs are rebuilt *from their snapshot at the
-//!    last agreeing boundary* (not from t = 0) and re-driven one
-//!    instruction at a time, comparing state after every executed
-//!    instruction, down to the exact count where the universes split.
+//! 3. **Replay** — both legs are rebuilt *from a snapshot of their
+//!    checkpoint at the last agreeing boundary* (not from t = 0) and
+//!    re-driven one instruction at a time, comparing state after every
+//!    executed instruction, down to the exact count where the
+//!    universes split.
 //!
 //! The replay step is also an end-to-end exercise of the snapshot
 //! layer: it only finds the same divergence the straight runs showed
@@ -37,7 +38,8 @@ use crate::gen::{Script, Stimulus, StimulusKind};
 use dess::SimTime;
 use snap_asm::Program;
 use snap_core::{CoreConfig, CoreState, Engine, EnvAction, Processor, StepOutcome};
-use snap_snapshot::CoreSnapshot;
+use snap_isa::EventKind;
+use snap_snapshot::Encode;
 
 /// Default checkpoint interval, in executed instructions.
 pub const DEFAULT_INTERVAL: u64 = 256;
@@ -115,18 +117,18 @@ struct Leg<'a> {
     idx: usize,
 }
 
-/// One checkpoint: the architectural state at a boundary plus the
-/// driver cursor needed to resume the script there.
+/// One checkpoint: the core at a boundary plus the driver cursor
+/// needed to resume the script there.
 struct Checkpoint {
     executed: u64,
     idx: usize,
-    snap: CoreSnapshot,
+    cpu: Processor,
 }
 
 /// How a leg's first pass ended.
 struct LegEnd {
     executed: u64,
-    snap: CoreSnapshot,
+    cpu: Processor,
     error: Option<String>,
 }
 
@@ -189,9 +191,12 @@ impl<'a> Leg<'a> {
     }
 
     /// Rebuild a leg from a checkpoint — the time-travel entry point.
+    /// The core goes through a snapshot, so every replay exercises
+    /// restore.
     fn resume(spec: &LegSpec<'a>, ck: &Checkpoint) -> Result<Leg<'a>, String> {
         let (burst, _) = runner_config(spec.runner)?;
-        let mut cpu = Processor::from_snapshot(&ck.snap).map_err(|e| e.to_string())?;
+        let mut cpu =
+            Processor::from_snapshot(&ck.cpu.export_snapshot()).map_err(|e| e.to_string())?;
         if cpu.config().engine == Engine::Aot {
             install_aot(&mut cpu);
         }
@@ -302,10 +307,6 @@ impl<'a> Leg<'a> {
             }
         }
     }
-
-    fn snapshot(&self) -> CoreSnapshot {
-        self.cpu.export_snapshot()
-    }
 }
 
 /// First pass: run a leg to completion, checkpointing at every
@@ -325,7 +326,7 @@ fn run_with_checkpoints(
                 cks.push(Checkpoint {
                     executed: leg.executed,
                     idx: leg.idx,
-                    snap: leg.snapshot(),
+                    cpu: leg.cpu.clone(),
                 });
                 boundary += interval;
             }
@@ -334,7 +335,7 @@ fn run_with_checkpoints(
                     cks,
                     LegEnd {
                         executed: leg.executed,
-                        snap: leg.snapshot(),
+                        cpu: leg.cpu,
                         error: None,
                     },
                 ));
@@ -344,7 +345,7 @@ fn run_with_checkpoints(
                     cks,
                     LegEnd {
                         executed: leg.executed,
-                        snap: leg.snapshot(),
+                        cpu: leg.cpu,
                         error: Some(e),
                     },
                 ));
@@ -353,60 +354,70 @@ fn run_with_checkpoints(
     }
 }
 
-/// Architectural equality: everything in the snapshot except the
+/// Architectural equality: the cores' snapshot encodings past the
 /// config header, which legitimately differs between legs (engine,
 /// predecode) without being observable state.
-fn arch_eq(a: &CoreSnapshot, b: &CoreSnapshot) -> bool {
-    let mut b = b.clone();
-    b.config = a.config.clone();
-    *a == b
+fn arch_eq(a: &Processor, b: &Processor) -> bool {
+    let arch = |cpu: &Processor| cpu.encoded().split_off(cpu.config().encoded().len());
+    arch(a) == arch(b)
+}
+
+/// The architectural state field by field, in report order, memories
+/// excepted: each field's name and its `Debug` rendering.
+fn fields(cpu: &Processor) -> [(&'static str, String); 16] {
+    let handlers: Vec<u16> = EventKind::ALL.iter().map(|&e| cpu.handler(e)).collect();
+    let stats = cpu.stats();
+    [
+        ("pc", format!("{:?}", cpu.pc())),
+        ("regs", format!("{:?}", cpu.regs())),
+        ("state", format!("{:?}", cpu.state())),
+        ("now", format!("{:?}", cpu.now())),
+        ("queue", format!("{:?}", cpu.event_queue())),
+        ("current_event", format!("{:?}", cpu.current_event())),
+        ("handler_table", format!("{handlers:?}")),
+        ("lfsr", format!("{:#06x}", cpu.lfsr_state())),
+        ("timers", format!("{:?}", cpu.timers())),
+        ("msg", format!("{:?}", cpu.msg())),
+        ("acct", format!("{:?}", cpu.acct())),
+        ("profile", format!("{:?}", cpu.profile())),
+        ("sleep_time", format!("{:?}", stats.sleep_time)),
+        // Execution plus wake-up latency; `acct` holds the former.
+        ("busy_time", format!("{:?}", stats.busy_time)),
+        ("wakeups", format!("{}", stats.wakeups)),
+        (
+            "handlers_dispatched",
+            format!("{}", stats.handlers_dispatched),
+        ),
+    ]
 }
 
 /// First differing architectural field, with both values. `None` when
-/// the states agree.
-fn snapshot_diff(a: &CoreSnapshot, b: &CoreSnapshot) -> Option<String> {
-    macro_rules! field {
-        ($name:ident) => {
-            if a.$name != b.$name {
-                return Some(format!(
-                    "{} mismatch:\n  reference: {:?}\n  suspect:   {:?}",
-                    stringify!($name),
-                    a.$name,
-                    b.$name
-                ));
-            }
-        };
+/// the states agree. [`arch_eq`] decides; the field list only names
+/// the difference (falling back to a generic message for one `Debug`
+/// cannot show, such as a NaN payload).
+fn snapshot_diff(a: &Processor, b: &Processor) -> Option<String> {
+    if arch_eq(a, b) {
+        return None;
     }
-    field!(pc);
-    field!(regs);
-    field!(carry);
-    field!(state);
-    field!(now_ps);
-    field!(queue);
-    field!(current_event);
-    field!(handler_table);
-    field!(lfsr);
-    field!(timers);
-    field!(msg);
-    field!(acct);
-    field!(profile);
-    field!(sleep_ps);
-    field!(wakeup_ps);
-    field!(wakeups);
-    field!(handlers_dispatched);
-    if let Some(i) = a.dmem.iter().zip(&b.dmem).position(|(x, y)| x != y) {
-        return Some(format!(
-            "dmem[{i:#05x}] mismatch: reference {:#06x}, suspect {:#06x}",
-            a.dmem[i], b.dmem[i]
-        ));
+    for ((name, x), (_, y)) in fields(a).into_iter().zip(fields(b)) {
+        if x != y {
+            return Some(format!(
+                "{name} mismatch:\n  reference: {x}\n  suspect:   {y}"
+            ));
+        }
     }
-    if let Some(i) = a.imem.iter().zip(&b.imem).position(|(x, y)| x != y) {
-        return Some(format!(
-            "imem[{i:#05x}] mismatch: reference {:#06x}, suspect {:#06x}",
-            a.imem[i], b.imem[i]
-        ));
+    for (bank, x, y) in [
+        ("dmem", a.dmem().as_words(), b.dmem().as_words()),
+        ("imem", a.imem().as_words(), b.imem().as_words()),
+    ] {
+        if let Some(i) = x.iter().zip(y).position(|(x, y)| x != y) {
+            return Some(format!(
+                "{bank}[{i:#05x}] mismatch: reference {:#06x}, suspect {:#06x}",
+                x[i], y[i]
+            ));
+        }
     }
-    None
+    Some("architectural state differs".into())
 }
 
 /// Bisect two legs down to the first executed-instruction count where
@@ -436,7 +447,7 @@ pub fn bisect(
     let mut found = None;
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
-        if arch_eq(&ref_cks[mid].snap, &sus_cks[mid].snap) {
+        if arch_eq(&ref_cks[mid].cpu, &sus_cks[mid].cpu) {
             lo = mid + 1;
         } else {
             found = Some(mid);
@@ -447,7 +458,7 @@ pub fn bisect(
     let (from_ck, window_hi) = match found {
         Some(0) => {
             // Split before the first boundary: nothing to resume from.
-            let detail = snapshot_diff(&ref_cks[0].snap, &sus_cks[0].snap)
+            let detail = snapshot_diff(&ref_cks[0].cpu, &sus_cks[0].cpu)
                 .unwrap_or_else(|| "initial states differ".into());
             return Ok(BisectOutcome::Diverged(BisectReport {
                 checkpoints: common,
@@ -466,7 +477,7 @@ pub fn bisect(
             let ends_agree = ref_cks.len() == sus_cks.len()
                 && ref_end.executed == sus_end.executed
                 && ref_end.error == sus_end.error
-                && arch_eq(&ref_end.snap, &sus_end.snap);
+                && arch_eq(&ref_end.cpu, &sus_end.cpu);
             if ends_agree {
                 return Ok(BisectOutcome::Agree);
             }
@@ -521,7 +532,7 @@ pub fn bisect(
                 );
             }
             (Ok(ca), Ok(cb)) => {
-                if let Some(d) = snapshot_diff(&r.snapshot(), &s.snapshot()) {
+                if let Some(d) = snapshot_diff(&r.cpu, &s.cpu) {
                     break (r.executed.max(s.executed), d);
                 }
                 if ca != cb {
@@ -584,7 +595,7 @@ fn end_detail(a: &LegEnd, b: &LegEnd) -> String {
             a.executed, b.executed
         );
     }
-    snapshot_diff(&a.snap, &b.snap).unwrap_or_else(|| "final states differ".into())
+    snapshot_diff(&a.cpu, &b.cpu).unwrap_or_else(|| "final states differ".into())
 }
 
 /// Render a report the way the CLI prints it.
@@ -609,47 +620,30 @@ mod tests {
     use super::*;
     use snap_snapshot::{fnv1a, Snapshot};
 
-    /// Boot code that arms timer 0 and sleeps: the timer, energy and
-    /// profile sections all carry live state afterwards.
-    const BOOT: &str = "\
-        li r1, 0
-        schedhi r1, r0
-        li r2, 40
-        schedlo r1, r2
-        done
-    ";
-
+    /// A core that armed timer 0 and went to sleep: timer, energy and
+    /// profile state are all live.
     fn booted(config: CoreConfig) -> Processor {
-        let program = snap_asm::assemble(BOOT).unwrap();
+        let boot = "li r1, 0\nschedhi r1, r0\nli r2, 40\nschedlo r1, r2\ndone";
         let mut cpu = Processor::new(config);
-        cpu.load_image(0, &program.imem_image()).unwrap();
+        cpu.load_image(0, &snap_asm::assemble(boot).unwrap().imem_image())
+            .unwrap();
         cpu.run_until_idle(100).unwrap();
         cpu
     }
 
-    /// What the bisector concludes about two live cores.
-    fn compare(a: &Processor, b: &Processor) -> (bool, Option<String>) {
-        let (a, b) = (a.export_snapshot(), b.export_snapshot());
-        (arch_eq(&a, &b), snapshot_diff(&a, &b))
+    /// The field the bisector names for two cores it must tell apart.
+    fn named(a: &Processor, b: &Processor) -> String {
+        assert!(!arch_eq(a, b));
+        snapshot_diff(a, b).expect("a difference is named")
     }
 
-    /// Offsets at which `pattern` occurs in `bytes`.
-    fn occurrences(bytes: &[u8], pattern: u64) -> Vec<usize> {
-        let pattern = pattern.to_le_bytes();
-        (0..=bytes.len() - 8)
-            .filter(|&i| bytes[i..i + 8] == pattern)
-            .collect()
-    }
-
-    fn snapshot_bytes(cpu: &Processor) -> Vec<u8> {
-        Snapshot::Core(Box::new(cpu.export_snapshot())).to_bytes()
-    }
-
-    /// `cpu` restored from its own snapshot with the one 8-byte field
-    /// holding `from` rewritten to `to` (checksum recomputed).
+    /// `cpu` restored from its snapshot bytes with the single 8-byte
+    /// field holding `from` rewritten to `to` (checksum recomputed).
     fn patched(cpu: &Processor, from: u64, to: u64) -> Processor {
-        let mut bytes = snapshot_bytes(cpu);
-        let hits = occurrences(&bytes, from);
+        let mut bytes = Snapshot::Core(Box::new(cpu.export_snapshot())).to_bytes();
+        let hits: Vec<usize> = (0..bytes.len() - 8)
+            .filter(|&i| bytes[i..i + 8] == from.to_le_bytes())
+            .collect();
         assert_eq!(hits.len(), 1, "{from:#x} must name exactly one field");
         bytes[hits[0]..hits[0] + 8].copy_from_slice(&to.to_le_bytes());
         let sum = fnv1a(&bytes[17..]);
@@ -665,33 +659,26 @@ mod tests {
     #[test]
     fn comparison_covers_state_the_observed_diff_does_not() {
         let base = booted(CoreConfig::default());
-        assert_eq!(compare(&base, &base.clone()), (true, None));
+        assert!(arch_eq(&base, &base.clone()) && snapshot_diff(&base, &base).is_none());
 
         // A different LFSR seed changes nothing but the live LFSR.
         let other_lfsr = booted(CoreConfig {
             lfsr_seed: 0x1234,
             ..CoreConfig::default()
         });
-        let (eq, detail) = compare(&base, &other_lfsr);
-        assert!(!eq);
-        assert!(detail.unwrap().starts_with("lfsr"));
+        assert!(named(&base, &other_lfsr).starts_with("lfsr"));
 
         let expiry = base.next_timer_expiry().unwrap().as_ps();
-        let (eq, detail) = compare(&base, &patched(&base, expiry, expiry + 1));
-        assert!(!eq);
-        assert!(detail.unwrap().starts_with("timers"));
+        let later = patched(&base, expiry, expiry + 1);
+        assert!(named(&base, &later).starts_with("timers"));
 
-        // One class's energy, low mantissa bit: the total is untouched.
-        let bytes = snapshot_bytes(&base);
-        let class_bits = base
-            .acct()
-            .per_class()
-            .map(|(_, s)| s.energy.as_pj().to_bits())
-            .find(|&bits| occurrences(&bytes, bits).len() == 1)
-            .expect("a class with a unique energy pattern");
-        let (eq, detail) = compare(&base, &patched(&base, class_bits, class_bits ^ 1));
-        assert!(!eq);
-        assert!(detail.unwrap().starts_with("acct"));
+        // The low mantissa bit of one class's energy; the total keeps
+        // its bits. (The instruction-class stats sum to the total, so
+        // with several classes each has its own pattern.)
+        let (_, class) = base.acct().per_class().last().unwrap();
+        let bits = class.energy.as_pj().to_bits();
+        let flipped = patched(&base, bits, bits ^ 1);
+        assert!(named(&base, &flipped).starts_with("acct"));
 
         // Engine and predecode are config, not state.
         let interp = booted(CoreConfig {
@@ -703,6 +690,6 @@ mod tests {
             engine: Engine::Aot,
             ..CoreConfig::default()
         });
-        assert_eq!(compare(&interp, &aot), (true, None));
+        assert!(arch_eq(&interp, &aot) && snapshot_diff(&interp, &aot).is_none());
     }
 }

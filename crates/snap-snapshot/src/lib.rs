@@ -10,21 +10,27 @@
 //!
 //! ## Design rules
 //!
-//! * **Plain data only.** This crate depends on nothing and contains no
-//!   simulator types — just integers. Enum discriminants are pinned
-//!   `u8` constants, floats travel as [`f64::to_bits`] patterns, times
-//!   as picoseconds. The conversions live next to the live state
-//!   (`snap_core::snapshot`, `snap_node::snapshot`,
-//!   `snap_net::snapshot`), which keeps private fields private.
+//! * **The live types encode themselves.** This crate depends on
+//!   nothing and knows no simulator type. It provides the wire codec
+//!   ([`Writer`], [`Reader`]), the [`Encode`]/[`Decode`] trait pair, the
+//!   framing below, and three opaque payloads ([`CoreSnapshot`],
+//!   [`NodeSnapshot`], [`FleetSnapshot`]). Each simulator component
+//!   implements the traits in the module that owns its state, so
+//!   private fields stay private and each byte layout is written
+//!   exactly once. Enum discriminants are pinned `u8` values beside the
+//!   enum they encode, floats travel as [`f64::to_bits`] patterns,
+//!   times as picoseconds.
 //! * **Caches are not state.** Predecode, fusion and AOT artifacts are
 //!   pure functions of IMEM + config; they rebuild on restore. All
 //!   execution tiers are bit-identical, so this is invisible.
 //! * **Fail closed.** Decoding foreign bytes never panics; every
-//!   discriminant, length and checksum is validated.
+//!   discriminant, length and checksum is validated. A payload that
+//!   decodes but would re-encode to different bytes is rejected too:
+//!   restore never normalises a value the live state cannot hold.
 //! * **Versioned.** The header carries [`FORMAT_VERSION`]. Any change
 //!   to the byte layout — even adding a field — must bump it; readers
 //!   reject versions they don't understand rather than guessing. The
-//!   golden-snapshot test pins the current layout.
+//!   golden-snapshot tests pin the current layout.
 //!
 //! ## File format
 //!
@@ -33,28 +39,16 @@
 //! [4..8)   format version, u32 LE
 //! [8..9)   payload kind: 1 = core, 2 = node, 3 = fleet
 //! [9..17)  FNV-1a 64 checksum of the payload, u64 LE
-//! [17..]   payload (see core/node/fleet modules)
+//! [17..]   payload: the `Encode` output of the processor, node or
+//!          network simulation
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod core;
-pub mod fleet;
-pub mod node;
 pub mod wire;
 
-pub use crate::core::{
-    AcctSnapshot, ClassStatSnap, CoreConfigSnap, CoreSnapshot, HandlerStatSnap, MsgSnapshot,
-    ProfileSnapshot, QueueSnapshot, TimerRegSnap, TimerSnapshot,
-};
-pub use crate::fleet::{
-    ChannelSnapshot, DeliverySnap, FleetSnapshot, PositionSnap, StimulusSnap, TraceEventSnap,
-    TraceSnapshot, TransmissionSnap,
-};
-pub use crate::node::{
-    BatterySnapshot, LedSnapshot, NodeSnapshot, PendingSnap, RadioSnapshot, SensorSnapshot,
-};
-pub use crate::wire::{fnv1a, Reader, SnapshotError, Writer};
+pub use crate::wire::{fnv1a, Decode, Encode, Reader, SnapshotError, Writer};
+use std::fmt;
 
 /// The four magic bytes opening every snapshot file.
 pub const MAGIC: [u8; 4] = *b"SNPS";
@@ -67,49 +61,99 @@ const KIND_CORE: u8 = 1;
 const KIND_NODE: u8 = 2;
 const KIND_FLEET: u8 = 3;
 
-/// A decoded snapshot of any granularity.
+macro_rules! payloads {
+    ($($(#[$doc:meta])* $name:ident;)*) => {$(
+        $(#[$doc])*
+        ///
+        /// Opaque: the bytes are the live state's [`Encode`] output, and
+        /// only the owning type can [`decode`](Self::decode) them.
+        #[derive(Clone, PartialEq, Eq)]
+        pub struct $name(Vec<u8>);
+
+        impl $name {
+            /// Encode `state` as a payload.
+            pub fn encode<T: Encode>(state: &T) -> $name {
+                $name(state.encoded())
+            }
+
+            /// Decode the payload back into live state. A payload that
+            /// decodes but re-encodes differently holds a value the live
+            /// type cannot represent (a field its variant does not use,
+            /// an out-of-order key, a clamped count): it is rejected, not
+            /// resumed as a different simulation.
+            ///
+            /// # Errors
+            ///
+            /// Any malformed payload yields a [`SnapshotError`].
+            pub fn decode<T: Encode + Decode>(&self) -> Result<T, SnapshotError> {
+                let mut r = Reader::new(&self.0);
+                let state = T::decode(&mut r)?;
+                if !r.is_empty() {
+                    return Err(SnapshotError::Corrupt("trailing bytes"));
+                }
+                if state.encoded() != self.0 {
+                    return Err(SnapshotError::Corrupt("non-canonical encoding"));
+                }
+                Ok(state)
+            }
+
+            /// The encoded payload, without header or checksum.
+            pub fn as_bytes(&self) -> &[u8] {
+                &self.0
+            }
+        }
+
+        impl fmt::Debug for $name {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_struct(stringify!($name))
+                    .field("len", &self.0.len())
+                    .field("fnv1a", &format_args!("{:#018x}", fnv1a(&self.0)))
+                    .finish()
+            }
+        }
+    )*};
+}
+
+payloads! {
+    /// The encoded state of one processor.
+    CoreSnapshot;
+    /// The encoded state of one network node.
+    NodeSnapshot;
+    /// The encoded state of a whole network simulation.
+    FleetSnapshot;
+}
+
+/// A snapshot of any granularity.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Snapshot {
-    /// A single processor (boxed, like [`Snapshot::Node`]: the inline
-    /// payload dwarfs the `Vec`-backed fleet variant).
+    /// A single processor.
     Core(Box<CoreSnapshot>),
-    /// A single network node (boxed: with the fleet-era battery and
-    /// uplink state a node is by far the largest inline payload).
+    /// A single network node.
     Node(Box<NodeSnapshot>),
-    /// A whole fleet (boxed like the others, keeping the enum one
-    /// pointer wide per variant).
+    /// A whole fleet.
     Fleet(Box<FleetSnapshot>),
 }
 
 impl Snapshot {
     /// Serialize with header and checksum.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload = Writer::new();
-        let kind = match self {
-            Snapshot::Core(c) => {
-                c.encode(&mut payload);
-                KIND_CORE
-            }
-            Snapshot::Node(n) => {
-                n.encode(&mut payload);
-                KIND_NODE
-            }
-            Snapshot::Fleet(f) => {
-                f.encode(&mut payload);
-                KIND_FLEET
-            }
+        let (kind, payload) = match self {
+            Snapshot::Core(c) => (KIND_CORE, c.as_bytes()),
+            Snapshot::Node(n) => (KIND_NODE, n.as_bytes()),
+            Snapshot::Fleet(f) => (KIND_FLEET, f.as_bytes()),
         };
-        let payload = payload.into_bytes();
         let mut out = Vec::with_capacity(17 + payload.len());
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         out.push(kind);
-        out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+        out.extend_from_slice(payload);
         out
     }
 
-    /// Parse a snapshot, validating magic, version and checksum.
+    /// Parse a snapshot, validating magic, version, kind and checksum.
+    /// The payload itself is decoded by the owning type's
+    /// `from_snapshot`.
     ///
     /// # Errors
     ///
@@ -133,21 +177,16 @@ impl Snapshot {
         let checksum = u64::from_le_bytes([
             bytes[9], bytes[10], bytes[11], bytes[12], bytes[13], bytes[14], bytes[15], bytes[16],
         ]);
-        let payload = &bytes[17..];
-        if fnv1a(payload) != checksum {
+        let payload = bytes[17..].to_vec();
+        if fnv1a(&payload) != checksum {
             return Err(SnapshotError::BadChecksum);
         }
-        let mut r = Reader::new(payload);
-        let snap = match kind {
-            KIND_CORE => Snapshot::Core(Box::new(CoreSnapshot::decode(&mut r)?)),
-            KIND_NODE => Snapshot::Node(Box::new(NodeSnapshot::decode(&mut r)?)),
-            KIND_FLEET => Snapshot::Fleet(Box::new(FleetSnapshot::decode(&mut r)?)),
+        Ok(match kind {
+            KIND_CORE => Snapshot::Core(Box::new(CoreSnapshot(payload))),
+            KIND_NODE => Snapshot::Node(Box::new(NodeSnapshot(payload))),
+            KIND_FLEET => Snapshot::Fleet(Box::new(FleetSnapshot(payload))),
             _ => return Err(SnapshotError::Corrupt("payload kind")),
-        };
-        if !r.is_empty() {
-            return Err(SnapshotError::Corrupt("trailing bytes"));
-        }
-        Ok(snap)
+        })
     }
 
     /// The fleet payload, if this is a fleet snapshot.
@@ -179,313 +218,126 @@ impl Snapshot {
 mod tests {
     use super::*;
 
-    fn sample_core() -> CoreSnapshot {
-        CoreSnapshot {
-            config: CoreConfigSnap {
-                vdd_bits: 1.8f64.to_bits(),
-                delay_factor_bits: 1.0f64.to_bits(),
-                bus_flat: false,
-                event_queue_capacity: 8,
-                timer_tick_ps: 1_000_000,
-                lfsr_seed: 0xACE1,
-                predecode: true,
-                engine: core::engine::FUSED,
-            },
-            regs: vec![0; 15],
-            carry: false,
-            imem: vec![0x1234; 2048],
-            dmem: vec![0; 2048],
-            pc: 7,
-            state: core::state::ASLEEP,
-            now_ps: 123_456,
-            handler_table: vec![0; 8],
-            lfsr: 0xACE1,
-            current_event: Some(5),
-            queue: QueueSnapshot {
-                fifo: vec![5, 3],
-                stamps: None,
-                dropped: 1,
-                inserted: 9,
-            },
-            timers: TimerSnapshot {
-                timers: vec![
-                    TimerRegSnap {
-                        staged_hi: 0,
-                        expiry_ps: Some(999)
-                    };
-                    3
-                ],
-                scheduled: 4,
-                expired: 3,
-                cancelled: 1,
-            },
-            msg: MsgSnapshot {
-                outgoing: vec![0xbeef],
-                awaiting_tx_payload: false,
-                rx_enabled: true,
-                port: 0x2a,
-                words_tx: 5,
-                words_rx: 6,
-            },
-            acct: AcctSnapshot {
-                components: vec![1.5f64.to_bits(); 7],
-                per_class: vec![
-                    ClassStatSnap {
-                        count: 10,
-                        energy_bits: 2.25f64.to_bits()
-                    };
-                    5
-                ],
-                total_energy_bits: 218.017f64.to_bits(),
-                busy_ps: 42,
-                instructions: 100,
-                cycles: 100,
-            },
-            profile: ProfileSnapshot {
-                boot: HandlerStatSnap {
-                    dispatches: 1,
-                    instructions: 4,
-                    energy_bits: 0,
-                    busy_ps: 10,
-                },
-                per_event: vec![
-                    HandlerStatSnap {
-                        dispatches: 0,
-                        instructions: 0,
-                        energy_bits: 0,
-                        busy_ps: 0
-                    };
-                    8
-                ],
-            },
-            sleep_ps: 1000,
-            wakeup_ps: 2500,
-            wakeups: 1,
-            handlers_dispatched: 2,
+    /// A stand-in for live state: a float, a sequence, and a port
+    /// whose decoder masks instead of rejecting.
+    #[derive(Debug, PartialEq)]
+    struct Sample {
+        energy: f64,
+        words: Vec<u16>,
+        port: u16,
+    }
+
+    impl Encode for Sample {
+        fn encode(&self, w: &mut Writer) {
+            w.u64(self.energy.to_bits());
+            w.seq_u16(&self.words);
+            w.u16(self.port);
         }
     }
 
-    #[test]
-    fn core_round_trip_is_exact() {
-        let snap = Snapshot::Core(Box::new(sample_core()));
-        let bytes = snap.to_bytes();
-        assert_eq!(Snapshot::from_bytes(&bytes).unwrap(), snap);
+    impl Decode for Sample {
+        fn decode(r: &mut Reader) -> Result<Sample, SnapshotError> {
+            Ok(Sample {
+                energy: f64::from_bits(r.u64()?),
+                words: r.seq_u16()?,
+                port: r.u16()? & 0x0fff,
+            })
+        }
+    }
+
+    fn sample(port: u16) -> Sample {
+        Sample {
+            energy: f64::from_bits(0x7ff8_0000_dead_beef), // a NaN payload
+            words: vec![0x1234; 64],
+            port,
+        }
+    }
+
+    fn core_bytes() -> Vec<u8> {
+        Snapshot::Core(Box::new(CoreSnapshot::encode(&sample(0x2a)))).to_bytes()
     }
 
     #[test]
-    fn header_fields_are_pinned() {
-        let bytes = Snapshot::Core(Box::new(sample_core())).to_bytes();
-        assert_eq!(&bytes[0..4], b"SNPS");
+    fn every_kind_round_trips_through_bytes() {
+        let snaps = [
+            Snapshot::Core(Box::new(CoreSnapshot::encode(&sample(1)))),
+            Snapshot::Node(Box::new(NodeSnapshot::encode(&sample(2)))),
+            Snapshot::Fleet(Box::new(FleetSnapshot::encode(&sample(3)))),
+        ];
+        for (snap, kind) in snaps.iter().zip([KIND_CORE, KIND_NODE, KIND_FLEET]) {
+            let bytes = snap.to_bytes();
+            assert_eq!((&bytes[0..4], bytes[8]), (&b"SNPS"[..], kind));
+            assert_eq!(bytes[4..8], FORMAT_VERSION.to_le_bytes());
+            assert_eq!(&Snapshot::from_bytes(&bytes).unwrap(), snap);
+        }
+        let back = Snapshot::from_bytes(&core_bytes()).unwrap();
+        assert!(back.as_node().is_none() && back.as_fleet().is_none());
+        let decoded: Sample = back.as_core().unwrap().decode().unwrap();
+        assert_eq!(decoded.energy.to_bits(), sample(0).energy.to_bits());
+    }
+
+    #[test]
+    fn bad_framing_is_rejected() {
+        let edit = |f: fn(&mut Vec<u8>)| {
+            let mut bytes = core_bytes();
+            f(&mut bytes);
+            Snapshot::from_bytes(&bytes)
+        };
+        assert_eq!(edit(|b| b[0] = b'X'), Err(SnapshotError::BadMagic));
         assert_eq!(
-            u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]),
-            FORMAT_VERSION
-        );
-        assert_eq!(bytes[8], KIND_CORE);
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let mut bytes = Snapshot::Core(Box::new(sample_core())).to_bytes();
-        bytes[0] = b'X';
-        assert_eq!(Snapshot::from_bytes(&bytes), Err(SnapshotError::BadMagic));
-    }
-
-    #[test]
-    fn future_version_rejected() {
-        let mut bytes = Snapshot::Core(Box::new(sample_core())).to_bytes();
-        bytes[4..8].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-        assert_eq!(
-            Snapshot::from_bytes(&bytes),
+            edit(|b| b[4..8].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes())),
             Err(SnapshotError::BadVersion {
                 found: FORMAT_VERSION + 1,
                 expected: FORMAT_VERSION
             })
         );
-    }
-
-    #[test]
-    fn flipped_payload_bit_fails_checksum() {
-        let mut bytes = Snapshot::Core(Box::new(sample_core())).to_bytes();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
         assert_eq!(
-            Snapshot::from_bytes(&bytes),
+            edit(|b| b[8] = 9),
+            Err(SnapshotError::Corrupt("payload kind"))
+        );
+        assert_eq!(
+            edit(|b| *b.last_mut().unwrap() ^= 1),
             Err(SnapshotError::BadChecksum)
+        );
+        assert_eq!(
+            edit(|b| b.truncate(b.len() - 3)),
+            Err(SnapshotError::BadChecksum)
+        );
+        assert_eq!(
+            edit(|b| b.truncate(10)),
+            Err(SnapshotError::Truncated { at: 10 })
         );
     }
 
     #[test]
-    fn truncated_payload_fails() {
-        let bytes = Snapshot::Core(Box::new(sample_core())).to_bytes();
-        // Chopping the payload flips the checksum first; chop before
-        // the checksum can see a Truncated error instead.
-        assert!(Snapshot::from_bytes(&bytes[..bytes.len() - 3]).is_err());
-        assert!(Snapshot::from_bytes(&bytes[..10]).is_err());
-    }
-
-    #[test]
-    fn nan_energy_bits_survive() {
-        let mut c = sample_core();
-        c.acct.total_energy_bits = f64::NAN.to_bits();
-        let snap = Snapshot::Core(Box::new(c));
-        let back = Snapshot::from_bytes(&snap.to_bytes()).unwrap();
-        match back {
-            Snapshot::Core(c) => {
-                assert_eq!(c.acct.total_energy_bits, f64::NAN.to_bits());
-            }
-            _ => panic!("wrong kind"),
-        }
-    }
-
-    #[test]
-    fn fleet_round_trip_is_exact() {
-        let fleet = FleetSnapshot {
-            now_ps: 1,
-            scheduler: fleet::scheduler::EVENT_DRIVEN,
-            num_shards: 0,
-            parallel_threshold: 8,
-            trace_mode_explicit: false,
-            range_bits: 10.0f64.to_bits(),
-            positions: vec![PositionSnap {
-                node: 1,
-                x_bits: 0.0f64.to_bits(),
-                y_bits: (-0.0f64).to_bits(),
-            }],
-            nodes: vec![NodeSnapshot {
-                id: 1,
-                kind: node::node_kind::SNAP,
-                core: Some(sample_core()),
-                avr_state: vec![],
-                avr_tx_emitted: 0,
-                avr_listen: false,
-                radio: RadioSnapshot {
-                    bit_rate_bits: 19_200.0f64.to_bits(),
-                    mode: node::radio_mode::RX,
-                    tx_done_at_ps: None,
-                    tx_word: None,
-                    words_sent: 0,
-                    words_heard: 0,
-                },
-                sensors: SensorSnapshot {
-                    readings: vec![(1, 77)],
-                    reply_latency_ps: 1000,
-                    queries: 0,
-                },
-                led: LedSnapshot {
-                    value: 1,
-                    history: vec![(5, 1)],
-                },
-                pending: vec![PendingSnap {
-                    at_ps: 9,
-                    kind: node::pending::SENSOR_REPLY,
-                    value: 3,
-                }],
-                step_limit: 10_000_000,
-                run_steps: 12,
-                battery: Some(BatterySnapshot {
-                    capacity_uah_bits: 620_000.0f64.to_bits(),
-                    voltage_v_bits: 3.0f64.to_bits(),
-                    sleep_ua_bits: 0.0033f64.to_bits(),
-                    tx_pj_per_word_bits: 0.0f64.to_bits(),
-                }),
-                died_at_ps: None,
-                uplink: vec![],
-            }],
-            channel: ChannelSnapshot {
-                active: vec![TransmissionSnap {
-                    from: 1,
-                    word: 0xffff,
-                    start_ps: 0,
-                    end_ps: 9,
-                }],
-                collisions: 0,
-                deliveries: 1,
-                faded: 0,
-                loss_bits: 0.3f64.to_bits(),
-                rng_state: 0x1055,
-            },
-            deliveries: vec![DeliverySnap {
-                at_ps: 9,
-                tx: TransmissionSnap {
-                    from: 1,
-                    word: 2,
-                    start_ps: 3,
-                    end_ps: 9,
-                },
-            }],
-            stimuli: vec![StimulusSnap {
-                at_ps: 50,
-                node: 1,
-                kind: fleet::stimulus::SENSOR_READING,
-                id: 4,
-                value: 0xfff,
-            }],
-            trace: TraceSnapshot {
-                mode: fleet::trace_mode::RING,
-                ring_cap: 64,
-                recorded: 100,
-                sealed: 2,
-                events: vec![TraceEventSnap {
-                    at_ps: 1,
-                    node: 1,
-                    kind: fleet::trace_kind::DELIVER,
-                    payload: 7,
-                    from: 2,
-                }],
-            },
-        };
-        let snap = Snapshot::Fleet(Box::new(fleet));
-        let bytes = snap.to_bytes();
-        assert_eq!(bytes[8], KIND_FLEET);
-        assert_eq!(Snapshot::from_bytes(&bytes).unwrap(), snap);
-    }
-
-    #[test]
-    fn node_round_trip_is_exact() {
-        let n = NodeSnapshot {
-            id: 3,
-            kind: node::node_kind::GATEWAY,
-            core: Some(sample_core()),
-            avr_state: vec![],
-            avr_tx_emitted: 0,
-            avr_listen: false,
-            radio: RadioSnapshot {
-                bit_rate_bits: 19_200.0f64.to_bits(),
-                mode: node::radio_mode::TX,
-                tx_done_at_ps: Some(833_333_333),
-                tx_word: Some(0xbeef),
-                words_sent: 2,
-                words_heard: 1,
-            },
-            sensors: SensorSnapshot {
-                readings: vec![],
-                reply_latency_ps: 0,
-                queries: 9,
-            },
-            led: LedSnapshot {
-                value: 0,
-                history: vec![],
-            },
-            pending: vec![],
-            step_limit: 1,
-            run_steps: 0,
-            battery: None,
-            died_at_ps: None,
-            uplink: vec![(40, 0xabcd)],
-        };
-        let snap = Snapshot::Node(Box::new(n));
-        assert_eq!(Snapshot::from_bytes(&snap.to_bytes()).unwrap(), snap);
+    fn bad_payloads_are_rejected() {
+        let payload = CoreSnapshot::encode(&sample(0x2a)).as_bytes().to_vec();
+        let decode = |bytes: &[u8]| CoreSnapshot(bytes.to_vec()).decode::<Sample>();
+        assert!(matches!(
+            decode(&payload[..10]),
+            Err(SnapshotError::Truncated { .. })
+        ));
+        let trailing = [&payload[..], &[0]].concat();
+        assert_eq!(
+            decode(&trailing),
+            Err(SnapshotError::Corrupt("trailing bytes"))
+        );
+        // High port bits decode, but to state that re-encodes without
+        // them: rejected rather than silently masked.
+        let masked = CoreSnapshot::encode(&sample(0xf02a));
+        assert_eq!(
+            masked.decode::<Sample>(),
+            Err(SnapshotError::Corrupt("non-canonical encoding"))
+        );
     }
 
     #[test]
     fn garbage_never_panics() {
-        // Fail-closed sweep over corrupted prefixes of a real snapshot.
-        let bytes = Snapshot::Core(Box::new(sample_core())).to_bytes();
-        for cut in 0..bytes.len().min(64) {
-            let _ = Snapshot::from_bytes(&bytes[..cut]);
-        }
+        let bytes = core_bytes();
         let mut garbage = bytes.clone();
-        for i in 0..garbage.len().min(256) {
+        for i in 0..bytes.len() {
+            let _ = Snapshot::from_bytes(&bytes[..i]);
+            let _ = CoreSnapshot(bytes[17..i.max(17)].to_vec()).decode::<Sample>();
             garbage[i] = garbage[i].wrapping_add(0x5a);
             let _ = Snapshot::from_bytes(&garbage);
         }

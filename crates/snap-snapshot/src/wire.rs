@@ -9,6 +9,10 @@
 //!
 //! The reader is fail-closed: every read checks the remaining length
 //! and decoding never panics on foreign bytes.
+//!
+//! [`Encode`] and [`Decode`] are implemented by the live simulator
+//! types themselves, each in the module that owns the state, so every
+//! component's byte layout is written down exactly once.
 
 use std::fmt;
 
@@ -53,6 +57,32 @@ impl fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
+
+/// A type that writes its own state to the snapshot wire format.
+pub trait Encode {
+    /// Append `self`'s encoding to `w`.
+    fn encode(&self, w: &mut Writer);
+
+    /// `self`'s encoding in a fresh buffer.
+    fn encoded(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        self.encode(&mut w);
+        w.into_bytes()
+    }
+}
+
+/// A type that rebuilds itself from the snapshot wire format.
+///
+/// Decoding fails closed: out-of-range discriminants, lengths and
+/// values are [`SnapshotError::Corrupt`], never a panic.
+pub trait Decode: Sized {
+    /// Read one encoded value from `r`.
+    ///
+    /// # Errors
+    ///
+    /// Any malformed input yields a [`SnapshotError`].
+    fn decode(r: &mut Reader) -> Result<Self, SnapshotError>;
+}
 
 /// Append-only little-endian writer.
 #[derive(Debug, Default)]
@@ -140,19 +170,19 @@ impl Writer {
         self.buf.extend_from_slice(b);
     }
 
+    /// Write a length-prefixed sequence of encodable items.
+    pub fn seq<T: Encode>(&mut self, items: &[T]) {
+        self.len(items.len());
+        for item in items {
+            item.encode(self);
+        }
+    }
+
     /// Write a length-prefixed `u16` sequence.
     pub fn seq_u16(&mut self, vs: &[u16]) {
         self.len(vs.len());
         for &v in vs {
             self.u16(v);
-        }
-    }
-
-    /// Write a length-prefixed `u64` sequence.
-    pub fn seq_u64(&mut self, vs: &[u64]) {
-        self.len(vs.len());
-        for &v in vs {
-            self.u64(v);
         }
     }
 }
@@ -168,11 +198,6 @@ impl<'a> Reader<'a> {
     /// A reader over `buf` starting at offset 0.
     pub fn new(buf: &'a [u8]) -> Reader<'a> {
         Reader { buf, pos: 0 }
-    }
-
-    /// Current byte offset.
-    pub fn pos(&self) -> usize {
-        self.pos
     }
 
     /// `true` when every byte has been consumed.
@@ -212,6 +237,20 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
+    }
+
+    /// Read a one-byte enum discriminant and return the variant it
+    /// names; `variants` lists them in discriminant order.
+    pub fn variant<T: Copy>(
+        &mut self,
+        variants: &[T],
+        what: &'static str,
+    ) -> Result<T, SnapshotError> {
+        let tag = usize::from(self.u8()?);
+        variants
+            .get(tag)
+            .copied()
+            .ok_or(SnapshotError::Corrupt(what))
     }
 
     /// Read a bool; any byte other than 0/1 is corrupt.
@@ -263,22 +302,18 @@ impl<'a> Reader<'a> {
         Ok(self.take(n)?.to_vec())
     }
 
+    /// Read a length-prefixed sequence of decodable items.
+    pub fn seq<T: Decode>(&mut self) -> Result<Vec<T>, SnapshotError> {
+        let n = self.len()?;
+        (0..n).map(|_| T::decode(self)).collect()
+    }
+
     /// Read a length-prefixed `u16` sequence.
     pub fn seq_u16(&mut self) -> Result<Vec<u16>, SnapshotError> {
         let n = self.len()?;
         let mut v = Vec::with_capacity(n);
         for _ in 0..n {
             v.push(self.u16()?);
-        }
-        Ok(v)
-    }
-
-    /// Read a length-prefixed `u64` sequence.
-    pub fn seq_u64(&mut self) -> Result<Vec<u64>, SnapshotError> {
-        let n = self.len()?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.u64()?);
         }
         Ok(v)
     }
