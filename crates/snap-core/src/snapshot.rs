@@ -228,7 +228,7 @@ mod tests {
             ),
             (&|b| b[regs_at] = 14, "register count"),
             (&|b| b[imem_at + 1] = 0, "memory bank size"),
-            // Both queued sensor IRQs no longer fit.
+            // A one-token queue cannot hold both queued sensor IRQs.
             (&|b| b[17] = 1, "event queue overflow"),
         ];
         for (patch, want) in cases {

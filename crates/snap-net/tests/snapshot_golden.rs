@@ -213,6 +213,10 @@ fn check_restores_and_runs(name: &str, build: fn() -> NetworkSim, tick_us: u64) 
     let fleet = snap.as_fleet().expect("golden snapshot is a fleet");
     let mut sim = NetworkSim::from_snapshot(fleet).expect("golden fleet restores");
     assert_eq!(sim.now().as_ps(), tick_us * 1_000_000);
+    assert!(
+        Snapshot::Fleet(Box::new(sim.export_snapshot())).to_bytes() == golden,
+        "the restored golden re-encodes to different bytes"
+    );
     sim.run_until(SimTime::ZERO + SimDuration::from_us(tick_us + 4_000))
         .unwrap();
 

@@ -13,7 +13,7 @@
 //!   normalising it into a different simulation.
 //!
 //! The regression cases below pin one mutant per defect class the
-//! sweep has found.
+//! sweep found in the decoder before it rejected non-canonical input.
 
 use dess::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -134,17 +134,8 @@ fn verdict(payload: &[u8]) -> Result<(), SnapshotError> {
     restore(payload).map(drop)
 }
 
-#[test]
-fn golden_payloads_restore_unchanged() {
-    for name in ["mac_fleet", "mixed_fleet"] {
-        let bytes = golden(name);
-        let sim = restore(&bytes[17..]).expect("golden restores");
-        assert_eq!(payload(&sim), bytes[17..], "{name} re-encodes differently");
-    }
-}
-
-/// A finite but huge position used to overflow the topology's
-/// cell-neighbourhood arithmetic.
+/// A finite but huge position is rejected: the topology's 3×3 cell
+/// scan around it would overflow `i64`.
 #[test]
 fn huge_position_is_rejected() {
     let mut p = golden("mac_fleet")[17..].to_vec();
@@ -152,7 +143,7 @@ fn huge_position_is_rejected() {
     assert_eq!(verdict(&p), corrupt("node position"));
 }
 
-/// A zero shard count used to be clamped to 1.
+/// A zero shard count is rejected, not clamped to 1.
 #[test]
 fn zero_shard_count_is_rejected() {
     let mut p = golden("mac_fleet")[17..].to_vec();
@@ -166,7 +157,7 @@ fn trace_at(p: &[u8]) -> usize {
     p.len() - TRACE_HEADER - TRACE_EVENT * sim.trace().events().len()
 }
 
-/// A sealed prefix past the event buffer used to be clamped.
+/// A sealed prefix past the event buffer is rejected, not clamped.
 #[test]
 fn oversized_trace_seal_is_rejected() {
     let mut p = golden("mac_fleet")[17..].to_vec();
@@ -175,7 +166,8 @@ fn oversized_trace_seal_is_rejected() {
     assert_eq!(verdict(&p), corrupt("trace sealed prefix"));
 }
 
-/// A peer node on an event kind that has none used to be ignored.
+/// A peer node on an event kind that has none is rejected, not
+/// dropped.
 #[test]
 fn unused_trace_field_is_rejected() {
     let mut p = golden("mac_fleet")[17..].to_vec();
@@ -204,7 +196,8 @@ fn small_fleet() -> NetworkSim {
     sim
 }
 
-/// A sensor id on a stimulus kind that has none used to be ignored.
+/// A sensor id on a stimulus kind that has none is rejected, not
+/// dropped.
 #[test]
 fn unused_stimulus_field_is_rejected() {
     let mut p = payload(&small_fleet());
@@ -216,8 +209,8 @@ fn unused_stimulus_field_is_rejected() {
     assert_eq!(verdict(&p), corrupt("non-canonical encoding"));
 }
 
-/// Sensor ids beyond 12 bits used to be masked, and out-of-order ids
-/// re-sorted.
+/// Sensor ids beyond 12 bits are rejected, not masked, and
+/// out-of-order ids are rejected, not re-sorted.
 #[test]
 fn unmasked_or_unsorted_sensor_ids_are_rejected() {
     let p = payload(&small_fleet());

@@ -123,7 +123,8 @@ payloads! {
     FleetSnapshot;
 }
 
-/// A snapshot of any granularity.
+/// A snapshot of any granularity. The payloads stay boxed so callers
+/// that build the variants keep compiling.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Snapshot {
     /// A single processor.
