@@ -12,8 +12,8 @@
 //!   restore rejects what the live state cannot hold instead of
 //!   normalising it into a different simulation.
 //!
-//! The regression cases below pin one mutant per defect class the
-//! sweep found in the decoder before it rejected non-canonical input.
+//! The regression cases below pin one mutant for each class of input
+//! restore must reject rather than normalise or crash on.
 
 use dess::{SimDuration, SimTime};
 use proptest::prelude::*;
