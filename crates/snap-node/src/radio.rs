@@ -156,8 +156,6 @@ impl Radio {
     }
 }
 
-/// The bit rate travels as its `f64` bit pattern; an in-flight
-/// transmission as its completion time and word.
 impl Encode for Radio {
     fn encode(&self, w: &mut Writer) {
         w.u64(self.bit_rate.to_bits());

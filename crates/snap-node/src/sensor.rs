@@ -69,8 +69,6 @@ impl SensorBank {
     }
 }
 
-/// `(id, reading)` pairs in ascending id order, then the reply latency
-/// and the query count.
 impl Encode for SensorBank {
     fn encode(&self, w: &mut Writer) {
         w.len(self.readings.len());
