@@ -51,7 +51,8 @@ impl EventQueue {
         EventQueue::with_capacity(DEFAULT_CAPACITY)
     }
 
-    /// A queue holding at most `capacity` tokens.
+    /// A queue holding at most `capacity` tokens. Storage grows as
+    /// tokens arrive, so a huge capacity reserves nothing up front.
     ///
     /// # Panics
     ///
@@ -59,7 +60,7 @@ impl EventQueue {
     pub fn with_capacity(capacity: usize) -> EventQueue {
         assert!(capacity > 0, "event queue capacity must be positive");
         EventQueue {
-            fifo: VecDeque::with_capacity(capacity),
+            fifo: VecDeque::new(),
             capacity,
             dropped: 0,
             inserted: 0,
@@ -72,9 +73,7 @@ impl EventQueue {
     /// [`UNKNOWN_STAMP`] (their waits will read as zero).
     pub fn enable_stamps(&mut self) {
         if self.stamps.is_none() {
-            let mut stamps = VecDeque::with_capacity(self.capacity);
-            stamps.extend(std::iter::repeat_n(UNKNOWN_STAMP, self.fifo.len()));
-            self.stamps = Some(stamps);
+            self.stamps = Some(std::iter::repeat_n(UNKNOWN_STAMP, self.fifo.len()).collect());
         }
     }
 
@@ -249,6 +248,17 @@ mod tests {
         q.push(EventKind::SensorIrq.into());
         assert_eq!(q.peek().unwrap().kind(), EventKind::SensorIrq);
         assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn huge_capacity_reserves_nothing_up_front() {
+        let mut q = EventQueue::with_capacity(u32::MAX as usize);
+        q.enable_stamps();
+        q.push_at(EventKind::Timer0.into(), 1);
+        let fifo = q.fifo.capacity();
+        assert!(fifo < 64, "fifo reserved {fifo}");
+        let stamps = q.stamps.as_ref().unwrap().capacity();
+        assert!(stamps < 64, "stamps reserved {stamps}");
     }
 
     #[test]

@@ -10,13 +10,13 @@
 //! * [`channel`] — the broadcast channel: a word transmitted by one
 //!   node is heard by every in-range node whose receiver is on, unless
 //!   another audible transmission overlaps in time (collision).
-//! * [`sim`] — the network simulator: by default a sleep-aware
-//!   event-driven scheduler (a wake calendar pops only the nodes that
-//!   are due; idle nodes cost nothing), with the original lockstep
-//!   scheduler kept as a bit-identical reference and a spatially
-//!   sharded conservative-lookahead engine for 10⁵–10⁶-node fleets.
-//!   Transmissions become deliveries; external stimuli (sensor
-//!   interrupts, sensor readings) are injected on schedule.
+//! * [`sim`] — the network simulator: one sleep-aware, spatially
+//!   sharded conservative-lookahead engine (per-shard wake calendars
+//!   pop only the nodes that are due; idle nodes cost nothing; one
+//!   shard below 10⁵ nodes), with the original lockstep scheduler kept
+//!   as a bit-identical reference. Transmissions become deliveries;
+//!   external stimuli (sensor interrupts, sensor readings) are injected
+//!   on schedule.
 //! * [`trace`] — a serializable event trace for analysis/debugging.
 //! * [`telemetry`] — observability export: the `snap-metrics-v1`
 //!   report and a Chrome `trace_event` view (one Perfetto track per

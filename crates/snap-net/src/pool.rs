@@ -6,12 +6,11 @@
 //! costs far more than the work in each window; this pool spawns its
 //! threads once, on first use, and reuses them for every quantum.
 //!
-//! Determinism: nodes are partitioned into contiguous chunks (of the
-//! node slice for [`WorkerPool::run`], of the caller's index list for
-//! [`WorkerPool::run_subset`]), one chunk per worker, and each worker
-//! advances its chunk in order. Results are reassembled by chunk index
-//! — never by completion order — so the fold over node outputs observes
-//! exactly the sequence the sequential path would produce.
+//! Determinism: [`WorkerPool::run`] partitions the node slice into
+//! contiguous chunks, one per worker, and each worker advances its
+//! chunk in order. Results are reassembled by chunk index — never by
+//! completion order — so the fold over node outputs observes exactly
+//! the sequence the sequential path would produce.
 
 use crate::sim::Shard;
 use dess::SimTime;
@@ -34,20 +33,13 @@ unsafe impl Send for BasePtr {}
 struct ShardPtr(*mut Shard);
 unsafe impl Send for ShardPtr {}
 
-/// Which nodes (relative to the base pointer) one job advances.
-enum Span {
-    /// A contiguous range `offset..offset + len` (the dense path).
-    Range { offset: usize, len: usize },
-    /// An explicit strictly-increasing index list (the sparse path).
-    Indices(Vec<usize>),
-}
-
 enum Job {
-    /// Advance a set of nodes to a common deadline.
+    /// Advance nodes `offset..offset + len` to a common deadline.
     Nodes {
         chunk: usize,
         base: BasePtr,
-        span: Span,
+        offset: usize,
+        len: usize,
         deadline: SimTime,
         results: mpsc::Sender<(usize, Vec<NodeResult>)>,
     },
@@ -98,24 +90,18 @@ impl WorkerPool {
                             Job::Nodes {
                                 chunk,
                                 base,
-                                span,
+                                offset,
+                                len,
                                 deadline,
                                 results,
                             } => {
                                 // SAFETY: jobs in one batch carry
-                                // disjoint node indices, and the
+                                // disjoint node ranges, and the
                                 // dispatching caller joins on every
                                 // result before using the nodes again.
-                                let node_at = |i: usize| unsafe { &mut *base.0.add(i) };
-                                let out: Vec<NodeResult> = match &span {
-                                    Span::Range { offset, len } => (*offset..offset + len)
-                                        .map(|i| node_at(i).run_until(deadline))
-                                        .collect(),
-                                    Span::Indices(indices) => indices
-                                        .iter()
-                                        .map(|&i| node_at(i).run_until(deadline))
-                                        .collect(),
-                                };
+                                let out: Vec<NodeResult> = (offset..offset + len)
+                                    .map(|i| unsafe { &mut *base.0.add(i) }.run_until(deadline))
+                                    .collect();
                                 // A send error means the caller died
                                 // mid-run; nothing useful left to do
                                 // with the result.
@@ -166,53 +152,14 @@ impl WorkerPool {
             let job = Job::Nodes {
                 chunk: jobs,
                 base: BasePtr(base),
-                span: Span::Range { offset, len },
+                offset,
+                len,
                 deadline,
                 results: results_tx.clone(),
             };
             self.senders[jobs].send(job).expect("pool worker alive");
             jobs += 1;
             offset += len;
-        }
-        drop(results_tx);
-        Self::collect(results_rx, jobs)
-    }
-
-    /// Advance only the nodes named by `indices` (strictly increasing,
-    /// in range) to `deadline`, returning results in `indices` order —
-    /// the sparse-batch path of the event-driven scheduler.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `indices` is not strictly
-    /// increasing; duplicate indices would alias `&mut Node` across
-    /// workers.
-    pub fn run_subset(
-        &mut self,
-        nodes: &mut [Node],
-        indices: &[usize],
-        deadline: SimTime,
-    ) -> Vec<NodeResult> {
-        debug_assert!(
-            indices.windows(2).all(|w| w[0] < w[1]),
-            "indices must be strictly increasing"
-        );
-        debug_assert!(indices.iter().all(|&i| i < nodes.len()));
-        self.ensure_workers();
-        let chunk_len = indices.len().div_ceil(self.handles.len()).max(1);
-        let base = nodes.as_mut_ptr();
-        let (results_tx, results_rx) = mpsc::channel();
-        let mut jobs = 0;
-        for chunk in indices.chunks(chunk_len) {
-            let job = Job::Nodes {
-                chunk: jobs,
-                base: BasePtr(base),
-                span: Span::Indices(chunk.to_vec()),
-                deadline,
-                results: results_tx.clone(),
-            };
-            self.senders[jobs].send(job).expect("pool worker alive");
-            jobs += 1;
         }
         drop(results_tx);
         Self::collect(results_rx, jobs)

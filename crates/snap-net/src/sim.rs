@@ -1,41 +1,41 @@
-//! The network simulator: sleep-aware event-driven scheduling with a
-//! lockstep reference path and a sharded engine for huge fleets.
+//! The network simulator: one sleep-aware, event-driven engine that
+//! partitions the fleet into spatial shards, plus a lockstep reference
+//! path.
 //!
 //! SNAP/LE's thesis is that an event-driven node does *zero* work while
-//! idle — the simulator mirrors the hardware. The default scheduler
-//! keeps a **wake calendar** ([`dess::WakeQueue`]) of per-node
-//! `next_activity` instants; each synchronization round pops only the
-//! nodes due in the window, so simulation cost is proportional to
-//! *active* nodes, not node count. Sleeping nodes are skipped entirely
-//! and their clocks lazily fast-forwarded when an event finally reaches
-//! them.
+//! idle — the simulator mirrors the hardware. Each shard keeps a **wake
+//! calendar** ([`dess::WakeQueue`]) of its members' `next_activity`
+//! instants and advances only the members that are due, so simulation
+//! cost is proportional to *active* nodes, not node count. Sleeping
+//! nodes are skipped entirely and their clocks lazily fast-forwarded
+//! when an event finally reaches them. Fleets below
+//! [`AUTO_SHARDED_THRESHOLD`] run as a single shard.
 //!
-//! [`Scheduler::Sharded`] partitions the fleet spatially into shards
-//! (grid cells of the [`Topology`] spatial hash, grouped contiguously),
-//! each with its own wake calendar, and advances shards independently
-//! through conservative *epochs*: since a radio word takes one full
-//! word time (≈833 µs at 19.2 kbps) to serialize, no transmission
-//! started after instant `t` can be delivered before `t + word_time`,
-//! so shards can run to `min(t + word_time, next scheduled delivery)`
-//! without hearing from each other. Cross-shard transmissions are
-//! exchanged at the epoch barrier through the one global delivery
-//! calendar.
+//! Shards are grid cells of the [`Topology`] spatial hash, grouped
+//! contiguously, and advance independently through conservative
+//! *epochs*: since a radio word takes one full word time (≈833 µs at
+//! 19.2 kbps) to serialize, no transmission started after instant `t`
+//! can be delivered before `t + word_time`, so shards can run to
+//! `min(t + word_time, next scheduled delivery)` without hearing from
+//! each other. Cross-shard transmissions are exchanged at the epoch
+//! barrier through the one global delivery calendar.
 //!
 //! The original lockstep scheduler (advance *every* node each round)
-//! survives as [`Scheduler::Lockstep`], both as the reference for the
-//! equivalence property tests and as the recorded bench baseline. All
-//! three schedulers produce bit-identical traces, energy totals and
-//! architectural state. The invariant that makes this hold across
-//! *different* window/epoch boundaries: every delivery and stimulus is
-//! applied at its exact due instant, to a node synced to exactly that
-//! instant; between applications a node's evolution is a pure function
-//! of its own state (splitting an idle stretch at any set of interior
-//! deadlines is bit-identical — no energy accrues while asleep and
-//! timer expiries are never skipped); channel interaction (collision
-//! checks, fade draws, counters) happens only at application, in the
-//! delivery calendar's deterministic `(time, insertion)` order; and the
-//! trace is canonically re-ordered chunk by chunk ([`Trace::seal`]), so
-//! recording order within a window is free.
+//! survives as [`Scheduler::Lockstep`], the reference for the
+//! equivalence property tests. Both engines produce bit-identical
+//! traces, energy totals and architectural state at every shard count.
+//! The invariant that makes this hold across *different* window/epoch
+//! boundaries: every delivery and stimulus is applied at its exact due
+//! instant, to a node synced to exactly that instant; between
+//! applications a node's evolution is a pure function of its own state
+//! (splitting an idle stretch at any set of interior deadlines is
+//! bit-identical — no energy accrues while asleep and timer expiries
+//! are never skipped); channel interaction (collision checks, fade
+//! draws, counters) happens only at application, in the delivery
+//! calendar's deterministic `(time, insertion)` order; and the trace is
+//! canonically re-ordered chunk by chunk ([`Trace::seal`]), so recording
+//! order within a window is free. A run that faults reports the
+//! earliest fault, ties broken by node index, under every scheduler.
 
 use crate::channel::{Channel, Transmission};
 use crate::pool::WorkerPool;
@@ -61,10 +61,10 @@ pub const PARALLEL_THRESHOLD: usize = 8;
 /// Default shard count for [`Scheduler::Sharded`].
 pub const DEFAULT_SHARDS: usize = 8;
 
-/// Fleet size at which [`Scheduler::Auto`] switches from the
-/// event-driven scheduler to the sharded engine. Below this the
-/// sharded engine's epoch barriers cost more than they save (see
-/// `DESIGN.md` §6d); at and above it the per-shard wake calendars win.
+/// Fleet size at which [`Scheduler::Auto`] splits the fleet into
+/// several shards. Below it the whole fleet runs as one shard; at and
+/// above it the shard count scales with the fleet (see `DESIGN.md`
+/// §6d).
 pub const AUTO_SHARDED_THRESHOLD: usize = 100_000;
 
 /// Node count at which a `Full` trace is considered a mistake: the
@@ -72,26 +72,47 @@ pub const AUTO_SHARDED_THRESHOLD: usize = 100_000;
 /// set explicitly) and logs loudly either way.
 const FULL_TRACE_NODE_LIMIT: usize = 10_000;
 
+/// A node fault: its instant, the failing node's index, the error.
+type Fault = (SimTime, usize, NodeError);
+
+/// The fault `e` from node `index`. Its instant is the one `RadioBusy`
+/// carries, else the node's clock when its `run_until` returned `e`.
+fn fault(node: &Node, index: usize, e: NodeError) -> Fault {
+    let at = match e {
+        NodeError::RadioBusy { at, .. } => at,
+        _ => node.now(),
+    };
+    (at, index, e)
+}
+
+/// Keep the earlier of two faults, ties going to the lower node index:
+/// the one every scheduler reports.
+fn keep_earliest(slot: &mut Option<Fault>, f: Fault) {
+    if slot.as_ref().is_none_or(|g| (f.0, f.1) < (g.0, g.1)) {
+        *slot = Some(f);
+    }
+}
+
 /// Which scheduling strategy [`NetworkSim::run_until`] uses.
 ///
 /// The discriminants are pinned: snapshots store them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
     /// Advance every node every round (the original O(nodes)-per-round
-    /// scheduler; reference implementation and bench baseline).
+    /// scheduler; the reference implementation).
     Lockstep = 0,
-    /// Advance only nodes that are due, driven by the wake calendar
-    /// (cost proportional to active nodes).
+    /// The sharded engine with one shard: a single wake calendar
+    /// advances only the nodes that are due (cost proportional to
+    /// active nodes).
     EventDriven = 1,
-    /// Spatially sharded conservative-lookahead engine: per-shard wake
-    /// calendars advance independently between delivery barriers. The
-    /// scalable path for 10⁵–10⁶-node fleets; bit-identical to the
-    /// sequential schedulers for any shard count.
+    /// The sharded engine with [`NetworkSim::set_shards`] shards:
+    /// per-shard wake calendars advance independently between delivery
+    /// barriers. Bit-identical for any shard count.
     Sharded = 2,
-    /// Pick per fleet at [`NetworkSim::run_until`] time: event-driven
-    /// below [`AUTO_SHARDED_THRESHOLD`] nodes, sharded (with a shard
-    /// count scaled to the fleet) at or above it. The default — and
-    /// bit-identical to whichever scheduler it resolves to.
+    /// The sharded engine with a shard count picked per fleet at
+    /// [`NetworkSim::run_until`] time: one shard below
+    /// [`AUTO_SHARDED_THRESHOLD`] nodes, a count scaled to the fleet at
+    /// or above it. The default.
     #[default]
     Auto = 3,
 }
@@ -193,12 +214,9 @@ pub struct NetworkSim {
     /// Whether the caller picked the trace mode explicitly (suppresses
     /// the large-fleet downgrade in [`NetworkSim::guard_trace_mode`]).
     pub(crate) trace_mode_explicit: bool,
-    /// Per-node-index wake instants (event-driven scheduler only).
-    wake: WakeQueue,
-    /// Scratch: node indices due in the current window, sorted.
-    batch: Vec<usize>,
     /// When telemetry is on: distribution of nodes advanced per
-    /// scheduler window, and every node gets per-dispatch sampling.
+    /// scheduler window or epoch, and every node gets per-dispatch
+    /// sampling.
     window_activity: Option<Histogram>,
 }
 
@@ -218,17 +236,15 @@ impl NetworkSim {
             scheduler: Scheduler::default(),
             num_shards: DEFAULT_SHARDS,
             trace_mode_explicit: false,
-            wake: WakeQueue::new(),
-            batch: Vec::new(),
             window_activity: None,
         }
     }
 
     /// Turn on the observability layer: per-dispatch handler sampling
-    /// on every node (current and future) and the per-window
-    /// active-node histogram. Observation only — simulated behaviour,
-    /// timing and energy are unchanged (the determinism suites compare
-    /// sampled and unsampled runs).
+    /// on every node (current and future) and the per-window (or
+    /// per-epoch) active-node histogram. Observation only — simulated
+    /// behaviour, timing and energy are unchanged (the determinism
+    /// suites compare sampled and unsampled runs).
     pub fn enable_telemetry(&mut self) {
         for node in &mut self.nodes {
             // AVR motes have no SNAP dispatch sampler; the kind-aware
@@ -253,7 +269,7 @@ impl NetworkSim {
         self.window_activity.as_ref()
     }
 
-    /// Record how many nodes a scheduler window actually advanced.
+    /// Record how many nodes a lockstep window or an epoch advanced.
     fn note_window(&mut self, active: usize) {
         if let Some(h) = &mut self.window_activity {
             h.record(active as f64);
@@ -269,7 +285,7 @@ impl NetworkSim {
 
     /// Select the scheduling strategy (default: [`Scheduler::Auto`]).
     /// All strategies produce bit-identical results; lockstep exists as
-    /// the reference and baseline, sharded as the scalable path.
+    /// the reference, the others pick the sharded engine's shard count.
     pub fn set_scheduler(&mut self, scheduler: Scheduler) {
         self.scheduler = scheduler;
     }
@@ -280,34 +296,27 @@ impl NetworkSim {
         self.scheduler
     }
 
-    /// The scheduler [`NetworkSim::run_until`] will actually use for
-    /// the current fleet: [`Scheduler::Auto`] resolves by node count,
-    /// anything else passes through.
-    pub fn resolved_scheduler(&self) -> Scheduler {
-        match self.scheduler {
-            Scheduler::Auto if self.nodes.len() >= AUTO_SHARDED_THRESHOLD => Scheduler::Sharded,
-            Scheduler::Auto => Scheduler::EventDriven,
-            explicit => explicit,
-        }
-    }
-
-    /// Shard count for an auto-resolved sharded run: one shard per
-    /// ~2048 nodes, rounded up to a power of two, clamped to
-    /// [[`DEFAULT_SHARDS`], 128]. Any count is bit-identical; this one
-    /// keeps shards big enough to amortize the epoch barrier and small
-    /// enough that a mostly-idle shard's calendar stays cheap.
+    /// Shard count for [`Scheduler::Auto`] at or above
+    /// [`AUTO_SHARDED_THRESHOLD`]: one shard per ~2048 nodes, rounded
+    /// up to a power of two, clamped to [[`DEFAULT_SHARDS`], 128]. Any
+    /// count is bit-identical; this one keeps shards big enough to
+    /// amortize the epoch barrier and small enough that a mostly-idle
+    /// shard's calendar stays cheap.
     fn auto_shards(nodes: usize) -> usize {
         (nodes / 2048)
             .next_power_of_two()
             .clamp(DEFAULT_SHARDS, 128)
     }
 
-    /// The shard count a sharded run will use: the configured count,
-    /// or the fleet-scaled count under [`Scheduler::Auto`].
+    /// The shard count the sharded engine runs with under the
+    /// configured scheduler.
     fn effective_shards(&self) -> usize {
+        let n = self.nodes.len();
         match self.scheduler {
-            Scheduler::Auto => Self::auto_shards(self.nodes.len()),
-            _ => self.num_shards,
+            Scheduler::EventDriven => 1,
+            Scheduler::Auto if n < AUTO_SHARDED_THRESHOLD => 1,
+            Scheduler::Auto => Self::auto_shards(n),
+            Scheduler::Sharded | Scheduler::Lockstep => self.num_shards,
         }
     }
 
@@ -559,14 +568,13 @@ impl NetworkSim {
     ///
     /// # Errors
     ///
-    /// Propagates the first [`NodeError`] from any node.
+    /// Propagates the earliest [`NodeError`] from any node (ties go to
+    /// the lower node index), the same one under every scheduler.
     pub fn run_until(&mut self, t_end: SimTime) -> Result<(), NodeError> {
         self.guard_trace_mode();
-        match self.resolved_scheduler() {
+        match self.scheduler {
             Scheduler::Lockstep => self.run_lockstep(t_end),
-            Scheduler::EventDriven => self.run_event_driven(t_end),
-            Scheduler::Sharded => self.run_sharded(t_end),
-            Scheduler::Auto => unreachable!("Auto resolves to a concrete scheduler"),
+            _ => self.run_sharded(t_end),
         }
     }
 
@@ -690,126 +698,25 @@ impl NetworkSim {
                     .collect()
             };
 
+        let mut failed = None;
         for (i, result) in results.into_iter().enumerate() {
-            let from = self.nodes[i].id();
-            let outputs = result?;
-            self.fold_outputs(from, outputs);
-        }
-        Ok(())
-    }
-
-    // ---- event-driven scheduler (wake calendar) ----
-
-    fn run_event_driven(&mut self, t_end: SimTime) -> Result<(), NodeError> {
-        // Rebuild the calendar: anything may have changed through
-        // `node_mut` (test fixtures poke sensors and CPUs directly)
-        // since the last run. From here on it is maintained
-        // incrementally — re-keyed only when something that can change
-        // a node's wake time happens.
-        self.wake.clear();
-        for i in 0..self.nodes.len() {
-            self.rekey(i);
-        }
-        loop {
-            // The earliest instant anything can happen: the wake
-            // calendar mirrors the per-node scan of the lockstep path.
-            let first = Self::min_time(
-                self.wake.peek().map(|(t, _)| t),
-                Self::min_time(self.deliveries.peek_time(), self.stimuli.peek_time()),
-            );
-            let Some(t) = first else {
-                // Nothing will ever happen again: sync clocks to the
-                // horizon and stop (mirrors lockstep's tail).
-                self.advance_all(t_end)?;
-                self.now = t_end;
-                self.trace.seal();
-                return Ok(());
-            };
-            if t >= t_end {
-                self.advance_all(t_end)?;
-                self.process_due(t_end);
-                self.now = t_end;
-                self.trace.seal();
-                return Ok(());
-            }
-            // Phase 1: apply events due at exactly `t`, syncing only
-            // the nodes they reach.
-            self.process_due_synced(t)?;
-            // Phase 2: pop the nodes due at `t` and run them through a
-            // window. The window never overshoots a calendar instant or
-            // a skipped node's wake.
-            self.batch.clear();
-            while let Some((wt, i)) = self.wake.peek() {
-                if wt > t {
-                    break;
+            match result {
+                Ok(outputs) => {
+                    let from = self.nodes[i].id();
+                    self.fold_outputs(from, outputs);
                 }
-                self.wake.pop();
-                self.batch.push(i);
+                Err(e) => keep_earliest(&mut failed, fault(&self.nodes[i], i, e)),
             }
-            let later = Self::min_time(
-                self.wake.peek().map(|(wt, _)| wt),
-                Self::min_time(self.deliveries.peek_time(), self.stimuli.peek_time()),
-            );
-            let window_end = Self::window_end(t, later, t_end);
-            // Nodes waking exactly at the window boundary belong to
-            // this round too (they would otherwise pin the next window
-            // to zero width).
-            while let Some((wt, i)) = self.wake.peek() {
-                if wt > window_end {
-                    break;
-                }
-                self.wake.pop();
-                self.batch.push(i);
-            }
-            // Outputs must fold in node-index order — the order the
-            // lockstep fold over all nodes observes.
-            self.batch.sort_unstable();
-            self.note_window(self.batch.len());
-            self.advance_batch(window_end)?;
-            self.now = window_end;
-            self.trace.seal();
         }
-    }
-
-    /// Refresh node `i`'s wake-calendar entry from its current state.
-    fn rekey(&mut self, i: usize) {
-        match self.nodes[i].next_activity() {
-            Some(t) => self.wake.set(i, t),
-            None => self.wake.remove(i),
-        }
-    }
-
-    /// Advance only the due nodes (in parallel when the batch is big)
-    /// and fold their outputs; skipped nodes are untouched — that skip
-    /// is the entire speedup.
-    fn advance_batch(&mut self, deadline: SimTime) -> Result<(), NodeError> {
-        let results: Vec<Result<Vec<NodeOutput>, NodeError>> =
-            if self.batch.len() >= self.parallel_threshold {
-                self.pool.run_subset(&mut self.nodes, &self.batch, deadline)
-            } else {
-                let nodes = &mut self.nodes;
-                self.batch
-                    .iter()
-                    .map(|&i| nodes[i].run_until(deadline))
-                    .collect()
-            };
-        for (b, result) in results.into_iter().enumerate() {
-            let i = self.batch[b];
-            let from = self.nodes[i].id();
-            let outputs = result?;
-            self.fold_outputs(from, outputs);
-            self.rekey(i);
-        }
-        Ok(())
+        failed.map_or(Ok(()), |(_, _, e)| Err(e))
     }
 
     /// Bring a node that may have been skipped (lazily-synced clock) to
-    /// the window boundary before an event is posted to it, exactly as
-    /// the lockstep `advance_all` would have. For an already-advanced,
-    /// halted, or quietly sleeping node this is a cheap no-op /
-    /// `advance_idle`; it can execute no instructions and produce no
-    /// outputs, because any node with work before `to` was in this
-    /// window's batch.
+    /// `to` before an event is posted to it, exactly as the lockstep
+    /// `advance_all` would have. For an already-advanced, halted, or
+    /// quietly sleeping node this is a cheap no-op / `advance_idle`; it
+    /// can execute no instructions and produce no outputs, because any
+    /// node with work before `to` already ran in an earlier epoch.
     fn sync_node(&mut self, i: usize, to: SimTime) -> Result<(), NodeError> {
         let outputs = self.nodes[i].run_until(to)?;
         // The one output a pure clock sync can produce is battery
@@ -822,41 +729,6 @@ impl NetworkSim {
         );
         let from = self.nodes[i].id();
         self.fold_outputs(from, outputs);
-        Ok(())
-    }
-
-    /// Deliver transmissions and apply stimuli due at or before `t`,
-    /// fast-forwarding each involved node's clock to `t` first (the
-    /// lockstep path has already advanced every node when its
-    /// `process_due` runs; the event-driven path does it lazily, only
-    /// for nodes events actually reach).
-    fn process_due_synced(&mut self, t: SimTime) -> Result<(), NodeError> {
-        while let Some(due) = self.deliveries.peek_time() {
-            if due > t {
-                break;
-            }
-            let (_, tx) = self.deliveries.pop().expect("peeked");
-            for r in 0..self.topology.neighbours(tx.from).len() {
-                let id = self.topology.neighbours(tx.from)[r];
-                self.sync_node(Self::idx(id), t)?;
-            }
-            self.deliver(tx);
-            for r in 0..self.topology.neighbours(tx.from).len() {
-                let id = self.topology.neighbours(tx.from)[r];
-                self.rekey(Self::idx(id));
-            }
-        }
-        while let Some(due) = self.stimuli.peek_time() {
-            if due > t {
-                break;
-            }
-            let (due, (id, stimulus)) = self.stimuli.pop().expect("peeked");
-            self.sync_node(Self::idx(id), t)?;
-            self.apply_stimulus(id, stimulus, due);
-            self.rekey(Self::idx(id));
-        }
-        // Keep a couple of word-times of history for overlap checks.
-        self.expire_channel(t);
         Ok(())
     }
 
@@ -880,7 +752,7 @@ impl NetworkSim {
                 return self.finish_sharded(&mut shards, t_end);
             }
             // Phase 1 (coordinator): deliveries, then boundary
-            // stimuli, due at exactly `t` — the sequential order.
+            // stimuli, due at exactly `t` — the lockstep order.
             self.apply_due_sharded(t, &mut shards, &shard_of)?;
             // Phase 2: every shard runs to the conservative epoch
             // bound. A word needs `word_floor` to serialize, so no
@@ -909,23 +781,30 @@ impl NetworkSim {
             .unwrap_or(RUN_QUANTUM)
     }
 
-    /// Partition the fleet into shards along the topology's grid-cell
-    /// order (whole cells stay together, so most radio neighbourhoods
-    /// are shard-local), rebuild each shard's wake calendar, and hand
-    /// each shard its slice of this run's stimuli in global pop order.
-    /// Returns the shards plus the global-index → (shard, member
-    /// position) map.
+    /// Partition the fleet into shards, rebuild each shard's wake
+    /// calendar, and hand each shard its slice of this run's stimuli in
+    /// global pop order. Several shards split the fleet sorted by grid
+    /// cell (whole cells stay together, so most radio neighbourhoods
+    /// are shard-local), each node's cell looked up once; one shard
+    /// takes the fleet in index order, as nothing observes member order
+    /// inside a shard. Returns the shards plus the global-index →
+    /// (shard, member position) map.
     #[allow(clippy::type_complexity)]
     fn build_shards(&mut self, t_end: SimTime) -> (Vec<Shard>, Vec<(u32, u32)>) {
         let n = self.nodes.len();
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| (self.topology.cell(self.nodes[i].id()), i));
-        let shard_count = self.effective_shards().min(n.max(1)).max(1);
-        let chunk = n.div_ceil(shard_count).max(1);
-        let mut shards: Vec<Shard> = order
-            .chunks(chunk)
-            .map(|c| Shard::new(c.to_vec()))
-            .collect();
+        let shard_count = self.effective_shards().min(n.max(1));
+        let mut shards: Vec<Shard> = if shard_count == 1 {
+            vec![Shard::new((0..n).collect())]
+        } else {
+            let mut keyed: Vec<(Option<(i64, i64)>, usize)> = (0..n)
+                .map(|i| (self.topology.cell(self.nodes[i].id()), i))
+                .collect();
+            keyed.sort_unstable();
+            keyed
+                .chunks(n.div_ceil(shard_count))
+                .map(|c| Shard::new(c.iter().map(|&(_, i)| i).collect()))
+                .collect()
+        };
         let mut shard_of = vec![(0u32, 0u32); n];
         for (s, shard) in shards.iter_mut().enumerate() {
             for (local, &gi) in shard.members.iter().enumerate() {
@@ -1016,9 +895,9 @@ impl NetworkSim {
 
     /// Epoch barrier: flush shard traces, merge shard outputs into the
     /// global channel/calendar in a deterministic order, and propagate
-    /// the lowest-node-index error, if any.
+    /// the earliest fault, if any.
     fn barrier(&mut self, shards: &mut [Shard]) -> Result<(), NodeError> {
-        let mut failed: Option<(usize, NodeError)> = None;
+        let mut failed = None;
         let mut ran = 0;
         let mut merged: Vec<(u64, usize, NodeOutput)> = Vec::new();
         for shard in shards.iter_mut() {
@@ -1027,35 +906,30 @@ impl NetworkSim {
                 self.trace.record(e);
             }
             merged.append(&mut shard.outputs);
-            if let Some((gi, e)) = shard.error.take() {
-                if failed.as_ref().is_none_or(|(fi, _)| gi < *fi) {
-                    failed = Some((gi, e));
-                }
+            if let Some(f) = shard.error.take() {
+                keep_earliest(&mut failed, f);
             }
         }
         self.note_window(ran);
         // Sort by output instant, then node index (stable, so one
         // node's outputs keep their chronological order). Everywhere
         // the global fold order is observable — FIFO ties in the
-        // delivery calendar — this reproduces the sequential engines'
-        // node-index fold order, because equal-length words that end
-        // together also started together.
+        // delivery calendar — this reproduces lockstep's node-index
+        // fold order, because equal-length words that end together
+        // also started together.
         merged.sort_by_key(|&(at, gi, _)| (at, gi));
         for (_, gi, output) in merged {
             let from = self.nodes[gi].id();
             self.fold_output(from, output);
         }
         self.trace.seal();
-        match failed {
-            Some((_, e)) => Err(e),
-            None => Ok(()),
-        }
+        failed.map_or(Ok(()), |(_, _, e)| Err(e))
     }
 
     /// Tail of a sharded run: bring every node to the horizon, then
-    /// apply anything due at exactly `t_end` — the order the sequential
-    /// engines use. Shard stimulus queues can only hold `t_end`-exact
-    /// leftovers here (epochs consume everything earlier).
+    /// apply anything due at exactly `t_end` — the order lockstep uses.
+    /// Shard stimulus queues can only hold `t_end`-exact leftovers here
+    /// (epochs consume everything earlier).
     fn finish_sharded(&mut self, shards: &mut [Shard], t_end: SimTime) -> Result<(), NodeError> {
         self.advance_all(t_end)?;
         self.process_due(t_end);
@@ -1120,7 +994,8 @@ impl NetworkSim {
     }
 
     /// Deliver transmissions and apply stimuli due at or before `t`
-    /// (lockstep path: every node is already at `t`).
+    /// (every node is already at `t`: a lockstep round, or the tail of
+    /// a sharded run).
     fn process_due(&mut self, t: SimTime) {
         while let Some(due) = self.deliveries.peek_time() {
             if due > t {
@@ -1219,16 +1094,16 @@ pub(crate) struct Shard {
     trace: Vec<TraceEvent>,
     /// Members advanced this epoch (telemetry).
     ran: usize,
-    /// First node error this epoch, with the global node index.
-    error: Option<(usize, NodeError)>,
+    /// Earliest fault this epoch, with the global node index.
+    error: Option<Fault>,
 }
 
 impl Shard {
     fn new(members: Vec<usize>) -> Shard {
         Shard {
             pending_stimuli: vec![0; members.len()],
+            wake: WakeQueue::with_keys(members.len()),
             members,
-            wake: WakeQueue::new(),
             stimuli: VecDeque::new(),
             outputs: Vec::new(),
             trace: Vec::new(),
@@ -1256,8 +1131,13 @@ impl Shard {
     /// delivery can become due strictly inside the epoch, so the shard
     /// needs nothing from the rest of the network until the barrier.
     /// Work falling exactly *at* `to` (wakes, stimuli) is left for the
-    /// next epoch's phase 1, so deliveries at `to` keep the sequential
+    /// next epoch's phase 1, so deliveries at `to` keep lockstep's
     /// deliveries-before-stimuli-before-execution order.
+    ///
+    /// After a fault the epoch goes on with the work due at or before
+    /// the fault instant: a member never faults before it wakes, so
+    /// only those members can fault earlier (or tie with a lower
+    /// index).
     ///
     /// # Safety
     ///
@@ -1266,14 +1146,15 @@ impl Shard {
     /// the call, and the caller must not touch those nodes until the
     /// epoch completes.
     pub(crate) unsafe fn run_epoch(&mut self, base: *mut Node, to: SimTime) {
-        while self.error.is_none() {
-            let wake_t = self.wake.peek().map(|(wt, _)| wt).filter(|&wt| wt < to);
-            let stim_t = self.stimuli.front().map(|s| s.0).filter(|&st| st < to);
+        loop {
+            let fault_at = self.error.as_ref().map(|f| f.0);
+            let due = |t: SimTime| t < to && fault_at.is_none_or(|at| t <= at);
+            let wake_t = self.wake.peek().map(|(wt, _)| wt).filter(|&wt| due(wt));
+            let stim_t = self.stimuli.front().map(|s| s.0).filter(|&st| due(st));
             match (wake_t, stim_t) {
                 (None, None) => return,
-                // Stimuli win ties: the sequential engines apply a
-                // stimulus due at `t` before running the batch due at
-                // `t`.
+                // Stimuli win ties: lockstep applies a stimulus due at
+                // `t` before running the window that starts at `t`.
                 (w, Some(st)) if w.is_none_or(|wt| st <= wt) => {
                     let (due, local, stim) = self.pop_stimulus().expect("peeked");
                     unsafe { self.apply_stimulus(base, due, local, stim) };
@@ -1289,11 +1170,11 @@ impl Shard {
     /// Run one member to the epoch bound, collecting its outputs.
     ///
     /// A pending stimulus for this member caps its advance below the
-    /// bound: the sequential engines end their window at the stimulus
-    /// instant and interrupt the node there, so running past it would
-    /// deliver the interrupt late in node-local time. The stimulus
-    /// queue is time-ordered, so the first entry for this member is
-    /// its earliest.
+    /// bound: lockstep ends its window at the stimulus instant and
+    /// interrupts the node there, so running past it would deliver the
+    /// interrupt late in node-local time. The stimulus queue is
+    /// time-ordered, so the first entry for this member is its
+    /// earliest.
     unsafe fn run_member(&mut self, base: *mut Node, local: usize, to: SimTime) {
         let gi = self.members[local];
         // The scan is O(queue), but it only runs for members that
@@ -1323,7 +1204,7 @@ impl Shard {
                 }
                 self.rekey(node, local);
             }
-            Err(e) => self.error = Some((gi, e)),
+            Err(e) => keep_earliest(&mut self.error, fault(node, gi, e)),
         }
     }
 
@@ -1356,7 +1237,7 @@ impl Shard {
                 }
             }
             Err(e) => {
-                self.error = Some((gi, e));
+                keep_earliest(&mut self.error, fault(node, gi, e));
                 return;
             }
         }

@@ -16,9 +16,8 @@
 //!
 //! A snapshot is only taken between [`NetworkSim::run_until`] calls
 //! (`export_snapshot` takes `&self`; a run holds `&mut self`). At that
-//! boundary no scheduler-internal state exists: the event-driven wake
-//! calendar is cleared and rebuilt at the top of every run, sharded
-//! runs build their `Shard` structs per run, and `batch` is scratch.
+//! boundary no scheduler-internal state exists: every non-lockstep run
+//! builds its `Shard` structs, wake calendars included, at its top.
 //! The observable state is exactly {nodes, topology, channel,
 //! calendars, trace, clock} — what this module serializes. In
 //! particular a *mid-epoch* sharded snapshot cannot exist, which is

@@ -1,17 +1,17 @@
-//! Scheduler equivalence: the wake calendar must be invisible.
+//! Scheduler equivalence: wake calendars and shards must be invisible.
 //!
-//! The event-driven scheduler skips sleeping nodes and fast-forwards
-//! their clocks lazily; the lockstep scheduler advances every node
-//! every round. If the wake calendar ever disagrees with what a full
+//! The sharded engine skips sleeping nodes and fast-forwards their
+//! clocks lazily; the lockstep scheduler advances every node every
+//! round. If a shard's wake calendar ever disagrees with what a full
 //! `next_activity` scan would return — a missed re-key after a timer
-//! arm, a delivery posted to a stale clock — the two schedulers pick
-//! different window boundaries and their traces diverge. This property
-//! test throws randomized mixed workloads (periodic timers, CSMA
-//! traffic under random loss, staggered sensor interrupts) at all four
-//! scheduler × parallel-threshold combinations and requires
-//! bit-identical results: the full trace, channel counters, and every
-//! node's instruction count, energy (to the bit), busy/sleep time and
-//! architectural registers.
+//! arm, a delivery posted to a stale clock — the two diverge. These
+//! property tests throw randomized mixed workloads (periodic timers,
+//! CSMA traffic under random loss, staggered sensor interrupts) at
+//! every scheduler, shard count and parallel threshold, in one
+//! `run_until` call and in random slices, and require bit-identical
+//! results: the full trace, channel counters, and every node's
+//! instruction count, energy (to the bit), busy/sleep time and
+//! architectural registers — or, when a node faults, the same fault.
 
 use dess::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -20,7 +20,7 @@ use snap_apps::mac::{mac_program, send_on_irq_app, RX_DISPATCH_STUB};
 use snap_apps::prelude::install_handler;
 use snap_isa::Reg;
 use snap_net::{NetworkSim, Position, Scheduler, Stimulus};
-use snap_node::NodeId;
+use snap_node::{NodeError, NodeId};
 
 /// One randomized scenario: `mac_nodes` CSMA senders in a ring on a
 /// grid, `blink_nodes` timer-periodic nodes (pure timer load, no
@@ -100,11 +100,75 @@ struct NodeObserved {
     handlers: u64,
 }
 
-fn run(s: &Scenario, scheduler: Scheduler, threshold: usize, shards: usize) -> Observed {
+/// Randomized scenarios: 3–8 CSMA senders, up to two timer nodes,
+/// loss, staggered and extra sensor interrupts, 20–44 ms.
+fn scenario() -> impl Strategy<Value = Scenario> {
+    (
+        (
+            3u8..9,
+            0u8..3,
+            prop::sample::select(vec![0u32, 20_000, 150_000]),
+            1u64..1_000,
+        ),
+        (
+            300u64..1_500,
+            prop::collection::vec((0u8..8, 2_000u64..30_000), 0..4),
+            20u64..45,
+        ),
+    )
+        .prop_map(
+            |((mac_nodes, blink_nodes, loss_ppm, loss_seed), (stagger_us, extra_irqs, run_ms))| {
+                Scenario {
+                    mac_nodes,
+                    blink_nodes,
+                    loss_ppm,
+                    loss_seed,
+                    stagger_us,
+                    extra_irqs,
+                    run_ms,
+                }
+            },
+        )
+}
+
+fn horizon(s: &Scenario) -> SimTime {
+    SimTime::ZERO + SimDuration::from_ms(s.run_ms)
+}
+
+fn node_count(s: &Scenario) -> u32 {
+    u32::from(s.mac_nodes) + u32::from(s.blink_nodes)
+}
+
+/// What a run to the horizon observes: the whole universe, or the
+/// fault it ended in.
+fn run(
+    s: &Scenario,
+    scheduler: Scheduler,
+    threshold: usize,
+    shards: usize,
+) -> Result<Observed, NodeError> {
     let mut sim = build(s, scheduler, threshold, shards);
-    sim.run_until(SimTime::ZERO + SimDuration::from_ms(s.run_ms))
-        .unwrap();
-    observe(&sim, u32::from(s.mac_nodes) + u32::from(s.blink_nodes))
+    sim.run_until(horizon(s))?;
+    Ok(observe(&sim, node_count(s)))
+}
+
+/// [`run`], reaching the horizon through `run_until` slices that end
+/// at the given parts-per-million of it.
+fn run_sliced(
+    s: &Scenario,
+    scheduler: Scheduler,
+    shards: usize,
+    cuts_ppm: &[u64],
+) -> Result<Observed, NodeError> {
+    let mut sim = build(s, scheduler, 100, shards);
+    let end = horizon(s).as_ps();
+    let mut cuts: Vec<u64> = cuts_ppm.iter().map(|&c| end * c / 1_000_000).collect();
+    cuts.sort_unstable();
+    cuts.push(end);
+    for at in cuts {
+        sim.run_until(SimTime::from_ps(at))?;
+    }
+    Ok(observe(&sim, node_count(s)))
 }
 
 fn observe(sim: &NetworkSim, nodes: u32) -> Observed {
@@ -140,33 +204,15 @@ fn observe(sim: &NetworkSim, nodes: u32) -> Observed {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// All four scheduler × threshold combinations observe the same
-    /// universe, bit for bit.
+    /// Every scheduler × threshold × shard-count combination observes
+    /// the same universe, bit for bit, or reports the same fault.
     #[test]
-    fn schedulers_are_observationally_equivalent(
-        mac_nodes in 3u8..9,
-        blink_nodes in 0u8..3,
-        loss_ppm in prop::sample::select(vec![0u32, 20_000, 150_000]),
-        loss_seed in 1u64..1_000,
-        stagger_us in 300u64..1_500,
-        extra_irqs in prop::collection::vec((0u8..8, 2_000u64..30_000), 0..4),
-        run_ms in 20u64..45,
-    ) {
-        let s = Scenario {
-            mac_nodes,
-            blink_nodes,
-            loss_ppm,
-            loss_seed,
-            stagger_us,
-            extra_irqs,
-            run_ms,
-        };
+    fn schedulers_are_observationally_equivalent(s in scenario()) {
         // Lockstep sequential is the reference the others must hit.
         let reference = run(&s, Scheduler::Lockstep, 100, 1);
-        prop_assert!(
-            !reference.trace.is_empty(),
-            "vacuous scenario: no traffic at all"
-        );
+        if let Ok(r) = &reference {
+            prop_assert!(!r.trace.is_empty(), "vacuous scenario: no traffic at all");
+        }
         let configs = [
             (Scheduler::Lockstep, 1usize, 1usize, "lockstep/parallel"),
             (Scheduler::EventDriven, 100, 1, "event-driven/sequential"),
@@ -178,19 +224,50 @@ proptest! {
         ];
         for (scheduler, threshold, shards, label) in configs {
             let got = run(&s, scheduler, threshold, shards);
-            prop_assert_eq!(
-                &got.trace, &reference.trace,
-                "trace diverged under {}", label
-            );
-            prop_assert_eq!(&got, &reference, "state diverged under {}", label);
+            match (&got, &reference) {
+                (Ok(got), Ok(reference)) => {
+                    prop_assert_eq!(
+                        &got.trace, &reference.trace,
+                        "trace diverged under {}", label
+                    );
+                    prop_assert_eq!(got, reference, "state diverged under {}", label);
+                }
+                (got, reference) => prop_assert_eq!(
+                    got.as_ref().err(), reference.as_ref().err(),
+                    "fault diverged under {}", label
+                ),
+            }
+        }
+    }
+
+    /// Slicing is invisible: a scenario run to its horizon in 2–8
+    /// random `run_until` slices ends exactly where one call does, fault
+    /// included, although every slice rebuilds the shards and syncs the
+    /// fleet's clocks at its end.
+    #[test]
+    fn sliced_runs_match_one_call(
+        s in scenario(),
+        cuts_ppm in prop::collection::vec(1u64..1_000_000, 1..8),
+    ) {
+        let configs = [
+            (Scheduler::Lockstep, 1usize, "lockstep"),
+            (Scheduler::EventDriven, 1, "event-driven"),
+            (Scheduler::Auto, 1, "auto"),
+            (Scheduler::Sharded, 1, "sharded/1"),
+            (Scheduler::Sharded, 3, "sharded/3"),
+        ];
+        for (scheduler, shards, label) in configs {
+            let whole = run(&s, scheduler, 100, shards);
+            let sliced = run_sliced(&s, scheduler, shards, &cuts_ppm);
+            prop_assert_eq!(sliced, whole, "slicing diverged under {}", label);
         }
     }
 
     /// Sharding is invisible at scale: on a randomized dense grid (64
     /// to ~500 nodes) with CSMA traffic spanning the whole width — so
     /// transmissions routinely cross shard boundaries — every shard
-    /// count observes the universe the sequential event-driven
-    /// scheduler does, bit for bit.
+    /// count observes the universe the lockstep scheduler does, bit for
+    /// bit.
     #[test]
     fn sharded_grid_matches_sequential(
         side in 8usize..23,
@@ -246,7 +323,7 @@ proptest! {
         };
         let nodes = (side * side) as u32;
         let horizon = SimTime::ZERO + SimDuration::from_ms(run_ms);
-        let mut reference_sim = build_grid(Scheduler::EventDriven, 1);
+        let mut reference_sim = build_grid(Scheduler::Lockstep, 1);
         reference_sim.run_until(horizon).unwrap();
         let reference = observe(&reference_sim, nodes);
         prop_assert!(!reference.trace.is_empty(), "vacuous grid scenario");
@@ -278,10 +355,10 @@ fn fade_sequence_is_independent_of_shard_count() {
         extra_irqs: vec![(2, 9_000), (5, 15_000), (0, 21_000)],
         run_ms: 35,
     };
-    let reference = run(&s, Scheduler::EventDriven, 100, 1);
+    let reference = run(&s, Scheduler::Lockstep, 100, 1).unwrap();
     assert!(reference.faded > 0, "scenario never exercised the fade RNG");
     for shards in [1usize, 2, 3, 4, 8] {
-        let got = run(&s, Scheduler::Sharded, 100, shards);
+        let got = run(&s, Scheduler::Sharded, 100, shards).unwrap();
         assert_eq!(
             (got.faded, got.deliveries, got.collisions),
             (reference.faded, reference.deliveries, reference.collisions),
@@ -291,9 +368,9 @@ fn fade_sequence_is_independent_of_shard_count() {
     }
 }
 
-/// A long quiet tail after the traffic dies down: the event-driven
-/// scheduler skips all of it, the lockstep one grinds through — both
-/// must land on identical clocks, sleep totals and energy.
+/// A long quiet tail after the traffic dies down: the sharded engine
+/// skips all of it, the lockstep one grinds through — both must land
+/// on identical clocks, sleep totals and energy.
 #[test]
 fn quiet_tail_is_fast_forwarded_identically() {
     let s = Scenario {
@@ -305,9 +382,9 @@ fn quiet_tail_is_fast_forwarded_identically() {
         extra_irqs: vec![],
         run_ms: 120, // traffic is over in ~10 ms; 110 ms of near-silence
     };
-    let reference = run(&s, Scheduler::Lockstep, 100, 1);
-    let event_driven = run(&s, Scheduler::EventDriven, 100, 1);
+    let reference = run(&s, Scheduler::Lockstep, 100, 1).unwrap();
+    let event_driven = run(&s, Scheduler::EventDriven, 100, 1).unwrap();
     assert_eq!(event_driven, reference);
-    let sharded = run(&s, Scheduler::Sharded, 100, 4);
+    let sharded = run(&s, Scheduler::Sharded, 100, 4).unwrap();
     assert_eq!(sharded, reference);
 }

@@ -151,6 +151,32 @@ fn zero_shard_count_is_rejected() {
     assert_eq!(verdict(&p), corrupt("shard count"));
 }
 
+/// A forged event-queue capacity of `u32::MAX`, the largest restore
+/// accepts, restores and runs without reserving that many tokens.
+#[test]
+fn huge_event_queue_capacity_restores_and_runs() {
+    let mut p = golden("mac_fleet")[17..].to_vec();
+    // Inside each core config: flat-bus flag (1), queue capacity (8),
+    // timer tick (8) — the golden's cores keep the defaults.
+    let mut pattern = vec![0u8];
+    pattern.extend_from_slice(&8u64.to_le_bytes());
+    pattern.extend_from_slice(&1_000_000u64.to_le_bytes());
+    let sites: Vec<usize> = p
+        .windows(pattern.len())
+        .enumerate()
+        .filter(|(_, w)| *w == pattern.as_slice())
+        .map(|(at, _)| at + 1)
+        .collect();
+    for &at in &sites {
+        p[at..at + 8].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
+    }
+    let mut sim = restore(&p).expect("a huge capacity is valid config");
+    assert_eq!(sites.len(), sim.node_count(), "one core config per node");
+    let queue = sim.node(NodeId(1)).cpu().event_queue();
+    assert_eq!(queue.capacity(), u32::MAX as usize);
+    sim.run_for(SimDuration::from_ms(1)).unwrap();
+}
+
 /// The mac golden keeps a full trace; its events close the payload.
 fn trace_at(p: &[u8]) -> usize {
     let sim = restore(p).unwrap();

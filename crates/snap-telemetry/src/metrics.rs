@@ -139,8 +139,8 @@ pub struct NetworkCounters {
     /// Trace events recorded (any [`crate::chrome`]/JSONL export
     /// covers at most this many).
     pub trace_recorded: u64,
-    /// Nodes active per scheduler window (the wake-calendar batch
-    /// size; a direct measure of how event-driven the network is).
+    /// Nodes advanced per epoch, or per window under lockstep (a
+    /// direct measure of how event-driven the network is).
     pub window_active_nodes: Histogram,
 }
 
