@@ -61,28 +61,32 @@ fn render(out: &RunOutput) -> String {
 
 fn check(name: &str, program: &Program, sc: &Script) {
     // The trace is recorded from the real core in step mode; the
-    // predecode-off configuration must render identically (the
-    // differential fuzzer covers this broadly, the goldens pin it for
-    // the benchmark apps specifically).
-    let on = run_program(program, sc, Runner::CoreStep { predecode: true })
+    // oracle must render identically (the differential fuzzer covers
+    // this broadly, the goldens pin it for the benchmark apps
+    // specifically).
+    let stepped = run_program(program, sc, Runner::CoreStep)
         .unwrap_or_else(|e| panic!("{name}: run failed: {e}"));
-    let off = run_program(program, sc, Runner::CoreStep { predecode: false })
-        .unwrap_or_else(|e| panic!("{name}: run failed: {e}"));
-    let text = render(&on);
-    assert_eq!(text, render(&off), "{name}: predecode changed the trace");
+    let oracle = run_program(program, sc, Runner::Oracle)
+        .unwrap_or_else(|e| panic!("{name}: oracle run failed: {e}"));
+    let text = render(&stepped);
+    assert_eq!(
+        text,
+        render(&oracle),
+        "{name}: the oracle traced differently"
+    );
 
     // The batched translation tiers expose no per-instruction trace,
     // but their final observation — registers, memories, event
     // counters, energy *bits* — must match the stepped run that the
     // golden file pins, for each benchmark app specifically.
     for runner in Runner::CORE_CONFIGS {
-        if matches!(runner, Runner::CoreStep { .. }) {
+        if matches!(runner, Runner::CoreStep) {
             continue;
         }
         let burst = run_program(program, sc, runner)
             .unwrap_or_else(|e| panic!("{name}: {} run failed: {e}", runner.label()));
         assert_eq!(
-            on.observed,
+            stepped.observed,
             burst.observed,
             "{name}: {} diverged from the golden stepped run",
             runner.label()

@@ -11,10 +11,12 @@
 //! `addr` as its immediate word. Bulk image loads drop everything.
 //!
 //! Correctness contract: cached entries hold the *same* decoded
-//! instruction and the *same* `f64` energy/latency values the uncached
-//! path would recompute, so traces and energy totals are bit-identical
-//! with the cache on or off (a property test in `tests/properties.rs`
-//! drives random self-modifying programs against both).
+//! instruction and the *same* `f64` energy/latency values a fresh
+//! decode would compute, so traces and energy totals are bit-identical
+//! to an interpreter that decodes on every fetch. The reference for
+//! that is snap-smith's oracle, which shares no code with this crate:
+//! a property test in `tests/properties.rs` steps random
+//! self-modifying programs on both.
 
 use crate::energy_acct::InstrCosts;
 use crate::fuse::{FusedSlot, MAX_TRACE_WORDS};

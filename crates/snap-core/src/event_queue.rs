@@ -6,18 +6,14 @@
 //! handlers run to completion, the queue also guarantees handler
 //! atomicity — a new event can never preempt a running handler.
 //!
-//! The queue is finite; if a handler runs too long, pending events are
-//! dropped (paper §4.2 raises exactly this concern when sizing
-//! handlers). Drops are counted so benchmarks can report them.
+//! The queue holds [`EVENT_QUEUE_DEPTH`] tokens; if a handler runs too
+//! long, pending events are dropped (paper §4.2 raises exactly this
+//! concern when sizing handlers). Drops are counted so benchmarks can
+//! report them.
 
-use snap_isa::{EventKind, EventToken};
+use snap_isa::{EventKind, EventToken, EVENT_QUEUE_DEPTH};
 use snap_snapshot::{Encode, Reader, SnapshotError, Writer};
 use std::collections::VecDeque;
-
-/// Default queue capacity in tokens. The paper does not publish the
-/// depth; eight matches the handler-table size and is configurable via
-/// [`EventQueue::with_capacity`].
-pub const DEFAULT_CAPACITY: usize = 8;
 
 /// Stamp value for a token whose enqueue time is unknown (stamping was
 /// off, or enabled after the token was queued). Waits computed against
@@ -29,11 +25,10 @@ pub const UNKNOWN_STAMP: u64 = u64::MAX;
 /// When *stamping* is enabled (telemetry), a parallel queue records the
 /// enqueue time of each token so the dispatch path can report how long
 /// the token waited. Stamps are observation-only: they never affect
-/// queue behaviour, ordering, capacity or drop accounting.
-#[derive(Debug, Clone)]
+/// queue behaviour, ordering or drop accounting.
+#[derive(Debug, Clone, Default)]
 pub struct EventQueue {
     fifo: VecDeque<EventToken>,
-    capacity: usize,
     dropped: u64,
     inserted: u64,
     /// Highest occupancy ever reached (observation-only; not part of
@@ -46,27 +41,9 @@ pub struct EventQueue {
 }
 
 impl EventQueue {
-    /// A queue with the default capacity.
+    /// An empty queue.
     pub fn new() -> EventQueue {
-        EventQueue::with_capacity(DEFAULT_CAPACITY)
-    }
-
-    /// A queue holding at most `capacity` tokens. Storage grows as
-    /// tokens arrive, so a huge capacity reserves nothing up front.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> EventQueue {
-        assert!(capacity > 0, "event queue capacity must be positive");
-        EventQueue {
-            fifo: VecDeque::new(),
-            capacity,
-            dropped: 0,
-            inserted: 0,
-            max_len: 0,
-            stamps: None,
-        }
+        EventQueue::default()
     }
 
     /// Start recording enqueue times. Tokens already queued get
@@ -82,16 +59,16 @@ impl EventQueue {
         self.stamps.is_some()
     }
 
-    /// Decode a queue. The capacity is config, so the caller supplies
-    /// it; the high-water mark restarts at the restored length.
-    pub(crate) fn decode(r: &mut Reader, capacity: usize) -> Result<EventQueue, SnapshotError> {
+    /// Decode a queue; the high-water mark restarts at the restored
+    /// length.
+    pub(crate) fn decode(r: &mut Reader) -> Result<EventQueue, SnapshotError> {
         let mut fifo = VecDeque::new();
         for _ in 0..r.len()? {
             let kind = EventKind::from_index(usize::from(r.u8()?))
                 .ok_or(SnapshotError::Corrupt("event token index"))?;
             fifo.push_back(EventToken::new(kind));
         }
-        if fifo.len() > capacity {
+        if fifo.len() > EVENT_QUEUE_DEPTH {
             return Err(SnapshotError::Corrupt("event queue overflow"));
         }
         let stamps = if r.bool()? {
@@ -105,7 +82,6 @@ impl EventQueue {
         Ok(EventQueue {
             max_len: fifo.len(),
             fifo,
-            capacity,
             dropped: r.u64()?,
             inserted: r.u64()?,
             stamps,
@@ -122,7 +98,7 @@ impl EventQueue {
     /// time when stamping is enabled. Returns `false` (and counts a
     /// drop) when the queue is full.
     pub fn push_at(&mut self, token: EventToken, now_ps: u64) -> bool {
-        if self.fifo.len() >= self.capacity {
+        if self.fifo.len() >= EVENT_QUEUE_DEPTH {
             self.dropped += 1;
             return false;
         }
@@ -168,11 +144,6 @@ impl EventQueue {
         self.fifo.is_empty()
     }
 
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Tokens dropped because the queue was full.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -185,7 +156,7 @@ impl EventQueue {
 
     /// The high-water mark: the largest number of tokens ever pending
     /// at once. Dropped insertions do not raise it (the queue clips at
-    /// capacity), so pair it with [`EventQueue::dropped`] when arguing
+    /// its depth), so pair it with [`EventQueue::dropped`] when arguing
     /// about demand rather than occupancy.
     pub fn max_len(&self) -> usize {
         self.max_len
@@ -210,16 +181,23 @@ impl Encode for EventQueue {
     }
 }
 
-impl Default for EventQueue {
-    fn default() -> EventQueue {
-        EventQueue::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use snap_isa::EventKind;
+
+    /// A queue holding `EVENT_QUEUE_DEPTH` timer-0 tokens, stamped
+    /// 0, 1, 2, ... when stamping is on.
+    fn full(stamped: bool) -> EventQueue {
+        let mut q = EventQueue::new();
+        if stamped {
+            q.enable_stamps();
+        }
+        for at in 0..EVENT_QUEUE_DEPTH as u64 {
+            assert!(q.push_at(EventKind::Timer0.into(), at));
+        }
+        q
+    }
 
     #[test]
     fn fifo_order() {
@@ -233,13 +211,11 @@ mod tests {
 
     #[test]
     fn overflow_drops_and_counts() {
-        let mut q = EventQueue::with_capacity(2);
-        assert!(q.push(EventKind::Timer0.into()));
-        assert!(q.push(EventKind::Timer1.into()));
+        let mut q = full(false);
         assert!(!q.push(EventKind::Timer2.into()));
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.len(), EVENT_QUEUE_DEPTH);
         assert_eq!(q.dropped(), 1);
-        assert_eq!(q.inserted(), 2);
+        assert_eq!(q.inserted(), EVENT_QUEUE_DEPTH as u64);
     }
 
     #[test]
@@ -251,25 +227,8 @@ mod tests {
     }
 
     #[test]
-    fn huge_capacity_reserves_nothing_up_front() {
-        let mut q = EventQueue::with_capacity(u32::MAX as usize);
-        q.enable_stamps();
-        q.push_at(EventKind::Timer0.into(), 1);
-        let fifo = q.fifo.capacity();
-        assert!(fifo < 64, "fifo reserved {fifo}");
-        let stamps = q.stamps.as_ref().unwrap().capacity();
-        assert!(stamps < 64, "stamps reserved {stamps}");
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_capacity_rejected() {
-        let _ = EventQueue::with_capacity(0);
-    }
-
-    #[test]
     fn stamps_track_enqueue_times() {
-        let mut q = EventQueue::with_capacity(4);
+        let mut q = EventQueue::new();
         q.push(EventKind::Timer0.into()); // queued before stamping
         q.enable_stamps();
         q.push_at(EventKind::Timer1.into(), 500);
@@ -287,31 +246,47 @@ mod tests {
 
     #[test]
     fn stamps_not_recorded_on_drop() {
-        let mut q = EventQueue::with_capacity(1);
-        q.enable_stamps();
-        assert!(q.push_at(EventKind::Timer0.into(), 1));
-        assert!(!q.push_at(EventKind::Timer1.into(), 2));
-        assert_eq!(q.pop_with_stamp().unwrap().1, 1);
+        let mut q = full(true);
+        assert!(!q.push_at(EventKind::Timer1.into(), 99));
+        for at in 0..EVENT_QUEUE_DEPTH as u64 {
+            assert_eq!(q.pop_with_stamp().unwrap().1, at);
+        }
         assert!(q.pop_with_stamp().is_none());
     }
 
     #[test]
     fn high_water_tracks_peak_occupancy() {
-        let mut q = EventQueue::with_capacity(2);
+        let mut q = EventQueue::new();
         assert_eq!(q.max_len(), 0);
         q.push(EventKind::Timer0.into());
         q.pop();
         q.push(EventKind::Timer1.into());
         assert_eq!(q.max_len(), 1, "draining does not lower the mark");
-        q.push(EventKind::Timer2.into());
-        assert!(!q.push(EventKind::Soft.into()), "third push drops");
-        assert_eq!(q.max_len(), 2, "drops never raise the mark past capacity");
+        let mut q = full(false);
+        assert!(
+            !q.push(EventKind::Soft.into()),
+            "a push past the depth drops"
+        );
+        assert_eq!(
+            q.max_len(),
+            EVENT_QUEUE_DEPTH,
+            "drops never raise the mark past the depth"
+        );
+    }
+
+    #[test]
+    fn decode_rejects_more_tokens_than_the_depth() {
+        let mut bytes = full(false).encoded();
+        // The token count leads, then one byte per token.
+        bytes[..8].copy_from_slice(&(EVENT_QUEUE_DEPTH as u64 + 1).to_le_bytes());
+        bytes.insert(8, EventKind::Timer1.index() as u8);
+        let err = EventQueue::decode(&mut Reader::new(&bytes)).unwrap_err();
+        assert_eq!(err, SnapshotError::Corrupt("event queue overflow"));
     }
 
     #[test]
     fn drained_queue_accepts_again() {
-        let mut q = EventQueue::with_capacity(1);
-        assert!(q.push(EventKind::Timer0.into()));
+        let mut q = full(false);
         assert!(!q.push(EventKind::Timer1.into()));
         q.pop();
         assert!(q.push(EventKind::Timer2.into()));

@@ -885,6 +885,6 @@ mod tests {
         assert_eq!(t.ops.len(), MAX_FUSED_OPS);
         // Fall lands on the first unfused li (two words each).
         assert!(matches!(t.term, FusedTerm::Fall { to } if to == 2 * MAX_FUSED_OPS as Addr));
-        assert!(2 * MAX_FUSED_OPS <= MAX_TRACE_WORDS);
+        const { assert!(2 * MAX_FUSED_OPS <= MAX_TRACE_WORDS) };
     }
 }

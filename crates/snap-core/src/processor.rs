@@ -22,14 +22,14 @@ use crate::msg_cop::{EnvAction, MsgCoprocessor};
 use crate::profile::HandlerProfile;
 use crate::regfile::RegFile;
 use crate::sampler::HandlerSampler;
-use crate::timer_cop::TimerCoprocessor;
+use crate::timer_cop::{TimerCoprocessor, TICK};
 use crate::translate::{AotImage, AotRegion};
 use dess::{Lfsr16, SimDuration, SimTime};
 use snap_energy::model::BusModel;
 use snap_energy::{Energy, OperatingPoint};
 use snap_isa::{
     Addr, AluImmOp, AluOp, DecodeError, EventKind, EventToken, Instruction, Reg, Word,
-    EVENT_TABLE_ENTRIES, MEM_WORDS,
+    EVENT_QUEUE_DEPTH, EVENT_TABLE_ENTRIES, MEM_WORDS,
 };
 use snap_snapshot::{Decode, Encode, Reader, SnapshotError, Writer};
 
@@ -72,23 +72,16 @@ impl Decode for Engine {
 }
 
 /// Configuration of a [`Processor`].
+///
+/// The event queue ([`EVENT_QUEUE_DEPTH`] tokens), the timer tick
+/// ([`crate::timer_cop::TICK`]) and the `rand` LFSR's power-on state
+/// ([`Lfsr16::default`]) are fixed hardware, not configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreConfig {
     /// Supply-voltage operating point (default: 1.8 V nominal).
     pub operating_point: OperatingPoint,
-    /// Event-queue depth in tokens (default: 8).
-    pub event_queue_capacity: usize,
-    /// Timer-register decrement period (default: 1 µs).
-    pub timer_tick: SimDuration,
-    /// Power-on seed of the `rand` LFSR.
-    pub lfsr_seed: u16,
     /// Bus organization (flat only for the `ablation_bus` bench).
     pub bus: BusModel,
-    /// Cache decoded instructions and their model costs per IMEM
-    /// address (default: on). Results are bit-identical either way;
-    /// `false` forces the straight-line path (reference for tests) and
-    /// disables translation (both tiers build on the predecode cache).
-    pub predecode: bool,
     /// Translation tier for batched execution (default:
     /// [`Engine::Fused`]). Results are bit-identical across engines.
     pub engine: Engine,
@@ -98,11 +91,7 @@ impl Default for CoreConfig {
     fn default() -> CoreConfig {
         CoreConfig {
             operating_point: OperatingPoint::V1_8,
-            event_queue_capacity: crate::event_queue::DEFAULT_CAPACITY,
-            timer_tick: SimDuration::from_us(1),
-            lfsr_seed: 0xACE1,
             bus: BusModel::default(),
-            predecode: true,
             engine: Engine::Fused,
         }
     }
@@ -119,23 +108,24 @@ impl CoreConfig {
 }
 
 /// Captured so a restore rebuilds the identical energy and timing
-/// models before replaying a single instruction.
+/// models before replaying a single instruction. The header also
+/// carries the fixed queue depth, timer tick, LFSR power-on seed and a
+/// decode-cache flag that is always set, so the format stays at v2.
 impl Encode for CoreConfig {
     fn encode(&self, w: &mut Writer) {
         w.u64(self.operating_point.vdd().to_bits());
         w.u64(self.operating_point.delay_factor().to_bits());
         w.bool(self.bus == BusModel::Flat);
-        w.u64(self.event_queue_capacity as u64);
-        w.u64(self.timer_tick.as_ps());
-        w.u16(self.lfsr_seed);
-        w.bool(self.predecode);
+        w.u64(EVENT_QUEUE_DEPTH as u64);
+        w.u64(TICK.as_ps());
+        w.u16(Lfsr16::default().state());
+        w.bool(true);
         self.engine.encode(w);
     }
 }
 
-/// Rejects values the constructors downstream would panic on:
-/// non-finite or out-of-range operating points, a zero tick, a zero or
-/// oversized queue capacity.
+/// Rejects operating points the energy model would panic on, and any
+/// fixed-hardware field that differs from the constant it must hold.
 impl Decode for CoreConfig {
     fn decode(r: &mut Reader) -> Result<CoreConfig, SnapshotError> {
         let vdd = f64::from_bits(r.u64()?);
@@ -148,21 +138,21 @@ impl Decode for CoreConfig {
         }
         // Encoded as a bool: `true` for the flat ablation bus.
         let bus = r.variant(&[BusModel::Hierarchical, BusModel::Flat], "bool flag")?;
-        let capacity = r.u64()?;
-        if capacity == 0 || capacity > u64::from(u32::MAX) {
+        if r.u64()? != EVENT_QUEUE_DEPTH as u64 {
             return Err(SnapshotError::Corrupt("event queue capacity"));
         }
-        let tick = r.u64()?;
-        if tick == 0 {
+        if r.u64()? != TICK.as_ps() {
             return Err(SnapshotError::Corrupt("timer tick"));
+        }
+        if r.u16()? != Lfsr16::default().state() {
+            return Err(SnapshotError::Corrupt("lfsr power-on seed"));
+        }
+        if r.u8()? != 1 {
+            return Err(SnapshotError::Corrupt("predecode flag"));
         }
         Ok(CoreConfig {
             operating_point: OperatingPoint::new(vdd, delay),
-            event_queue_capacity: capacity as usize,
-            timer_tick: SimDuration::from_ps(tick),
-            lfsr_seed: r.u16()?,
             bus,
-            predecode: r.bool()?,
             engine: Engine::decode(r)?,
         })
     }
@@ -421,10 +411,10 @@ impl Processor {
             decode: DecodeCache::new(),
             aot: AotImage::default(),
             dmem: MemBank::new("dmem"),
-            event_queue: EventQueue::with_capacity(config.event_queue_capacity),
-            timer: TimerCoprocessor::new(config.timer_tick),
+            event_queue: EventQueue::new(),
+            timer: TimerCoprocessor::default(),
             msg: MsgCoprocessor::new(),
-            lfsr: Lfsr16::new(config.lfsr_seed),
+            lfsr: Lfsr16::default(),
             handler_table: [0; EVENT_TABLE_ENTRIES],
             pc: 0,
             state: CoreState::Running,
@@ -781,10 +771,7 @@ impl Processor {
     ///
     /// See [`StepError`].
     pub fn run_burst(&mut self, limit: SimTime, budget: u64) -> Result<Burst, StepError> {
-        // Both tiers build on predecoded entries; without the cache the
-        // interpreter is the only path.
         match self.config.engine {
-            _ if !self.config.predecode => self.run_burst_interp(limit, budget),
             Engine::Interp => self.run_burst_interp(limit, budget),
             Engine::Fused => self.run_burst_fast(limit, budget, false),
             Engine::Aot => self.run_burst_fast(limit, budget, true),
@@ -964,8 +951,7 @@ impl Processor {
     }
 
     /// Fetch, decode and derive model costs for the instruction at
-    /// `at`, bypassing the predecode cache (the cache-fill and
-    /// reference path).
+    /// `at`, bypassing the decode cache (the cache-fill path).
     fn decode_at(&self, at: Addr) -> Result<Predecoded, StepError> {
         let first = self.imem.read(at);
         let second = if Instruction::first_word_is_two_word(first) {
@@ -991,9 +977,6 @@ impl Processor {
     /// Addresses that don't hold a valid instruction (data, immediate
     /// words) are left empty, exactly as the lazy path would.
     pub fn predecode_all(&mut self) {
-        if !self.config.predecode {
-            return;
-        }
         for at in 0..MEM_WORDS as Addr {
             if let Ok(entry) = self.decode_at(at) {
                 self.decode.insert(at, entry);
@@ -1011,20 +994,14 @@ impl Processor {
     /// Fetch, decode and execute the instruction at PC.
     fn exec_one(&mut self) -> Result<StepOutcome, StepError> {
         let at = self.pc;
-        let fresh;
+        if self.decode.get(at).is_none() {
+            let entry = self.decode_at(at)?;
+            self.decode.insert(at, entry);
+        }
         // Borrow the entry out of the cache rather than copying it:
         // `self.decode` and `self.acct`/`self.profile` are disjoint
         // fields, so the borrows below coexist.
-        let entry: &Predecoded = if self.config.predecode {
-            if self.decode.get(at).is_none() {
-                let entry = self.decode_at(at)?;
-                self.decode.insert(at, entry);
-            }
-            self.decode.get(at).expect("just inserted")
-        } else {
-            fresh = self.decode_at(at)?;
-            &fresh
-        };
+        let entry: &Predecoded = self.decode.get(at).expect("just inserted");
         let ins = entry.ins;
 
         // Charge energy and advance time before the semantic effects so
@@ -1978,17 +1955,14 @@ mod tests {
 
     #[test]
     fn event_queue_overflow_drops() {
-        let cfg = CoreConfig {
-            event_queue_capacity: 2,
-            ..CoreConfig::default()
-        };
-        let mut cpu = Processor::new(cfg);
+        let mut cpu = Processor::new(CoreConfig::default());
         cpu.load_program(&[Instruction::Done]).unwrap();
         cpu.run_until_idle(10).unwrap();
-        assert!(cpu.post_sensor_irq());
-        assert!(cpu.post_sensor_irq());
+        for _ in 0..EVENT_QUEUE_DEPTH {
+            assert!(cpu.post_sensor_irq());
+        }
         assert!(!cpu.post_sensor_irq());
         assert_eq!(cpu.stats().events_dropped, 1);
-        assert_eq!(cpu.stats().events_inserted, 2);
+        assert_eq!(cpu.stats().events_inserted, EVENT_QUEUE_DEPTH as u64);
     }
 }

@@ -104,8 +104,8 @@ impl Decode for Processor {
             ),
             None => None,
         };
-        cpu.event_queue = EventQueue::decode(r, config.event_queue_capacity)?;
-        cpu.timer = TimerCoprocessor::decode(r, config.timer_tick)?;
+        cpu.event_queue = EventQueue::decode(r)?;
+        cpu.timer = TimerCoprocessor::decode(r)?;
         cpu.msg = MsgCoprocessor::decode(r)?;
         cpu.acct = EnergyAccountant::decode(r, config.operating_point, config.bus)?;
         cpu.profile = HandlerProfile::decode(r)?;
@@ -217,7 +217,7 @@ mod tests {
     fn corrupt_fields_are_rejected() {
         let corrupt = |what| Some(SnapshotError::Corrupt(what));
         let cpu = busy_core(Engine::Fused);
-        // The config opens with vdd and, at 17, the queue capacity; the
+        // The config opens with vdd and, at 17, the queue depth; the
         // registers and the IMEM length follow it.
         let regs_at = cpu.config.encoded().len();
         let imem_at = regs_at + cpu.regs.encoded().len();
@@ -228,8 +228,7 @@ mod tests {
             ),
             (&|b| b[regs_at] = 14, "register count"),
             (&|b| b[imem_at + 1] = 0, "memory bank size"),
-            // A one-token queue cannot hold both queued sensor IRQs.
-            (&|b| b[17] = 1, "event queue overflow"),
+            (&|b| b[17] = 1, "event queue capacity"),
         ];
         for (patch, want) in cases {
             assert_eq!(rejection(&cpu, patch), corrupt(want));

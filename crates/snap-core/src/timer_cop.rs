@@ -24,6 +24,11 @@ pub const NUM_TIMERS: usize = 3;
 /// Maximum 24-bit countdown value.
 pub const MAX_COUNT: u32 = 0x00ff_ffff;
 
+/// The decrement period of every timer register. The paper notes the
+/// decrement frequency "can be calibrated against a precise timing
+/// reference"; the simulated hardware ticks once per microsecond.
+pub const TICK: SimDuration = SimDuration::from_us(1);
+
 #[derive(Debug, Clone, Copy, Default)]
 struct TimerReg {
     /// Top 8 bits staged by `schedhi`, consumed by the next `schedlo`.
@@ -33,9 +38,8 @@ struct TimerReg {
 }
 
 /// The three-register timer coprocessor.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TimerCoprocessor {
-    tick: SimDuration,
     timers: [TimerReg; NUM_TIMERS],
     scheduled: u64,
     expired: u64,
@@ -43,30 +47,6 @@ pub struct TimerCoprocessor {
 }
 
 impl TimerCoprocessor {
-    /// A coprocessor whose registers decrement once per `tick`.
-    ///
-    /// The paper notes the decrement frequency "can be calibrated against
-    /// a precise timing reference"; the node default is 1 µs per tick.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tick` is zero.
-    pub fn new(tick: SimDuration) -> TimerCoprocessor {
-        assert!(!tick.is_zero(), "timer tick must be positive");
-        TimerCoprocessor {
-            tick,
-            timers: [TimerReg::default(); NUM_TIMERS],
-            scheduled: 0,
-            expired: 0,
-            cancelled: 0,
-        }
-    }
-
-    /// The decrement period.
-    pub fn tick(&self) -> SimDuration {
-        self.tick
-    }
-
     /// `schedhi`: stage the top 8 bits of timer `n`'s countdown.
     ///
     /// Returns `false` when `n` is not a valid timer number.
@@ -84,12 +64,11 @@ impl TimerCoprocessor {
     /// A zero count expires on the next poll. Returns `false` when `n` is
     /// not a valid timer number.
     pub fn sched_lo(&mut self, n: u16, value: u16, now: SimTime) -> bool {
-        let tick = self.tick;
         let Some(t) = self.timers.get_mut(n as usize) else {
             return false;
         };
         let count = ((t.staged_hi as u32) << 16) | value as u32;
-        t.expiry = Some(now + tick * count as u64);
+        t.expiry = Some(now + TICK * count as u64);
         self.scheduled += 1;
         true
     }
@@ -159,16 +138,12 @@ impl TimerCoprocessor {
         self.cancelled
     }
 
-    /// Decode the registers and counters; the tick is config, so the
-    /// caller supplies it.
-    pub(crate) fn decode(
-        r: &mut Reader,
-        tick: SimDuration,
-    ) -> Result<TimerCoprocessor, SnapshotError> {
+    /// Decode the registers and counters.
+    pub(crate) fn decode(r: &mut Reader) -> Result<TimerCoprocessor, SnapshotError> {
         if r.len()? != NUM_TIMERS {
             return Err(SnapshotError::Corrupt("timer register count"));
         }
-        let mut cop = TimerCoprocessor::new(tick);
+        let mut cop = TimerCoprocessor::default();
         for t in &mut cop.timers {
             t.staged_hi = r.u8()?;
             t.expiry = r.opt_u64()?.map(SimTime::from_ps);
@@ -198,7 +173,7 @@ mod tests {
     use super::*;
 
     fn cop() -> TimerCoprocessor {
-        TimerCoprocessor::new(SimDuration::from_us(1))
+        TimerCoprocessor::default()
     }
 
     #[test]

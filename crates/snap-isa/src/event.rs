@@ -12,6 +12,11 @@ use std::fmt;
 /// Number of entries in the event-handler table.
 pub const EVENT_TABLE_ENTRIES: usize = 8;
 
+/// Depth of the hardware event queue in tokens. The paper does not
+/// publish it; eight matches the handler-table size. A token arriving
+/// at a full queue is dropped.
+pub const EVENT_QUEUE_DEPTH: usize = 8;
+
 /// The events SNAP/LE responds to.
 ///
 /// Entries 0–2 belong to the three timer registers; the rest belong to the

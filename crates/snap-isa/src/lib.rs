@@ -35,7 +35,7 @@ pub mod instr;
 pub mod msgcmd;
 pub mod reg;
 
-pub use event::{EventKind, EventToken, EVENT_TABLE_ENTRIES};
+pub use event::{EventKind, EventToken, EVENT_QUEUE_DEPTH, EVENT_TABLE_ENTRIES};
 pub use instr::{
     AluImmOp, AluOp, BranchCond, EncodedWords, Instruction, InstructionClass, ShiftOp,
 };

@@ -27,8 +27,6 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 const MAX_CALL_DEPTH: usize = 32;
 /// Rounds of the outer (table / written-set / poison) iteration.
 const MAX_ROUNDS: usize = 5;
-/// Hardware event-queue capacity (snap-core's default).
-pub(crate) const EVENT_QUEUE_CAPACITY: u64 = 8;
 
 /// Abstract register value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -33,9 +33,9 @@
 //! filter excludes exactly those interleavings too.
 
 use crate::absint::{root_effects, RootEffects};
-use crate::analyzer::{ctx_handler_name, Ctx, CtxKind, EVENT_QUEUE_CAPACITY};
+use crate::analyzer::{ctx_handler_name, Ctx, CtxKind};
 use crate::{ChainReport, Diagnostic, FlowEdge, FlowEdgeKind, FlowReport, Severity};
-use snap_isa::{Addr, EventKind, EVENT_TABLE_ENTRIES};
+use snap_isa::{Addr, EventKind, EVENT_QUEUE_DEPTH, EVENT_TABLE_ENTRIES};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// Safety valve on the multiset exploration. The true state space is
@@ -83,7 +83,7 @@ struct ChainResult {
 /// dispatch order. `initial_peak` accounts for the tokens pending
 /// before the first dispatch (boot's own posts).
 fn simulate_chain(start: QState, model: &DispatchModel, initial_peak: u64) -> ChainResult {
-    let cap = EVENT_QUEUE_CAPACITY;
+    let cap = EVENT_QUEUE_DEPTH as u64;
     let mut result = ChainResult {
         peak: initial_peak,
         overflow: initial_peak > cap,
@@ -376,7 +376,7 @@ pub(crate) fn analyze_flow(
         }
         let mut start = [0u8; 8];
         let boot_occ: u64 = pv.iter().sum();
-        if boot_occ > EVENT_QUEUE_CAPACITY {
+        if boot_occ > EVENT_QUEUE_DEPTH as u64 {
             // Boot alone floods the queue; don't build the (invalid,
             // >capacity) start state.
             return Some((
@@ -404,7 +404,7 @@ pub(crate) fn analyze_flow(
             Some(ev) => model.p[ev],
             None => boot.and_then(|b| b.fx.posts),
         };
-        pv.is_some_and(|pv| pv.iter().sum::<u64>() > EVENT_QUEUE_CAPACITY)
+        pv.is_some_and(|pv| pv.iter().sum::<u64>() > EVENT_QUEUE_DEPTH as u64)
     };
     let mut push_chain = |event: Option<usize>, entry: Addr, r: Option<ChainResult>| {
         let claims_ok = |r: &ChainResult| !r.overflow && !r.unknown && !global_degraded;
@@ -422,7 +422,7 @@ pub(crate) fn analyze_flow(
                         "the {} activation chain can have {} events pending at once; the queue holds {}",
                         event.map(event_name).unwrap_or_else(|| "boot".into()),
                         r.peak,
-                        EVENT_QUEUE_CAPACITY
+                        EVENT_QUEUE_DEPTH
                     ),
                     hint: "events posted past capacity are dropped; shorten the swev chain or batch work"
                         .to_string(),
@@ -579,7 +579,7 @@ pub(crate) fn analyze_flow(
     (
         FlowReport {
             degraded: global_degraded,
-            queue_capacity: EVENT_QUEUE_CAPACITY,
+            queue_capacity: EVENT_QUEUE_DEPTH as u64,
             edges,
             chains,
         },

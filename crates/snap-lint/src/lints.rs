@@ -6,9 +6,9 @@
 //! queue pressure, `r15` FIFO discipline, self-modifying stores,
 //! never-written register reads, dead stores, and unreachable code.
 
-use crate::analyzer::{ctx_handler_name, Abs, Ctx, CtxKind, PathCost, EVENT_QUEUE_CAPACITY};
+use crate::analyzer::{ctx_handler_name, Abs, Ctx, CtxKind, PathCost};
 use crate::{Diagnostic, Severity};
-use snap_isa::{Addr, AluImmOp, EventKind, Instruction};
+use snap_isa::{Addr, AluImmOp, EventKind, Instruction, EVENT_QUEUE_DEPTH};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Event-table indices whose handlers are dispatched by a message
@@ -110,7 +110,7 @@ pub(crate) fn run(
                 );
             }
             if let PathCost::Bounded(c) = cr.done {
-                if c.swev > EVENT_QUEUE_CAPACITY {
+                if c.swev > EVENT_QUEUE_DEPTH as u64 {
                     sink.push(
                         "swev-flood",
                         Severity::Warning,
@@ -118,7 +118,7 @@ pub(crate) fn run(
                         handler.clone(),
                         format!(
                             "one activation can post up to {} software events; the event queue holds {}",
-                            c.swev, EVENT_QUEUE_CAPACITY
+                            c.swev, EVENT_QUEUE_DEPTH
                         ),
                         "events posted beyond the queue capacity are dropped; batch work or rate-limit `swev`",
                     );

@@ -151,30 +151,52 @@ fn zero_shard_count_is_rejected() {
     assert_eq!(verdict(&p), corrupt("shard count"));
 }
 
-/// A forged event-queue capacity of `u32::MAX`, the largest restore
-/// accepts, restores and runs without reserving that many tokens.
-#[test]
-fn huge_event_queue_capacity_restores_and_runs() {
+/// The mac golden with its first core config's field at `offset` past
+/// the queue depth overwritten by `value`. Inside a config: flat-bus
+/// flag (1), queue depth (8), timer tick (8), LFSR seed (2), predecode
+/// flag (1); the golden's cores hold the fixed values.
+fn config_patched(offset: usize, value: &[u8]) -> Vec<u8> {
     let mut p = golden("mac_fleet")[17..].to_vec();
-    // Inside each core config: flat-bus flag (1), queue capacity (8),
-    // timer tick (8) — the golden's cores keep the defaults.
-    let mut pattern = vec![0u8];
-    pattern.extend_from_slice(&8u64.to_le_bytes());
-    pattern.extend_from_slice(&1_000_000u64.to_le_bytes());
-    let sites: Vec<usize> = p
-        .windows(pattern.len())
-        .enumerate()
-        .filter(|(_, w)| *w == pattern.as_slice())
-        .map(|(at, _)| at + 1)
-        .collect();
-    for &at in &sites {
-        p[at..at + 8].copy_from_slice(&u64::from(u32::MAX).to_le_bytes());
-    }
-    let mut sim = restore(&p).expect("a huge capacity is valid config");
-    assert_eq!(sites.len(), sim.node_count(), "one core config per node");
-    let queue = sim.node(NodeId(1)).cpu().event_queue();
-    assert_eq!(queue.capacity(), u32::MAX as usize);
-    sim.run_for(SimDuration::from_ms(1)).unwrap();
+    let mut fixed = vec![0u8];
+    fixed.extend_from_slice(&8u64.to_le_bytes());
+    fixed.extend_from_slice(&1_000_000u64.to_le_bytes());
+    fixed.extend_from_slice(&0xACE1u16.to_le_bytes());
+    fixed.push(1);
+    let at = 1 + p
+        .windows(fixed.len())
+        .position(|w| w == fixed.as_slice())
+        .expect("a core config");
+    p[at + offset..at + offset + value.len()].copy_from_slice(value);
+    p
+}
+
+/// The event queue is fixed hardware: a depth other than 8 is
+/// rejected, not built.
+#[test]
+fn event_queue_capacity_is_pinned() {
+    let p = config_patched(0, &9u64.to_le_bytes());
+    assert_eq!(verdict(&p), corrupt("event queue capacity"));
+}
+
+/// Timers tick every 1 µs; a 2 µs tick is rejected.
+#[test]
+fn timer_tick_is_pinned() {
+    let p = config_patched(8, &2_000_000u64.to_le_bytes());
+    assert_eq!(verdict(&p), corrupt("timer tick"));
+}
+
+/// The LFSR powers on at 0xACE1; another seed is rejected.
+#[test]
+fn lfsr_power_on_seed_is_pinned() {
+    let p = config_patched(16, &0x1234u16.to_le_bytes());
+    assert_eq!(verdict(&p), corrupt("lfsr power-on seed"));
+}
+
+/// The decode cache is always on; a cleared flag is rejected.
+#[test]
+fn predecode_flag_is_pinned() {
+    let p = config_patched(18, &[0]);
+    assert_eq!(verdict(&p), corrupt("predecode flag"));
 }
 
 /// The mac golden keeps a full trace; its events close the payload.

@@ -40,8 +40,6 @@ impl fmt::Display for NodeId {
 pub struct NodeConfig {
     /// The processor configuration.
     pub core: CoreConfig,
-    /// Radio bit rate in bits/second.
-    pub radio_bit_rate: f64,
     /// This node's identity.
     pub id: NodeId,
     /// Safety cap on instructions per [`Node::run_until`] call; a runaway
@@ -54,7 +52,6 @@ impl Default for NodeConfig {
     fn default() -> NodeConfig {
         NodeConfig {
             core: CoreConfig::default(),
-            radio_bit_rate: crate::radio::DEFAULT_BIT_RATE,
             id: NodeId(0),
             step_limit: 10_000_000,
         }
@@ -297,7 +294,7 @@ impl Node {
     }
 
     fn with_kind(config: NodeConfig, kind: NodeKind) -> Node {
-        let mut radio = Radio::with_bit_rate(config.radio_bit_rate);
+        let mut radio = Radio::new();
         if matches!(kind, NodeKind::Gateway) {
             // A gateway bridges from boot: its receiver is on before
             // (and regardless of whether) the program asks for it.

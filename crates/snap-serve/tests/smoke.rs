@@ -286,6 +286,13 @@ fn bad_requests_get_clean_errors() {
     let (status, body) = request(addr, "POST", "/sims/restore", &forged);
     assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
 
+    // A body nested 100k deep is refused on its connection; the server
+    // keeps answering the next request.
+    let deep = "[".repeat(100_000);
+    let (status, body) = request(addr, "POST", "/sims", deep.as_bytes());
+    assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
+    assert!(String::from_utf8_lossy(&body).contains("nesting deeper"));
+
     let (status, _) = request(addr, "GET", "/nope", b"");
     assert_eq!(status, 404);
 }

@@ -9,9 +9,9 @@
 //!    keeping a copy of the core every `interval` executed
 //!    instructions. The core's snapshot encoding *is* the canonical
 //!    architectural observation: two cores agree at a boundary iff
-//!    their encodings are equal past the config header (engine and
-//!    predecode settings legitimately differ between legs; caches are
-//!    never encoded, so warm-vs-cold state cannot leak in).
+//!    their encodings are equal past the config header (the engine
+//!    legitimately differs between legs; caches are never encoded, so
+//!    warm-vs-cold state cannot leak in).
 //! 2. **Binary search** — over the aligned checkpoint boundaries for
 //!    the first one where the states differ, giving a divergence
 //!    window of at most `interval` instructions.
@@ -137,17 +137,10 @@ fn runner_config(runner: Runner) -> Result<(bool, CoreConfig), String> {
         Runner::Oracle => {
             Err("bisection needs snapshot-capable legs; the oracle cannot checkpoint".into())
         }
-        Runner::CoreStep { predecode } => Ok((
-            false,
-            CoreConfig {
-                predecode,
-                ..CoreConfig::default()
-            },
-        )),
-        Runner::CoreBurst { predecode, engine } => Ok((
+        Runner::CoreStep => Ok((false, CoreConfig::default())),
+        Runner::CoreBurst { engine } => Ok((
             true,
             CoreConfig {
-                predecode,
                 engine,
                 ..CoreConfig::default()
             },
@@ -355,8 +348,8 @@ fn run_with_checkpoints(
 }
 
 /// Architectural equality: the cores' snapshot encodings past the
-/// config header, which legitimately differs between legs (engine,
-/// predecode) without being observable state.
+/// config header, which legitimately differs between legs (the engine)
+/// without being observable state.
 fn arch_eq(a: &Processor, b: &Processor) -> bool {
     let arch = |cpu: &Processor| cpu.encoded().split_off(cpu.config().encoded().len());
     arch(a) == arch(b)
@@ -637,15 +630,17 @@ mod tests {
         snapshot_diff(a, b).expect("a difference is named")
     }
 
-    /// `cpu` restored from its snapshot bytes with the single 8-byte
-    /// field holding `from` rewritten to `to` (checksum recomputed).
-    fn patched(cpu: &Processor, from: u64, to: u64) -> Processor {
+    /// `cpu` restored from its snapshot bytes with the one field past
+    /// the config header that holds `from` rewritten to `to` (checksum
+    /// recomputed).
+    fn patched(cpu: &Processor, from: &[u8], to: &[u8]) -> Processor {
         let mut bytes = Snapshot::Core(Box::new(cpu.export_snapshot())).to_bytes();
-        let hits: Vec<usize> = (0..bytes.len() - 8)
-            .filter(|&i| bytes[i..i + 8] == from.to_le_bytes())
+        let arch_at = 17 + cpu.config().encoded().len();
+        let hits: Vec<usize> = (arch_at..bytes.len() - from.len())
+            .filter(|&i| bytes[i..i + from.len()] == *from)
             .collect();
-        assert_eq!(hits.len(), 1, "{from:#x} must name exactly one field");
-        bytes[hits[0]..hits[0] + 8].copy_from_slice(&to.to_le_bytes());
+        assert_eq!(hits.len(), 1, "{from:x?} must name exactly one field");
+        bytes[hits[0]..hits[0] + to.len()].copy_from_slice(to);
         let sum = fnv1a(&bytes[17..]);
         bytes[9..17].copy_from_slice(&sum.to_le_bytes());
         let snap = Snapshot::from_bytes(&bytes).unwrap();
@@ -655,21 +650,18 @@ mod tests {
     /// The bisector compares the whole architectural state, not just
     /// what `diff::Observed` carries: LFSR state, timer expiries and
     /// per-class energy bits all split universes and are named. Only
-    /// the config (engine, predecode) is ignored.
+    /// the config (the engine) is ignored.
     #[test]
     fn comparison_covers_state_the_observed_diff_does_not() {
         let base = booted(CoreConfig::default());
         assert!(arch_eq(&base, &base.clone()) && snapshot_diff(&base, &base).is_none());
 
-        // A different LFSR seed changes nothing but the live LFSR.
-        let other_lfsr = booted(CoreConfig {
-            lfsr_seed: 0x1234,
-            ..CoreConfig::default()
-        });
+        let lfsr = base.lfsr_state();
+        let other_lfsr = patched(&base, &lfsr.to_le_bytes(), &0x1234u16.to_le_bytes());
         assert!(named(&base, &other_lfsr).starts_with("lfsr"));
 
         let expiry = base.next_timer_expiry().unwrap().as_ps();
-        let later = patched(&base, expiry, expiry + 1);
+        let later = patched(&base, &expiry.to_le_bytes(), &(expiry + 1).to_le_bytes());
         assert!(named(&base, &later).starts_with("timers"));
 
         // The low mantissa bit of one class's energy; the total keeps
@@ -677,13 +669,12 @@ mod tests {
         // with several classes each has its own pattern.)
         let (_, class) = base.acct().per_class().last().unwrap();
         let bits = class.energy.as_pj().to_bits();
-        let flipped = patched(&base, bits, bits ^ 1);
+        let flipped = patched(&base, &bits.to_le_bytes(), &(bits ^ 1).to_le_bytes());
         assert!(named(&base, &flipped).starts_with("acct"));
 
-        // Engine and predecode are config, not state.
+        // The engine is config, not state.
         let interp = booted(CoreConfig {
             engine: Engine::Interp,
-            predecode: false,
             ..CoreConfig::default()
         });
         let aot = booted(CoreConfig {

@@ -2,8 +2,8 @@
 //! script, many implementations — all observations must be bit-equal.
 //!
 //! The same scripted environment drives the naive oracle and
-//! `snap-core`'s `Processor` in every configuration pair (predecode
-//! on/off × single-step vs `run_burst`). The environment is a pure
+//! `snap-core`'s `Processor` single-stepped and under `run_burst` in
+//! every translation tier. The environment is a pure
 //! function of execution: stimuli fire at fixed executed-instruction
 //! counts, transmitted words complete immediately, sensor queries are
 //! answered with a hash of the sensor id. Because every implementation
@@ -13,7 +13,7 @@
 
 use crate::gen::{Script, StimulusKind};
 use crate::oracle::{Oracle, OracleAction, OracleOutcome, OracleState};
-use dess::SimTime;
+use dess::{Lfsr16, SimTime};
 use snap_asm::Program;
 use snap_core::{CoreConfig, CoreState, Engine, EnvAction, Processor, StepOutcome};
 use snap_isa::{EventKind, Instruction, Reg};
@@ -23,20 +23,15 @@ use snap_isa::{EventKind, Instruction, Reg};
 pub enum Runner {
     /// The naive reference interpreter.
     Oracle,
-    /// `snap_core::Processor` via `step()`, predecode on/off (`step`
-    /// always interprets, whatever the engine).
-    CoreStep {
-        /// Decode-cache configuration under test.
-        predecode: bool,
-    },
-    /// `snap_core::Processor` via `run_burst()`, predecode on/off ×
-    /// translation tier. [`Engine::Aot`] additionally runs snap-lint
-    /// over the program and installs every proved handler region, so
-    /// generated `isw` self-modification and unproven fallback edges
-    /// are exercised too.
+    /// `snap_core::Processor` via `step()` (`step` always interprets,
+    /// whatever the engine).
+    CoreStep,
+    /// `snap_core::Processor` via `run_burst()` under one translation
+    /// tier. [`Engine::Aot`] additionally runs snap-lint over the
+    /// program and installs every proved handler region, so generated
+    /// `isw` self-modification and unproven fallback edges are
+    /// exercised too.
     CoreBurst {
-        /// Decode-cache configuration under test.
-        predecode: bool,
         /// Translation tier under test.
         engine: Engine,
     },
@@ -44,27 +39,16 @@ pub enum Runner {
 
 impl Runner {
     /// All core configurations the oracle is diffed against: the
-    /// stepped interpreter and every batched tier, each against both
-    /// decode-cache settings where that changes the code path
-    /// (`predecode: false` pins every tier to the interpreter, so the
-    /// fused/AOT × no-predecode cells would duplicate the interp row).
-    pub const CORE_CONFIGS: [Runner; 6] = [
-        Runner::CoreStep { predecode: false },
-        Runner::CoreStep { predecode: true },
+    /// stepped interpreter and every batched tier.
+    pub const CORE_CONFIGS: [Runner; 4] = [
+        Runner::CoreStep,
         Runner::CoreBurst {
-            predecode: false,
             engine: Engine::Interp,
         },
         Runner::CoreBurst {
-            predecode: true,
-            engine: Engine::Interp,
-        },
-        Runner::CoreBurst {
-            predecode: true,
             engine: Engine::Fused,
         },
         Runner::CoreBurst {
-            predecode: true,
             engine: Engine::Aot,
         },
     ];
@@ -73,14 +57,14 @@ impl Runner {
     pub fn label(&self) -> String {
         match self {
             Runner::Oracle => "oracle".into(),
-            Runner::CoreStep { predecode } => format!("core-step/predecode={predecode}"),
-            Runner::CoreBurst { predecode, engine } => {
+            Runner::CoreStep => "core-step".into(),
+            Runner::CoreBurst { engine } => {
                 let engine = match engine {
                     Engine::Interp => "interp",
                     Engine::Fused => "fused",
                     Engine::Aot => "aot",
                 };
-                format!("core-burst/predecode={predecode}/engine={engine}")
+                format!("core-burst/engine={engine}")
             }
         }
     }
@@ -318,7 +302,7 @@ fn inject<T: Target>(t: &mut T, kind: StimulusKind) {
 pub fn run_program(program: &Program, script: &Script, runner: Runner) -> RunResult {
     match runner {
         Runner::Oracle => {
-            let mut o = Oracle::new(CoreConfig::default().lfsr_seed);
+            let mut o = Oracle::new(Lfsr16::default().state());
             o.load_image(0, &program.imem_image());
             o.load_data(0, &program.dmem_image());
             let mut trace = Some(Vec::new());
@@ -328,14 +312,13 @@ pub fn run_program(program: &Program, script: &Script, runner: Runner) -> RunRes
                 trace,
             })
         }
-        Runner::CoreStep { predecode } | Runner::CoreBurst { predecode, .. } => {
+        Runner::CoreStep | Runner::CoreBurst { .. } => {
             let burst = matches!(runner, Runner::CoreBurst { .. });
             let engine = match runner {
-                Runner::CoreBurst { engine, .. } => engine,
+                Runner::CoreBurst { engine } => engine,
                 _ => Engine::default(),
             };
             let config = CoreConfig {
-                predecode,
                 engine,
                 ..CoreConfig::default()
             };

@@ -13,11 +13,10 @@
 //!   or burst loop. Simplicity over speed: it is the independent
 //!   second opinion.
 //! * [`diff`] — the differential driver: assemble with `snap-asm`,
-//!   run the oracle and `snap_core::Processor` in every configuration
-//!   pair (predecode on/off × single-step vs `run_burst`) under the
-//!   identical script, and demand bit-identical registers, memories,
-//!   event-queue order, executed-instruction traces, and energy bit
-//!   patterns. [`shrink`] reduces any divergence to a minimal `.sasm`
+//!   run the oracle and `snap_core::Processor` single-stepped and
+//!   under `run_burst` in every translation tier with the identical
+//!   script, and demand bit-identical registers, memories, event-queue
+//!   order, executed-instruction traces, and energy bit patterns. [`shrink`] reduces any divergence to a minimal `.sasm`
 //!   reproducer.
 //!
 //! The `snap-smith` binary wraps this into a fuzzing loop

@@ -106,7 +106,7 @@ fn parse_args() -> Options {
 
 /// The stepped interpreter: the trusted leg every bisection resumes
 /// its reference side from.
-const REFERENCE: Runner = Runner::CoreStep { predecode: false };
+const REFERENCE: Runner = Runner::CoreStep;
 
 fn run_bisect(path: &str, every: u64, mutate: Option<u64>) -> i32 {
     let source = match std::fs::read_to_string(path) {
@@ -130,7 +130,6 @@ fn run_bisect(path: &str, every: u64, mutate: Option<u64>) -> i32 {
     if let Some(at) = mutate {
         let mutated = mutate_script(&script, at);
         let runner = Runner::CoreBurst {
-            predecode: true,
             engine: snap_core::Engine::Fused,
         };
         let reference = LegSpec {

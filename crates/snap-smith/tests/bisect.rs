@@ -60,7 +60,6 @@ fn seeded_mutation_is_localized_to_the_exact_instruction() {
     let (program, script) = metronome();
     let mutated = mutate_script(&script, MUTATION_AT);
     let runner = Runner::CoreBurst {
-        predecode: true,
         engine: Engine::Fused,
     };
     let reference = LegSpec {
@@ -103,7 +102,6 @@ fn bisect_is_insensitive_to_the_checkpoint_interval() {
     let (program, script) = metronome();
     let mutated = mutate_script(&script, MUTATION_AT);
     let runner = Runner::CoreBurst {
-        predecode: true,
         engine: Engine::Fused,
     };
     for interval in [64u64, 100, 1000] {
@@ -144,16 +142,13 @@ fn generated_programs_agree_across_tiers_under_checkpointing() {
         let reference = LegSpec {
             program: &program,
             script: &case.script,
-            runner: Runner::CoreStep { predecode: false },
+            runner: Runner::CoreStep,
         };
         for engine in [Engine::Interp, Engine::Fused, Engine::Aot] {
             let suspect = LegSpec {
                 program: &program,
                 script: &case.script,
-                runner: Runner::CoreBurst {
-                    predecode: true,
-                    engine,
-                },
+                runner: Runner::CoreBurst { engine },
             };
             match bisect(&reference, &suspect, 128).unwrap() {
                 BisectOutcome::Agree => {}

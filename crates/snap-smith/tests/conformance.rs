@@ -1,7 +1,8 @@
 //! Bounded differential conformance sweep — the in-tree smoke version
 //! of the `snap-smith` fuzzing binary. Every generated program must
 //! behave bit-identically under the naive oracle and all four
-//! `snap-core` configurations (predecode on/off × step vs burst).
+//! `snap-core` configurations (stepped, and batched under each
+//! translation tier).
 
 use snap_smith::diff::{check_source, run_program, Runner};
 use snap_smith::gen::generate;
@@ -57,7 +58,7 @@ fn divergence_detection_is_live() {
     let case = generate(7);
     let program = snap_asm::assemble(&case.source).unwrap();
     let a = run_program(&program, &case.script, Runner::Oracle);
-    let b = run_program(&program, &case.script, Runner::CoreStep { predecode: true });
+    let b = run_program(&program, &case.script, Runner::CoreStep);
     assert!(compare(&a, &b).is_none(), "seed 7 should agree");
     // Tamper with one register and require detection.
     let mut tampered = b.unwrap();

@@ -193,16 +193,25 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per level, so the limit keeps a hostile document from
+/// overflowing the stack; the documents this workspace writes nest
+/// fewer than ten levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document.
 ///
 /// # Errors
 ///
 /// Returns a message with the byte offset of the first syntax error,
-/// including trailing garbage after the document.
+/// including trailing garbage after the document and nesting deeper
+/// than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -214,8 +223,11 @@ pub fn parse(input: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -257,11 +269,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected byte at {}", self.pos)),
         }
+    }
+
+    /// Parse one array or object a level deeper, failing past
+    /// [`MAX_DEPTH`] before recursing.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Value, String> {
@@ -359,12 +386,14 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| format!("invalid UTF-8 at byte {}", self.pos))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash.
+                    // Both are ASCII, so the run ends on a char boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    s.push_str(&self.input[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -466,5 +495,33 @@ mod tests {
     fn unicode_escapes_and_raw_utf8() {
         assert_eq!(parse(r#""Aé""#).unwrap(), Value::Str("Aé".to_string()));
         assert_eq!(parse(r#""A\u00e9""#).unwrap(), Value::Str("Aé".to_string()));
+    }
+
+    #[test]
+    fn nesting_past_the_limit_fails_closed() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + "0" + &close.repeat(n);
+        assert!(parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nest("{\"k\":", "}", MAX_DEPTH)).is_ok());
+        let too_deep = format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}");
+        assert_eq!(parse(&nest("[", "]", MAX_DEPTH + 1)), Err(too_deep.clone()));
+        // Far past what the stack could hold: the same error, at once.
+        assert_eq!(parse(&"[".repeat(100_000)), Err(too_deep));
+        let objects = parse(&"{\"k\":".repeat(100_000)).unwrap_err();
+        assert!(objects.starts_with("nesting deeper"), "{objects}");
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 4 MiB of mixed ASCII, two-byte UTF-8 and escapes. A parser
+        // that re-scans the rest of the input per character needs
+        // minutes for this; a linear one needs milliseconds.
+        let chunk = "abcdéfgh\\n";
+        let n = (4 << 20) / chunk.len();
+        let text = format!("\"{}\"", chunk.repeat(n));
+        let start = std::time::Instant::now();
+        let parsed = parse(&text).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(parsed, Value::Str("abcdéfgh\n".repeat(n)));
+        assert!(elapsed.as_secs() < 2, "4 MiB string took {elapsed:?}");
     }
 }
