@@ -91,8 +91,8 @@ fn network_workload(sim: &NetworkSim) -> Workload {
 
 /// A 25-node CSMA mesh on a 5x5 grid: every node runs the MAC with a
 /// send-on-IRQ app targeting its successor, IRQs staggered so traffic
-/// overlaps. 25 nodes is past `PARALLEL_THRESHOLD`, so this exercises
-/// the parallel node-window path as well as delivery range scans.
+/// overlaps. `Auto` runs the 25 nodes as one shard, so this times the
+/// wake calendar, the collision checks and delivery range scans.
 fn run_net_mesh() -> Workload {
     let mut sim = NetworkSim::new(12.0);
     for i in 0u8..25 {
@@ -212,9 +212,9 @@ fn run_net_sparse(programs: &[Program], scheduler: Scheduler) -> Workload {
     network_workload(&sim)
 }
 
-/// Nodes in the compute-heavy scenario. Deliberately below the
-/// parallel threshold so both engine runs stay sequential — the row
-/// measures the translation engine, nothing else.
+/// Nodes in the compute-heavy scenario. `Auto` runs them as one shard
+/// on the calling thread, so the row measures the translation engine,
+/// nothing else.
 const COMPUTE_NODES: usize = 6;
 /// Simulated span of the compute-heavy scenario.
 const COMPUTE_SIM_MS: u64 = 20;
@@ -263,8 +263,6 @@ crunch_loop:
 fn run_compute_heavy(program: &Program, engine: Engine) -> Workload {
     let mut sim = NetworkSim::new(10.0);
     sim.set_trace_mode(TraceMode::CountOnly);
-    // Sequential on both sides: the row isolates the engine.
-    sim.set_parallel_threshold(usize::MAX);
     let core = CoreConfig {
         engine,
         ..CoreConfig::default()

@@ -39,7 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod channel;
-pub mod pool;
+mod pool;
 pub mod sim;
 pub mod snapshot;
 pub mod telemetry;
@@ -47,7 +47,6 @@ pub mod topology;
 pub mod trace;
 
 pub use channel::Transmission;
-pub use pool::WorkerPool;
 pub use sim::{NetworkSim, Scheduler, Stimulus};
 pub use topology::{Position, Topology};
 pub use trace::{Trace, TraceEvent, TraceKind, TraceMode};

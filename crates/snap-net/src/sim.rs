@@ -55,9 +55,6 @@ use std::collections::VecDeque;
 /// Work window granted to running nodes per synchronization round.
 const RUN_QUANTUM: SimDuration = SimDuration::from_us(100);
 
-/// Default node count at which windows run on the worker pool.
-pub const PARALLEL_THRESHOLD: usize = 8;
-
 /// Default shard count for [`Scheduler::Sharded`].
 pub const DEFAULT_SHARDS: usize = 8;
 
@@ -207,8 +204,7 @@ pub struct NetworkSim {
     pub(crate) stimuli: Calendar<(NodeId, Stimulus)>,
     pub(crate) trace: Trace,
     pub(crate) now: SimTime,
-    pub(crate) pool: WorkerPool,
-    pub(crate) parallel_threshold: usize,
+    pool: WorkerPool,
     pub(crate) scheduler: Scheduler,
     pub(crate) num_shards: usize,
     /// Whether the caller picked the trace mode explicitly (suppresses
@@ -231,8 +227,7 @@ impl NetworkSim {
             stimuli: Calendar::new(),
             trace: Trace::new(),
             now: SimTime::ZERO,
-            pool: WorkerPool::new(),
-            parallel_threshold: PARALLEL_THRESHOLD,
+            pool: WorkerPool::default(),
             scheduler: Scheduler::default(),
             num_shards: DEFAULT_SHARDS,
             trace_mode_explicit: false,
@@ -274,13 +269,6 @@ impl NetworkSim {
         if let Some(h) = &mut self.window_activity {
             h.record(active as f64);
         }
-    }
-
-    /// Override the node count at which windows run on the worker pool
-    /// (tests force it low/high to compare parallel vs sequential runs;
-    /// both must produce bit-identical traces and energy totals).
-    pub fn set_parallel_threshold(&mut self, threshold: usize) {
-        self.parallel_threshold = threshold.max(1);
     }
 
     /// Select the scheduling strategy (default: [`Scheduler::Auto`]).
@@ -685,22 +673,14 @@ impl NetworkSim {
         first
     }
 
-    /// Advance every node to `deadline` (in parallel for big networks)
-    /// and fold their outputs into the channel/trace.
+    /// Advance every node to `deadline` in node-index order, folding
+    /// each node's outputs into the channel/trace before running the
+    /// next. Folding touches the channel, delivery calendar and trace,
+    /// never another node, so it may interleave with the runs.
     fn advance_all(&mut self, deadline: SimTime) -> Result<(), NodeError> {
-        let results: Vec<Result<Vec<NodeOutput>, NodeError>> =
-            if self.nodes.len() >= self.parallel_threshold {
-                self.pool.run(&mut self.nodes, deadline)
-            } else {
-                self.nodes
-                    .iter_mut()
-                    .map(|node| node.run_until(deadline))
-                    .collect()
-            };
-
         let mut failed = None;
-        for (i, result) in results.into_iter().enumerate() {
-            match result {
+        for i in 0..self.nodes.len() {
+            match self.nodes[i].run_until(deadline) {
                 Ok(outputs) => {
                     let from = self.nodes[i].id();
                     self.fold_outputs(from, outputs);

@@ -61,12 +61,14 @@ impl NetworkSim {
     }
 }
 
+/// The header keeps a fixed u64 of 8 after the shard count (a retired
+/// parallel threshold), so the format stays at v2.
 impl Encode for NetworkSim {
     fn encode(&self, w: &mut Writer) {
         w.u64(self.now.as_ps());
         self.scheduler.encode(w);
         w.u64(self.num_shards as u64);
-        w.u64(self.parallel_threshold as u64);
+        w.u64(8);
         w.bool(self.trace_mode_explicit);
         w.u64(self.topology.range().to_bits());
         w.len(self.nodes.len());
@@ -99,18 +101,18 @@ impl Encode for NetworkSim {
 }
 
 /// Node ids run 1..=n in slot order (they index the node vector), every
-/// position is finite and in [`Topology`](crate::Topology) bounds, and
-/// every stimulus targets an existing node.
+/// position is finite and in [`Topology`](crate::Topology) bounds,
+/// every stimulus targets an existing node, and the fixed header field
+/// after the shard count holds 8.
 impl Decode for NetworkSim {
     fn decode(r: &mut Reader) -> Result<NetworkSim, SnapshotError> {
         let now = SimTime::from_ps(r.u64()?);
         let scheduler = Scheduler::decode(r)?;
         let num_shards = r.u64()?;
-        let parallel_threshold = r.u64()?;
         if num_shards == 0 {
             return Err(SnapshotError::Corrupt("shard count"));
         }
-        if parallel_threshold == 0 {
+        if r.u64()? != 8 {
             return Err(SnapshotError::Corrupt("parallel threshold"));
         }
         let trace_mode_explicit = r.bool()?;
@@ -122,7 +124,6 @@ impl Decode for NetworkSim {
         sim.now = now;
         sim.scheduler = scheduler;
         sim.num_shards = num_shards as usize;
-        sim.parallel_threshold = parallel_threshold as usize;
         sim.trace_mode_explicit = trace_mode_explicit;
 
         let mut placed = Vec::new();

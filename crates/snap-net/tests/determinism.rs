@@ -1,15 +1,16 @@
 //! Parallel/sequential equivalence: the worker pool must be invisible.
 //!
-//! The same 10-node scenario runs twice — once with the parallel
-//! threshold forced to 1 (every window on the pool) and once forced
-//! above the node count (pure sequential path). Traces and per-node
-//! energy totals must be bit-identical; anything less means the pool
+//! The same 10-node scenario runs twice — once on four shards (each
+//! epoch's shards run on the worker pool when the host has more than
+//! one CPU) and once under the lockstep reference (every node in index
+//! order on the calling thread). Traces and per-node energy totals must
+//! be bit-identical; anything less means the pool or the barrier
 //! reordered node outputs or perturbed the accounting.
 
 use dess::{SimDuration, SimTime};
 use snap_apps::mac::{mac_program, send_on_irq_app, RX_DISPATCH_STUB};
 use snap_apps::prelude::install_handler;
-use snap_net::{NetworkSim, Position, Stimulus};
+use snap_net::{NetworkSim, Position, Scheduler, Stimulus};
 
 fn ms(n: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_ms(n)
@@ -18,9 +19,10 @@ fn ms(n: u64) -> SimTime {
 /// Ten nodes on a 5×2 grid, each sending to its successor on a
 /// staggered sensor interrupt — enough concurrent MAC traffic to
 /// exercise deliveries, collisions and backoff on both paths.
-fn build(parallel_threshold: usize) -> NetworkSim {
+fn build(scheduler: Scheduler) -> NetworkSim {
     let mut sim = NetworkSim::new(12.0);
-    sim.set_parallel_threshold(parallel_threshold);
+    sim.set_scheduler(scheduler);
+    sim.set_shards(4);
     for i in 0u8..10 {
         let dst = if i == 9 { 1 } else { i + 2 };
         let extra = install_handler("EV_IRQ", "app_send_irq");
@@ -39,8 +41,8 @@ fn build(parallel_threshold: usize) -> NetworkSim {
 
 #[test]
 fn parallel_and_sequential_runs_are_bit_identical() {
-    let mut parallel = build(1); // every window goes through the pool
-    let mut sequential = build(100); // node count never reaches this
+    let mut parallel = build(Scheduler::Sharded);
+    let mut sequential = build(Scheduler::Lockstep);
     parallel.run_until(ms(40)).unwrap();
     sequential.run_until(ms(40)).unwrap();
 

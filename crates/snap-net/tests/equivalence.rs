@@ -7,11 +7,13 @@
 //! arm, a delivery posted to a stale clock — the two diverge. These
 //! property tests throw randomized mixed workloads (periodic timers,
 //! CSMA traffic under random loss, staggered sensor interrupts) at
-//! every scheduler, shard count and parallel threshold, in one
-//! `run_until` call and in random slices, and require bit-identical
-//! results: the full trace, channel counters, and every node's
-//! instruction count, energy (to the bit), busy/sleep time and
-//! architectural registers — or, when a node faults, the same fault.
+//! every scheduler and shard count, in one `run_until` call and in
+//! random slices, and require bit-identical results: the full trace,
+//! channel counters, and every node's instruction count, energy (to
+//! the bit), busy/sleep time and architectural registers — or, when a
+//! node faults, the same fault. Shard epochs run on the worker pool
+//! when the host has more than one CPU and inline otherwise; CI runs
+//! this suite both ways.
 
 use dess::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -36,10 +38,9 @@ struct Scenario {
     run_ms: u64,
 }
 
-fn build(s: &Scenario, scheduler: Scheduler, threshold: usize, shards: usize) -> NetworkSim {
+fn build(s: &Scenario, scheduler: Scheduler, shards: usize) -> NetworkSim {
     let mut sim = NetworkSim::new(12.0);
     sim.set_scheduler(scheduler);
-    sim.set_parallel_threshold(threshold);
     sim.set_shards(shards);
     if s.loss_ppm > 0 {
         sim.set_loss(f64::from(s.loss_ppm) / 1_000_000.0, s.loss_seed);
@@ -141,13 +142,8 @@ fn node_count(s: &Scenario) -> u32 {
 
 /// What a run to the horizon observes: the whole universe, or the
 /// fault it ended in.
-fn run(
-    s: &Scenario,
-    scheduler: Scheduler,
-    threshold: usize,
-    shards: usize,
-) -> Result<Observed, NodeError> {
-    let mut sim = build(s, scheduler, threshold, shards);
+fn run(s: &Scenario, scheduler: Scheduler, shards: usize) -> Result<Observed, NodeError> {
+    let mut sim = build(s, scheduler, shards);
     sim.run_until(horizon(s))?;
     Ok(observe(&sim, node_count(s)))
 }
@@ -160,7 +156,7 @@ fn run_sliced(
     shards: usize,
     cuts_ppm: &[u64],
 ) -> Result<Observed, NodeError> {
-    let mut sim = build(s, scheduler, 100, shards);
+    let mut sim = build(s, scheduler, shards);
     let end = horizon(s).as_ps();
     let mut cuts: Vec<u64> = cuts_ppm.iter().map(|&c| end * c / 1_000_000).collect();
     cuts.sort_unstable();
@@ -204,26 +200,24 @@ fn observe(sim: &NetworkSim, nodes: u32) -> Observed {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Every scheduler × threshold × shard-count combination observes
-    /// the same universe, bit for bit, or reports the same fault.
+    /// Every scheduler × shard-count combination observes the same
+    /// universe, bit for bit, or reports the same fault.
     #[test]
     fn schedulers_are_observationally_equivalent(s in scenario()) {
-        // Lockstep sequential is the reference the others must hit.
-        let reference = run(&s, Scheduler::Lockstep, 100, 1);
+        // Lockstep is the reference the others must hit.
+        let reference = run(&s, Scheduler::Lockstep, 1);
         if let Ok(r) = &reference {
             prop_assert!(!r.trace.is_empty(), "vacuous scenario: no traffic at all");
         }
         let configs = [
-            (Scheduler::Lockstep, 1usize, 1usize, "lockstep/parallel"),
-            (Scheduler::EventDriven, 100, 1, "event-driven/sequential"),
-            (Scheduler::EventDriven, 1, 1, "event-driven/parallel"),
-            (Scheduler::Sharded, 100, 1, "sharded/1"),
-            (Scheduler::Sharded, 100, 2, "sharded/2"),
-            (Scheduler::Sharded, 100, 4, "sharded/4"),
-            (Scheduler::Sharded, 100, 8, "sharded/8"),
+            (Scheduler::EventDriven, 1usize, "event-driven"),
+            (Scheduler::Sharded, 1, "sharded/1"),
+            (Scheduler::Sharded, 2, "sharded/2"),
+            (Scheduler::Sharded, 4, "sharded/4"),
+            (Scheduler::Sharded, 8, "sharded/8"),
         ];
-        for (scheduler, threshold, shards, label) in configs {
-            let got = run(&s, scheduler, threshold, shards);
+        for (scheduler, shards, label) in configs {
+            let got = run(&s, scheduler, shards);
             match (&got, &reference) {
                 (Ok(got), Ok(reference)) => {
                     prop_assert_eq!(
@@ -257,7 +251,7 @@ proptest! {
             (Scheduler::Sharded, 3, "sharded/3"),
         ];
         for (scheduler, shards, label) in configs {
-            let whole = run(&s, scheduler, 100, shards);
+            let whole = run(&s, scheduler, shards);
             let sliced = run_sliced(&s, scheduler, shards, &cuts_ppm);
             prop_assert_eq!(sliced, whole, "slicing diverged under {}", label);
         }
@@ -355,10 +349,10 @@ fn fade_sequence_is_independent_of_shard_count() {
         extra_irqs: vec![(2, 9_000), (5, 15_000), (0, 21_000)],
         run_ms: 35,
     };
-    let reference = run(&s, Scheduler::Lockstep, 100, 1).unwrap();
+    let reference = run(&s, Scheduler::Lockstep, 1).unwrap();
     assert!(reference.faded > 0, "scenario never exercised the fade RNG");
     for shards in [1usize, 2, 3, 4, 8] {
-        let got = run(&s, Scheduler::Sharded, 100, shards).unwrap();
+        let got = run(&s, Scheduler::Sharded, shards).unwrap();
         assert_eq!(
             (got.faded, got.deliveries, got.collisions),
             (reference.faded, reference.deliveries, reference.collisions),
@@ -382,9 +376,9 @@ fn quiet_tail_is_fast_forwarded_identically() {
         extra_irqs: vec![],
         run_ms: 120, // traffic is over in ~10 ms; 110 ms of near-silence
     };
-    let reference = run(&s, Scheduler::Lockstep, 100, 1).unwrap();
-    let event_driven = run(&s, Scheduler::EventDriven, 100, 1).unwrap();
+    let reference = run(&s, Scheduler::Lockstep, 1).unwrap();
+    let event_driven = run(&s, Scheduler::EventDriven, 1).unwrap();
     assert_eq!(event_driven, reference);
-    let sharded = run(&s, Scheduler::Sharded, 100, 4).unwrap();
+    let sharded = run(&s, Scheduler::Sharded, 4).unwrap();
     assert_eq!(sharded, reference);
 }

@@ -5,8 +5,9 @@
 //! self-modification, carry-chain arithmetic inside handlers, radio
 //! commands issued at odd moments. Here a small mesh of nodes each
 //! runs a *different* generated program while exchanging real radio
-//! traffic, and the lockstep and event-driven schedulers (sequential
-//! and parallel) must observe bit-identical universes: full trace,
+//! traffic, and the lockstep reference, the event-driven engine and
+//! the sharded engine (one shard per node, so its epochs run on the
+//! worker pool) must observe bit-identical universes: full trace,
 //! channel counters, and every node's registers, instruction count and
 //! energy bit pattern.
 
@@ -17,10 +18,9 @@ use snap_node::NodeId;
 use snap_smith::gen::generate;
 
 /// A triangle of generated nodes close enough to hear each other.
-fn build(seeds: &[u64; 3], loss: f64, scheduler: Scheduler, threshold: usize) -> NetworkSim {
+fn build(seeds: &[u64; 3], loss: f64, scheduler: Scheduler) -> NetworkSim {
     let mut sim = NetworkSim::new(12.0);
     sim.set_scheduler(scheduler);
-    sim.set_parallel_threshold(threshold);
     if loss > 0.0 {
         sim.set_loss(loss, 0xD1CE);
     }
@@ -67,8 +67,8 @@ struct Observed {
     per_node: Vec<NodeObserved>,
 }
 
-fn run(seeds: &[u64; 3], loss: f64, scheduler: Scheduler, threshold: usize) -> Observed {
-    let mut sim = build(seeds, loss, scheduler, threshold);
+fn run(seeds: &[u64; 3], loss: f64, scheduler: Scheduler) -> Observed {
+    let mut sim = build(seeds, loss, scheduler);
     sim.run_until(SimTime::ZERO + SimDuration::from_ms(8))
         .unwrap();
     let per_node = (1..=3u32)
@@ -104,22 +104,17 @@ fn run(seeds: &[u64; 3], loss: f64, scheduler: Scheduler, threshold: usize) -> O
 fn generated_meshes_are_scheduler_invariant() {
     let scenarios: [([u64; 3], f64); 3] = [([5, 8, 9], 0.0), ([1, 4, 6], 0.10), ([2, 8, 9], 0.35)];
     for (seeds, loss) in scenarios {
-        let reference = run(&seeds, loss, Scheduler::Lockstep, 100);
+        let reference = run(&seeds, loss, Scheduler::Lockstep);
         let total: u64 = reference.per_node.iter().map(|n| n.instructions).sum();
         assert!(
             total > 1_000,
             "seeds {seeds:?}: vacuous scenario, only {total} instructions"
         );
-        let configs = [
-            (Scheduler::Lockstep, 1usize, "lockstep/parallel"),
-            (Scheduler::EventDriven, 100, "event-driven/sequential"),
-            (Scheduler::EventDriven, 1, "event-driven/parallel"),
-        ];
-        for (scheduler, threshold, label) in configs {
-            let got = run(&seeds, loss, scheduler, threshold);
+        for scheduler in [Scheduler::EventDriven, Scheduler::Sharded] {
+            let got = run(&seeds, loss, scheduler);
             assert_eq!(
                 got, reference,
-                "seeds {seeds:?} loss {loss}: diverged under {label}"
+                "seeds {seeds:?} loss {loss}: diverged under {scheduler:?}"
             );
         }
     }

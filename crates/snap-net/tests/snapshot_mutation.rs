@@ -199,6 +199,15 @@ fn predecode_flag_is_pinned() {
     assert_eq!(verdict(&p), corrupt("predecode flag"));
 }
 
+/// The fleet header's parallel threshold is a fixed 8; 9 is rejected.
+#[test]
+fn parallel_threshold_is_pinned() {
+    let mut p = golden("mac_fleet")[17..].to_vec();
+    let at = SHARDS_AT + 8;
+    p[at..at + 8].copy_from_slice(&9u64.to_le_bytes());
+    assert_eq!(verdict(&p), corrupt("parallel threshold"));
+}
+
 /// The mac golden keeps a full trace; its events close the payload.
 fn trace_at(p: &[u8]) -> usize {
     let sim = restore(p).unwrap();

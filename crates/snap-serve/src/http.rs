@@ -5,7 +5,10 @@
 //! entirely adequate for its job (tens of tenants steering
 //! long-running sims, not a public edge). Every response closes the
 //! connection; streaming uses `text/event-stream` with close-delimited
-//! framing, so `curl -N` and any SSE client work unchanged.
+//! framing, so `curl -N` and any SSE client work unchanged. Requests
+//! are bounded before they are buffered: a request line over 8 KiB
+//! gets 414, a longer header line or more than 64 headers 431, and a
+//! body over 64 MiB 413.
 //!
 //! ## Endpoints
 //!
@@ -30,7 +33,7 @@
 use crate::server::{SimHandle, SimServer};
 use snap_telemetry::{parse, Value};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -38,6 +41,15 @@ use std::time::Duration;
 /// Largest accepted request body (snapshots of big fleets are a few
 /// MB; scenarios are tiny).
 const MAX_BODY: usize = 64 << 20;
+
+/// Longest accepted request or header line, terminator included.
+const MAX_LINE: usize = 8 << 10;
+
+/// Most header lines accepted in one request.
+const MAX_HEADERS: usize = 64;
+
+/// Most unread request bytes dropped after a refusal before closing.
+const MAX_DRAIN: u64 = 64 << 10;
 
 /// A running HTTP server; dropping it stops the accept loop.
 pub struct ServeHandle {
@@ -114,40 +126,61 @@ struct Request {
     body: Vec<u8>,
 }
 
-fn read_request(stream: &mut TcpStream) -> Option<Request> {
+/// Why a request was refused before routing: the status and error
+/// message the client gets.
+type Refusal = (u16, &'static str);
+
+const MALFORMED: Refusal = (400, "malformed request");
+
+/// Read one line of at most [`MAX_LINE`] bytes; a longer one is
+/// refused with `too_long`.
+fn read_bounded_line(reader: &mut impl BufRead, too_long: Refusal) -> Result<String, Refusal> {
+    let mut line = Vec::new();
+    reader
+        .take(MAX_LINE as u64)
+        .read_until(b'\n', &mut line)
+        .map_err(|_| MALFORMED)?;
+    if line.len() == MAX_LINE && !line.ends_with(b"\n") {
+        return Err(too_long);
+    }
+    String::from_utf8(line).map_err(|_| MALFORMED)
+}
+
+fn read_request(stream: &mut TcpStream) -> Result<Request, Refusal> {
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
-        .ok()?;
-    let mut reader = BufReader::new(stream.try_clone().ok()?);
-    let mut line = String::new();
-    reader.read_line(&mut line).ok()?;
+        .map_err(|_| MALFORMED)?;
+    let mut reader = BufReader::new(stream.try_clone().map_err(|_| MALFORMED)?);
+    let line = read_bounded_line(&mut reader, (414, "request line too long"))?;
     let mut parts = line.split_whitespace();
-    let method = parts.next()?.to_string();
-    let target = parts.next()?.to_string();
+    let method = parts.next().ok_or(MALFORMED)?.to_string();
+    let target = parts.next().ok_or(MALFORMED)?.to_string();
     let (path, query) = match target.split_once('?') {
         Some((p, q)) => (p.to_string(), q.to_string()),
         None => (target, String::new()),
     };
     let mut content_length = 0usize;
-    loop {
-        let mut h = String::new();
-        reader.read_line(&mut h).ok()?;
+    for headers in 0.. {
+        let h = read_bounded_line(&mut reader, (431, "header line too long"))?;
         let h = h.trim_end();
         if h.is_empty() {
             break;
         }
+        if headers == MAX_HEADERS {
+            return Err((431, "too many headers"));
+        }
         if let Some((k, v)) = h.split_once(':') {
             if k.eq_ignore_ascii_case("content-length") {
-                content_length = v.trim().parse().ok()?;
+                content_length = v.trim().parse().map_err(|_| MALFORMED)?;
             }
         }
     }
     if content_length > MAX_BODY {
-        return None;
+        return Err((413, "request body too large"));
     }
     let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).ok()?;
-    Some(Request {
+    reader.read_exact(&mut body).map_err(|_| MALFORMED)?;
+    Ok(Request {
         method,
         path,
         query,
@@ -161,6 +194,9 @@ fn write_response(stream: &mut TcpStream, status: u16, content_type: &str, body:
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        413 => "Content Too Large",
+        414 => "URI Too Long",
+        431 => "Request Header Fields Too Large",
         _ => "Error",
     };
     let head = format!(
@@ -222,11 +258,18 @@ fn stream_sse(stream: &mut TcpStream, h: &Arc<SimHandle>) {
 }
 
 fn handle_connection(server: &Arc<SimServer>, mut stream: TcpStream) {
-    let Some(req) = read_request(&mut stream) else {
-        json_error(&mut stream, 400, "malformed request");
-        return;
-    };
-    route(server, &mut stream, &req);
+    match read_request(&mut stream) {
+        Ok(req) => route(server, &mut stream, &req),
+        Err((status, message)) => {
+            json_error(&mut stream, status, message);
+            // Closing a socket with unread input resets the connection,
+            // which can discard the reply before the client reads it:
+            // half-close, then drop what the client already sent.
+            let _ = stream.shutdown(Shutdown::Write);
+            let _ = stream.set_read_timeout(Some(Duration::from_secs(1)));
+            let _ = std::io::copy(&mut (&stream).take(MAX_DRAIN), &mut std::io::sink());
+        }
+    }
 }
 
 fn route(server: &Arc<SimServer>, stream: &mut TcpStream, req: &Request) {

@@ -17,16 +17,20 @@ use std::time::Duration;
 /// One-shot HTTP/1.1 request; the server closes every connection, so
 /// reading to EOF delimits the response.
 fn request(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> (u16, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
     let head = format!(
         "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes()).unwrap();
-    stream.write_all(body).unwrap();
+    raw_request(addr, &[head.as_bytes(), body].concat())
+}
+
+/// Send `bytes` as they are and read the response to EOF.
+fn raw_request(addr: SocketAddr, bytes: &[u8]) -> (u16, Vec<u8>) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    stream.write_all(bytes).unwrap();
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw).expect("read response");
     let text_end = raw
@@ -295,6 +299,28 @@ fn bad_requests_get_clean_errors() {
 
     let (status, _) = request(addr, "GET", "/nope", b"");
     assert_eq!(status, 404);
+
+    // Oversized request lines and header blocks are refused before
+    // the server buffers them, and it keeps answering.
+    let long_path = format!("/{}", "a".repeat(16 << 10));
+    let (status, body) = request(addr, "GET", &long_path, b"");
+    assert_eq!(status, 414, "{}", String::from_utf8_lossy(&body));
+    let many_headers: String = (0..100).map(|i| format!("X-Filler-{i}: {i}\r\n")).collect();
+    let (status, body) = raw_request(
+        addr,
+        format!("GET / HTTP/1.1\r\n{many_headers}\r\n").as_bytes(),
+    );
+    assert_eq!(status, 431, "{}", String::from_utf8_lossy(&body));
+    let long_header = format!("GET / HTTP/1.1\r\nX-Long: {}\r\n\r\n", "b".repeat(16 << 10));
+    let (status, _) = raw_request(addr, long_header.as_bytes());
+    assert_eq!(status, 431);
+    let (status, _) = raw_request(
+        addr,
+        b"POST /sims HTTP/1.1\r\nContent-Length: 1099511627776\r\n\r\n",
+    );
+    assert_eq!(status, 413);
+    let (status, _) = request(addr, "GET", "/", b"");
+    assert_eq!(status, 200);
 }
 
 /// `POST /sims` runs the strict `snap-lint` preflight over a custom
