@@ -116,38 +116,15 @@ impl EnergyAccountant {
     /// Record one executed instruction from precomputed costs.
     #[inline]
     pub fn record_costs(&mut self, costs: &InstrCosts) -> SimDuration {
-        self.record_costs_delta(costs).0
-    }
-
-    /// [`EnergyAccountant::record_costs`], also returning the exact
-    /// `f64` delta of the running total (`after - before`, which is not
-    /// `costs.energy` under floating-point rounding). The hot replay
-    /// path needs both without re-reading the total.
-    #[inline]
-    pub fn record_costs_delta(&mut self, costs: &InstrCosts) -> (SimDuration, Energy) {
         self.components.merge(&costs.components);
         let entry = &mut self.per_class[costs.class as usize];
         entry.count += 1;
         entry.energy += costs.energy;
-        let before = self.total_energy;
         self.total_energy += costs.energy;
         self.busy_time += costs.latency;
         self.instructions += 1;
         self.cycles += costs.cycles;
-        (costs.latency, self.total_energy - before)
-    }
-
-    /// The floating-point half of [`EnergyAccountant::record_costs`]
-    /// alone, in the same order — component merge, per-class energy,
-    /// running total — returning the exact delta of the total. The
-    /// integer counters are left to [`EnergyAccountant::record_batch`].
-    #[inline]
-    pub(crate) fn record_energy(&mut self, costs: &InstrCosts) -> Energy {
-        self.components.merge(&costs.components);
-        self.per_class[costs.class as usize].energy += costs.energy;
-        let before = self.total_energy;
-        self.total_energy += costs.energy;
-        self.total_energy - before
+        costs.latency
     }
 
     /// The integer half of `reps` identical runs of

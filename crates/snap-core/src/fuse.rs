@@ -18,30 +18,27 @@
 //!
 //! Correctness contract (shared with tier 2 in [`crate::translate`]):
 //! replaying a trace is **bit-identical** to interpreting its
-//! constituent instructions. Per constituent, the trace replays the
-//! exact accounting sequence of [`crate::Processor`]'s interpreter —
-//! charge energy, advance time, attribute to the current handler, then
-//! apply semantics, then poll the timer coprocessor at the advanced
-//! time — so energy `f64` sums, timer-event stamps and queue contents
-//! come out identical to the stepped loop. Instructions that *can*
-//! fault, act on the environment, or end a handler (`r15` operands,
-//! `done`, `halt`, calls, timer/event ops, `isw`/`ilw`, `rand`/`seed`)
-//! are never fused; the trace hands control back to the interpreter at
-//! those points. A trace only runs when the whole of it fits the
-//! caller's step budget and time limit, so the per-instruction boundary
-//! checks the interpreter would have performed are all guaranteed to
-//! pass.
+//! constituent instructions. Instructions that *can* fault, act on the
+//! environment, or end a handler (`r15` operands, `done`, `halt`,
+//! calls, timer/event ops, `isw`/`ilw`, `rand`/`seed`) are never fused;
+//! the trace hands control back to the interpreter at those points.
+//! One fit rule, [`FusedTrace::fits`], decides every replay: the whole
+//! trace must fit the caller's step budget, its time limit, and the
+//! next timer expiry (`expiry > now + total_latency`). Then none of
+//! the interpreter's per-instruction boundary checks could have
+//! stopped the burst and none of its post-instruction timer polls
+//! could have fired, so no intermediate state is observable. A trace
+//! that does not fit is not replayed: the burst loop interprets that
+//! one instruction instead, and the interpreter stamps any expiry at
+//! its exact instant.
 
 use crate::energy_acct::{EnergyAccountant, InstrCosts};
-use crate::event_queue::EventQueue;
 use crate::memory::MemBank;
 use crate::profile::HandlerStats;
 use crate::regfile::RegFile;
-use crate::timer_cop::TimerCoprocessor;
 use dess::{SimDuration, SimTime};
 use snap_isa::{
-    Addr, AluImmOp, AluOp, BranchCond, EventToken, Instruction, InstructionClass, Reg, ShiftOp,
-    Word,
+    Addr, AluImmOp, AluOp, BranchCond, Instruction, InstructionClass, Reg, ShiftOp, Word,
 };
 
 /// Maximum micro-ops in one tier-1 trace. Tier 2 compiles whole basic
@@ -127,10 +124,11 @@ pub(crate) struct FusedTrace {
     /// instruction; entering the trace with `now + prefix < limit`
     /// guarantees every one of those checks would have passed.
     pub prefix: SimDuration,
-    /// Sum of the latencies of *every* replayed instruction. Latencies
-    /// are integer picoseconds, so this equals the serial per-
-    /// instruction sum exactly and lets a replay batch its time
-    /// advance (see [`exec_trace_burst`]).
+    /// Sum of the latencies of *every* replayed instruction: the
+    /// interpreter's last timer poll in the trace runs at
+    /// `now + total_latency`. Latencies are integer picoseconds, so
+    /// this equals the serial per-instruction sum exactly and lets a
+    /// replay batch its time advance (see [`exec_trace_burst`]).
     pub total_latency: SimDuration,
     /// Sum of the occupancy cycles of every replayed instruction.
     pub total_cycles: u64,
@@ -139,6 +137,26 @@ pub(crate) struct FusedTrace {
     pub counts: Box<[(InstructionClass, u32)]>,
     /// The recognized idiom.
     pub kind: FuseKind,
+}
+
+impl FusedTrace {
+    /// The fit rule: one whole replay starting at `now` stays within
+    /// `budget` instructions, starts its last instruction before
+    /// `limit` (the burst loop checks the limit before each
+    /// instruction), and ends before `next_expiry`, so no timer poll
+    /// inside it could fire.
+    #[inline]
+    pub(crate) fn fits(
+        &self,
+        budget: u64,
+        now: SimTime,
+        limit: SimTime,
+        next_expiry: Option<SimTime>,
+    ) -> bool {
+        self.len <= budget
+            && now + self.prefix < limit
+            && next_expiry.is_none_or(|at| at > now + self.total_latency)
+    }
 }
 
 /// The fusion verdict for one entry address.
@@ -335,90 +353,45 @@ pub(crate) struct ExecCtx<'a> {
     pub dmem: &'a mut MemBank,
     pub acct: &'a mut EnergyAccountant,
     pub bucket: &'a mut HandlerStats,
-    pub timer: &'a mut TimerCoprocessor,
-    pub event_queue: &'a mut EventQueue,
     pub now: &'a mut SimTime,
     pub pc: &'a mut Addr,
 }
 
-/// Replay a fused trace, looping in place while its own back-edge
-/// re-enters it. The caller has verified one whole replay fits the step
-/// budget and time limit; each further iteration runs only after the
-/// same check (`executed + len <= budget_left` and
-/// `now + prefix < limit`) passes again — exactly the condition the
-/// dispatcher would re-establish — so every replay is infallible and
-/// bit-identical to interpreting the constituents. Returns the number
-/// of dynamic instructions executed (a multiple of `trace.len`).
+/// Replay the fused trace that starts at `*cx.pc` for as long as the
+/// next replay [fits](FusedTrace::fits) and the trace's own back-edge
+/// re-enters it. Returns the number of dynamic instructions executed
+/// (a multiple of `trace.len`); zero means the trace does not fit and
+/// the caller must interpret the instruction at the pc instead.
 ///
-/// The in-place loop is what makes counted loops cheap: the dispatch
-/// tax (cache probe, slot match, context set-up) is paid once per
-/// *loop*, not once per iteration.
+/// Closed micro-ops cannot schedule or cancel a timer, so
+/// `next_expiry` holds for the whole loop, and no poll inside a
+/// fitting replay fires: nothing can observe intermediate state. The
+/// f64 accumulators are held in locals (registers) for the whole loop —
+/// the identical value sequence in the identical order, written back
+/// once — and every integer counter collapses to a single `reps ×`
+/// update at exit (each iteration adds the same integer totals, and
+/// integer addition is associative). The in-place loop is what makes
+/// counted loops cheap: the dispatch tax (cache probe, slot match,
+/// context set-up) is paid once per *loop*, not once per iteration.
 pub(crate) fn exec_trace_burst(
     trace: &FusedTrace,
-    entry: Addr,
     budget_left: u64,
     limit: SimTime,
-    cx: &mut ExecCtx<'_>,
-) -> u64 {
-    let mut executed = 0u64;
-    // Closed micro-ops cannot schedule or cancel timers, so the next
-    // expiry only moves when a poll fires; cache it and probe with one
-    // compare instead of scanning the registers per instruction
-    // (`any_due(now)` is exactly `next_expiry() <= now`). With no
-    // timer active at entry none can appear mid-loop, so that case
-    // runs a poll-free loop with no cold calls at all.
-    let mut next_due = cx.timer.next_expiry();
-    if next_due.is_none() {
-        return run_hot(trace, entry, budget_left, limit, cx);
-    }
-    loop {
-        match next_due {
-            // A timer could expire at or before the trace's final
-            // instruction boundary: replay with the interpreter's
-            // per-instruction poll so tokens are stamped at the exact
-            // intermediate times.
-            Some(at) if at <= *cx.now + trace.total_latency => {
-                replay_exact(trace, cx, &mut next_due);
-            }
-            // No expiry can land inside the window, so no intermediate
-            // `now` is observable: f64 sums stay serial per
-            // instruction, integer counters batch per replay.
-            _ => replay_fast(trace, cx),
-        }
-        executed += trace.len;
-        if *cx.pc != entry || executed + trace.len > budget_left || *cx.now + trace.prefix >= limit
-        {
-            return executed;
-        }
-    }
-}
-
-/// The poll-free back-edge loop: no timer register is active, so none
-/// can fire or be scheduled inside closed micro-ops, and nothing can
-/// observe intermediate state. The f64 accumulators are held in locals
-/// (registers) for the whole loop — the identical value sequence in
-/// the identical order, written back once — and every integer counter
-/// collapses to a single `reps ×` update at exit (each iteration adds
-/// the same integer totals, and integer addition is associative).
-fn run_hot(
-    trace: &FusedTrace,
-    entry: Addr,
-    budget_left: u64,
-    limit: SimTime,
+    next_expiry: Option<SimTime>,
     cx: &mut ExecCtx<'_>,
 ) -> u64 {
     let mut executed = 0u64;
     let mut reps = 0u64;
     let mut now = *cx.now;
-    // Assigned by every terminator arm before the first read.
-    let mut pc;
+    let entry = *cx.pc;
+    let mut pc = entry;
     let mut bucket_energy = cx.bucket.energy;
     let (components, per_class, total_ref) = cx.acct.hot_parts();
     let comps = components.as_array_mut();
     let mut total = *total_ref;
-    // The f64 half of `charge`, on the local accumulators, in the
-    // interpreter's exact order: component merge, per-class energy,
-    // running total, handler attribution of the post-sum delta.
+    // The f64 half of the interpreter's accounting, on the local
+    // accumulators, in its exact order: component merge, per-class
+    // energy, running total, handler attribution of the post-sum delta.
     macro_rules! charge_local {
         ($costs:expr) => {{
             let costs: &InstrCosts = $costs;
@@ -431,7 +404,7 @@ fn run_hot(
             bucket_energy += total - before;
         }};
     }
-    loop {
+    while pc == entry && trace.fits(budget_left - executed, now, limit, next_expiry) {
         for (op, costs) in trace.ops.iter() {
             charge_local!(costs);
             exec_uop(op, cx.regs, cx.dmem);
@@ -463,9 +436,6 @@ fn run_hot(
         now += trace.total_latency;
         executed += trace.len;
         reps += 1;
-        if pc != entry || executed + trace.len > budget_left || now + trace.prefix >= limit {
-            break;
-        }
     }
     *total_ref = total;
     *cx.now = now;
@@ -481,131 +451,6 @@ fn run_hot(
     cx.bucket.instructions += trace.len * reps;
     cx.bucket.busy_time += trace.total_latency * reps;
     executed
-}
-
-/// Replay with per-instruction accounting and timer polls — the
-/// verbatim interpreter sequence. Used whenever a timer expiry could
-/// fall inside the trace.
-#[cold]
-#[inline(never)]
-fn replay_exact(trace: &FusedTrace, cx: &mut ExecCtx<'_>, next_due: &mut Option<SimTime>) {
-    for (op, costs) in trace.ops.iter() {
-        charge(cx, costs);
-        exec_uop(op, cx.regs, cx.dmem);
-        fire_due(cx, next_due);
-    }
-    match &trace.term {
-        FusedTerm::Fall { to } => *cx.pc = *to,
-        FusedTerm::Jmp { costs, to } => {
-            charge(cx, costs);
-            *cx.pc = *to;
-            fire_due(cx, next_due);
-        }
-        FusedTerm::Branch {
-            costs,
-            cond,
-            ra,
-            rb,
-            taken,
-            fall,
-        } => {
-            charge(cx, costs);
-            let a = cx.regs.read(*ra);
-            let b = if cond.is_unary() {
-                0
-            } else {
-                cx.regs.read(*rb)
-            };
-            *cx.pc = if cond.eval(a, b) { *taken } else { *fall };
-            fire_due(cx, next_due);
-        }
-    }
-}
-
-/// Replay with the f64 energy sums serial per instruction (their
-/// order affects rounding) and every integer counter — time, busy
-/// time, instruction/cycle/class counts — batched once per replay.
-/// Integer sums are associative, so the batched totals equal the
-/// serial ones bit-for-bit; the caller has established that no timer
-/// expiry falls inside the window, so no intermediate `now` or counter
-/// value is observable.
-#[inline(always)]
-fn replay_fast(trace: &FusedTrace, cx: &mut ExecCtx<'_>) {
-    for (op, costs) in trace.ops.iter() {
-        charge_energy(cx, costs);
-        exec_uop(op, cx.regs, cx.dmem);
-    }
-    match &trace.term {
-        FusedTerm::Fall { to } => *cx.pc = *to,
-        FusedTerm::Jmp { costs, to } => {
-            charge_energy(cx, costs);
-            *cx.pc = *to;
-        }
-        FusedTerm::Branch {
-            costs,
-            cond,
-            ra,
-            rb,
-            taken,
-            fall,
-        } => {
-            charge_energy(cx, costs);
-            let a = cx.regs.read(*ra);
-            let b = if cond.is_unary() {
-                0
-            } else {
-                cx.regs.read(*rb)
-            };
-            *cx.pc = if cond.eval(a, b) { *taken } else { *fall };
-        }
-    }
-    cx.acct.record_batch(
-        &trace.counts,
-        trace.total_latency,
-        trace.total_cycles,
-        trace.len,
-        1,
-    );
-    *cx.now += trace.total_latency;
-    cx.bucket.instructions += trace.len;
-    cx.bucket.busy_time += trace.total_latency;
-}
-
-/// The interpreter's per-instruction accounting sequence, verbatim:
-/// charge energy, advance time, attribute the (post-sum) energy delta
-/// and latency to the running handler. `f64` addition order is
-/// preserved so totals match bit-for-bit.
-#[inline]
-fn charge(cx: &mut ExecCtx<'_>, costs: &InstrCosts) {
-    let (latency, delta) = cx.acct.record_costs_delta(costs);
-    *cx.now += latency;
-    cx.bucket.instructions += 1;
-    cx.bucket.energy += delta;
-    cx.bucket.busy_time += latency;
-}
-
-/// The f64 half of [`charge`] alone, in the same order: component
-/// merge, per-class energy, running total, handler attribution. The
-/// integer half is batched by [`replay_fast`]'s caller-visible-free
-/// window.
-#[inline]
-fn charge_energy(cx: &mut ExecCtx<'_>, costs: &InstrCosts) {
-    let delta = cx.acct.record_energy(costs);
-    cx.bucket.energy += delta;
-}
-
-/// The interpreter's post-instruction timer poll, verbatim in effect:
-/// probe the cached next expiry (equivalent to `any_due`), then enqueue
-/// expirations stamped at the current (post-instruction) time and
-/// refresh the cache.
-#[inline]
-fn fire_due(cx: &mut ExecCtx<'_>, next_due: &mut Option<SimTime>) {
-    if next_due.is_some_and(|at| at <= *cx.now) {
-        for ev in cx.timer.poll(*cx.now) {
-            cx.event_queue.push_at(EventToken::new(ev), cx.now.as_ps());
-        }
-        *next_due = cx.timer.next_expiry();
-    }
 }
 
 /// Execute one closed micro-op. Semantics are copied line-for-line from

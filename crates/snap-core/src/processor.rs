@@ -764,8 +764,9 @@ impl Processor {
     /// Which translation tier runs here is the configured
     /// [`Engine`]; all tiers honor the same boundary conditions (a
     /// fused trace or compiled block only replays when *all* of it fits
-    /// the time limit and step budget, since its constituents cannot
-    /// produce actions or leave the running state).
+    /// the step budget, the time limit and the next timer expiry, since
+    /// its constituents cannot produce actions or leave the running
+    /// state).
     ///
     /// # Errors
     ///
@@ -812,45 +813,43 @@ impl Processor {
         aot: bool,
     ) -> Result<Burst, StepError> {
         let mut steps = 0u64;
-        // Replay `$trace` if the whole of it fits the budget and the
-        // time limit; its intermediate states are then exactly the
-        // interpreter's, and none of its per-instruction boundary
-        // checks could have stopped the burst. Written as a macro so
-        // the trace can stay borrowed from `self.decode`/`self.aot`
-        // while the context borrows the sibling fields.
+        // Replay `$trace` while it fits; `false` when it does not fit
+        // at all. Written as a macro so the trace can stay borrowed from
+        // `self.decode`/`self.aot` while the context borrows the
+        // sibling fields.
         macro_rules! try_trace {
-            ($trace:expr, $at:expr) => {{
-                let trace = $trace;
-                if steps + trace.len <= budget && self.now + trace.prefix < limit {
-                    let mut cx = ExecCtx {
-                        regs: &mut self.regs,
-                        dmem: &mut self.dmem,
-                        acct: &mut self.acct,
-                        bucket: self.profile.bucket_mut(self.current_event),
-                        timer: &mut self.timer,
-                        event_queue: &mut self.event_queue,
-                        now: &mut self.now,
-                        pc: &mut self.pc,
-                    };
-                    steps += fuse::exec_trace_burst(trace, $at, budget - steps, limit, &mut cx);
-                    true
-                } else {
-                    false
-                }
+            ($trace:expr) => {{
+                let mut cx = ExecCtx {
+                    regs: &mut self.regs,
+                    dmem: &mut self.dmem,
+                    acct: &mut self.acct,
+                    bucket: self.profile.bucket_mut(self.current_event),
+                    now: &mut self.now,
+                    pc: &mut self.pc,
+                };
+                let replayed = fuse::exec_trace_burst(
+                    $trace,
+                    budget - steps,
+                    limit,
+                    self.timer.next_expiry(),
+                    &mut cx,
+                );
+                steps += replayed;
+                replayed > 0
             }};
         }
         while self.state == CoreState::Running && self.now < limit && steps < budget {
             let at = self.pc;
             if aot {
                 if let Some(block) = self.aot.block_at(at) {
-                    if try_trace!(block, at) {
+                    if try_trace!(block) {
                         continue;
                     }
                 }
             }
             match self.decode.fused_get(at) {
                 FusedSlot::Trace(trace) => {
-                    if try_trace!(&**trace, at) {
+                    if try_trace!(&**trace) {
                         continue;
                     }
                 }
@@ -866,8 +865,8 @@ impl Processor {
                     continue;
                 }
             }
-            // No trace (or it doesn't fit the window): interpret one
-            // instruction, exactly as the reference loop would.
+            // No trace, or it does not fit: interpret one instruction,
+            // exactly as the reference loop would.
             let outcome = self.exec_one()?;
             steps += 1;
             if let StepOutcome::Executed {
@@ -937,16 +936,15 @@ impl Processor {
     /// Close the sampler's open handler sample (if any) at the current
     /// counters — the handler just ended via `done`-to-sleep or `halt`.
     fn close_sample(&mut self) {
-        let at = crate::sampler::DispatchCounters {
-            instructions: self.acct.instructions(),
-            energy: self.acct.total_energy(),
-            sw_posted: self.sw_posted,
-            sw_enqueued: self.sw_enqueued,
-            inserted: self.event_queue.inserted(),
-        };
-        let queue_len = self.event_queue.len();
         if let Some(sampler) = self.sampler.as_mut() {
-            sampler.close(self.now, at, queue_len);
+            let at = crate::sampler::DispatchCounters {
+                instructions: self.acct.instructions(),
+                energy: self.acct.total_energy(),
+                sw_posted: self.sw_posted,
+                sw_enqueued: self.sw_enqueued,
+                inserted: self.event_queue.inserted(),
+            };
+            sampler.close(self.now, at, self.event_queue.len());
         }
     }
 

@@ -1,14 +1,17 @@
 //! Bit-identity of the translation tiers, including under `isw`
-//! self-modification of a hot (fused and AOT-compiled) region.
+//! self-modification of a hot (fused and AOT-compiled) region and a
+//! timer expiring inside one.
 //!
 //! The broad conformance net is snap-smith's differential matrix; this
 //! suite pins the specific contract the tiers were built around — the
 //! same program run under [`Engine::Interp`], [`Engine::Fused`] and
 //! [`Engine::Aot`] must agree on every architectural register, both
-//! memories, the final pc and simulated time, and every statistic down
-//! to the raw `f64` bits of the energy total — with a deterministic
-//! regression for the invalidation path (a loop that rewrites its own
-//! body after getting hot) and a property test over the loop shape.
+//! memories, the final pc and simulated time, every statistic down to
+//! the raw `f64` bits of the energy total, and each dispatch's queue
+//! wait — with deterministic regressions for the invalidation path (a
+//! loop that rewrites its own body after getting hot) and for a timer
+//! token stamped mid-loop, and a property test over the loop shape and
+//! the timer phase.
 
 use proptest::prelude::*;
 use snap_core::{AotRegion, CoreConfig, Engine, Processor};
@@ -47,6 +50,10 @@ struct Snapshot {
     sleep_ps: u64,
     wakeups: u64,
     handlers: u64,
+    /// Per dispatch, in order: how long its token waited in the queue.
+    /// A token stamped late (a timer polled after its expiry) shows up
+    /// here even when the dispatch order does not change.
+    queue_waits_ps: Vec<u64>,
 }
 
 fn run(source: &str, engine: Engine, max_steps: u64) -> Snapshot {
@@ -56,6 +63,7 @@ fn run(source: &str, engine: Engine, max_steps: u64) -> Snapshot {
         engine,
         ..CoreConfig::default()
     });
+    cpu.enable_sampling(64);
     cpu.load_image(0, &image).unwrap();
     cpu.load_data(0, &program.dmem_image()).unwrap();
     if engine == Engine::Aot {
@@ -80,6 +88,13 @@ fn run(source: &str, engine: Engine, max_steps: u64) -> Snapshot {
         sleep_ps: stats.sleep_time.as_ps(),
         wakeups: stats.wakeups,
         handlers: stats.handlers_dispatched,
+        queue_waits_ps: cpu
+            .sampler()
+            .unwrap()
+            .samples()
+            .iter()
+            .map(|s| s.queue_wait.as_ps())
+            .collect(),
     }
 }
 
@@ -100,8 +115,10 @@ fn assert_engines_agree(source: &str, max_steps: u64) -> Snapshot {
 /// caller-chosen `rd`, and the same loop re-runs as phase 2. Both the
 /// fused trace and the AOT block covering the loop must be invalidated
 /// by the store — silently replaying the stale body would accumulate
-/// phase 2 into `r2`.
-fn self_modifying_loop(phase1: u16, phase2: u16, rd: Reg) -> String {
+/// phase 2 into `r2`. Timer 0 is armed for `ticks` µs at boot; its
+/// handler halts, so the expiry may land before, inside or after
+/// either loop.
+fn self_modifying_loop(phase1: u16, phase2: u16, rd: Reg, ticks: u16) -> String {
     let patched = Instruction::AluReg {
         op: AluOp::Add,
         rd,
@@ -111,6 +128,10 @@ fn self_modifying_loop(phase1: u16, phase2: u16, rd: Reg) -> String {
     format!(
         "\
 boot:
+    li      r10, tick
+    setaddr r0, r10
+    li      r10, {ticks}
+    schedlo r0, r10
     li      r1, {phase1}
 loop:
     add     r2, r1
@@ -124,6 +145,49 @@ loop:
     li      r1, {phase2}
     jmp     loop
 end:
+    done
+tick:
+    halt
+"
+    )
+}
+
+/// Timer 0 armed for `ticks` µs, then a hot counted loop, then a `swev`
+/// right before `done`. Each handler appends its number to a dispatch
+/// log at DMEM 32: 1 for the timer, 2 for the soft event, which halts.
+/// If the timer expires inside the loop, the interpreter queues its
+/// token mid-loop, ahead of the soft token. A replay that ran past the
+/// expiry would poll it only after the `swev`, reversing the order.
+fn timer_in_hot_loop(iterations: u16, ticks: u16) -> String {
+    format!(
+        "\
+boot:
+    li      r10, tick
+    setaddr r0, r10
+    li      r10, 7
+    li      r11, soft
+    setaddr r10, r11
+    li      r6, 32
+    li      r5, 7
+    li      r11, {ticks}
+    schedlo r0, r11
+    li      r1, {iterations}
+loop:
+    add     r2, r1
+    add     r3, r2
+    subi    r1, 1
+    bnez    r1, loop
+    swev    r5
+    done
+tick:
+    li      r4, 1
+    sw      r4, 0(r6)
+    addi    r6, 1
+    done
+soft:
+    li      r4, 2
+    sw      r4, 0(r6)
+    addi    r6, 1
     halt
 "
     )
@@ -149,7 +213,7 @@ loop:
 
 #[test]
 fn isw_into_hot_region_invalidates_and_agrees() {
-    let snap = assert_engines_agree(&self_modifying_loop(60, 40, Reg::R9), 10_000);
+    let snap = assert_engines_agree(&self_modifying_loop(60, 40, Reg::R9, 1), 10_000);
     // Phase 1 summed 60..=1 into r2; phase 2 must land in r9, not r2.
     assert_eq!(snap.regs[2], (1..=60u16).sum::<u16>());
     assert_eq!(snap.regs[9], (1..=40u16).sum::<u16>());
@@ -160,25 +224,37 @@ fn isw_redirecting_to_self_still_terminates() {
     // Patching the target with the identical instruction is the
     // degenerate invalidation: nothing observable changes, but the
     // caches must still drop and rebuild the region.
-    let snap = assert_engines_agree(&self_modifying_loop(25, 30, Reg::R2), 10_000);
+    let snap = assert_engines_agree(&self_modifying_loop(25, 30, Reg::R2, 1), 10_000);
     assert_eq!(
         snap.regs[2],
         (1..=25u16).sum::<u16>() + (1..=30u16).sum::<u16>()
     );
 }
 
+#[test]
+fn timer_expiring_in_a_hot_loop_is_stamped_exactly() {
+    let snap = assert_engines_agree(&timer_in_hot_loop(600, 3), 10_000);
+    // The timer fired inside the loop, so its token was queued ahead of
+    // the soft event's: both handlers ran, timer first.
+    assert_eq!(snap.dmem[32..35], [1, 2, 0]);
+    assert_eq!(snap.handlers, 2);
+    assert_eq!(snap.queue_waits_ps.len(), 2);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Engine bit-identity holds across loop lengths and patch targets,
-    /// including phases short enough that the trace never gets hot and
-    /// lengths that cross the budget boundary mid-loop.
+    /// Engine bit-identity holds across loop lengths, patch targets and
+    /// timer phases, including phases short enough that the trace
+    /// never gets hot, lengths that cross the budget boundary mid-loop,
+    /// and expiries before, inside and after either loop.
     #[test]
     fn self_modifying_loops_agree(
         phase1 in 1u16..120,
         phase2 in 1u16..120,
         rd in prop_oneof![Just(Reg::R2), Just(Reg::R3), Just(Reg::R8), Just(Reg::R9)],
+        ticks in 0u16..5,
     ) {
-        assert_engines_agree(&self_modifying_loop(phase1, phase2, rd), 20_000);
+        assert_engines_agree(&self_modifying_loop(phase1, phase2, rd, ticks), 20_000);
     }
 }

@@ -962,7 +962,6 @@ impl NetworkSim {
                     kind: TraceKind::Led { value },
                 });
             }
-            NodeOutput::RadioModeChanged { .. } => {}
             NodeOutput::Died { at } => {
                 self.trace.record(TraceEvent {
                     at_ps: at.as_ps(),
@@ -1178,7 +1177,6 @@ impl Shard {
                         NodeOutput::Transmitted { start, .. } => start.as_ps(),
                         NodeOutput::LedWrite { at, .. } => at.as_ps(),
                         NodeOutput::Died { at } => at.as_ps(),
-                        NodeOutput::RadioModeChanged { .. } => continue,
                     };
                     self.outputs.push((at, gi, output));
                 }

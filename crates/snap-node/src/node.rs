@@ -146,13 +146,6 @@ pub enum NodeOutput {
         /// When.
         at: SimTime,
     },
-    /// The radio was enabled or disabled.
-    RadioModeChanged {
-        /// `true` = receiver on.
-        enabled: bool,
-        /// When.
-        at: SimTime,
-    },
     /// The node's battery budget ran out: it ceased operating at `at`
     /// and will never produce activity again. Emitted exactly once.
     Died {
@@ -963,7 +956,6 @@ impl Node {
             },
             EnvAction::RadioMode(enabled) => {
                 self.radio.set_enabled(enabled);
-                outputs.push(NodeOutput::RadioModeChanged { enabled, at: now });
                 Ok(())
             }
             EnvAction::Query(id) => {

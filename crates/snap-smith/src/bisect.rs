@@ -33,11 +33,10 @@
 //! validate the bisector itself against a divergence whose first
 //! instant is known by construction.
 
-use crate::diff::{sensor_reply_value, Runner};
+use crate::diff::{CoreTarget, Cursor, Runner};
 use crate::gen::{Script, Stimulus, StimulusKind};
-use dess::SimTime;
 use snap_asm::Program;
-use snap_core::{CoreConfig, CoreState, Engine, EnvAction, Processor, StepOutcome};
+use snap_core::Processor;
 use snap_isa::EventKind;
 use snap_snapshot::Encode;
 
@@ -103,20 +102,6 @@ pub fn mutate_script(script: &Script, at: u64) -> Script {
     s
 }
 
-/// A resumable, checkpointable core leg. Mirrors the chunked driver in
-/// [`crate::diff`] (same injection points, same action responses, same
-/// quiescence rules) but can stop at arbitrary executed counts and be
-/// rebuilt from a snapshot. Chunk boundaries never change observable
-/// state — every tier executes the identical instruction sequence — so
-/// states here match the straight differential runs at equal counts.
-struct Leg<'a> {
-    cpu: Processor,
-    burst: bool,
-    script: &'a Script,
-    executed: u64,
-    idx: usize,
-}
-
 /// One checkpoint: the core at a boundary plus the driver cursor
 /// needed to resume the script there.
 struct Checkpoint {
@@ -132,174 +117,23 @@ struct LegEnd {
     error: Option<String>,
 }
 
-fn runner_config(runner: Runner) -> Result<(bool, CoreConfig), String> {
-    match runner {
-        Runner::Oracle => {
-            Err("bisection needs snapshot-capable legs; the oracle cannot checkpoint".into())
-        }
-        Runner::CoreStep => Ok((false, CoreConfig::default())),
-        Runner::CoreBurst { engine } => Ok((
-            true,
-            CoreConfig {
-                engine,
-                ..CoreConfig::default()
-            },
-        )),
-    }
-}
-
-/// Prove and install tier-2 regions for an AOT core — required after
-/// restore too, since compiled blocks are never serialized.
-fn install_aot(cpu: &mut Processor) {
-    let analysis = snap_lint::analyze_image(cpu.imem().as_words(), cpu.config().operating_point);
-    let regions: Vec<snap_core::AotRegion> = analysis
-        .regions
-        .iter()
-        .map(|r| snap_core::AotRegion {
-            entry: r.entry,
-            addrs: r.addrs.clone(),
-        })
-        .collect();
-    cpu.install_aot(&regions);
-}
-
-impl<'a> Leg<'a> {
-    fn new(spec: &LegSpec<'a>) -> Result<Leg<'a>, String> {
-        let (burst, config) = runner_config(spec.runner)?;
-        let mut cpu = Processor::new(config);
-        cpu.load_image(0, &spec.program.imem_image())
-            .map_err(|e| e.to_string())?;
-        cpu.load_data(0, &spec.program.dmem_image())
-            .map_err(|e| e.to_string())?;
-        if config.engine == Engine::Aot {
-            install_aot(&mut cpu);
-        }
-        Ok(Leg {
-            cpu,
-            burst,
-            script: spec.script,
-            executed: 0,
-            idx: 0,
-        })
-    }
-
-    /// Rebuild a leg from a checkpoint — the time-travel entry point.
-    /// The core goes through a snapshot, so every replay exercises
-    /// restore.
-    fn resume(spec: &LegSpec<'a>, ck: &Checkpoint) -> Result<Leg<'a>, String> {
-        let (burst, _) = runner_config(spec.runner)?;
-        let mut cpu =
-            Processor::from_snapshot(&ck.cpu.export_snapshot()).map_err(|e| e.to_string())?;
-        if cpu.config().engine == Engine::Aot {
-            install_aot(&mut cpu);
-        }
-        Ok(Leg {
-            cpu,
-            burst,
-            script: spec.script,
-            executed: ck.executed,
-            idx: ck.idx,
-        })
-    }
-
-    fn inject(&mut self, kind: StimulusKind) {
-        match kind {
-            StimulusKind::SensorIrq => {
-                self.cpu.post_sensor_irq();
-            }
-            StimulusKind::RadioRx(w) => {
-                self.cpu.post_radio_rx(w);
-            }
-        }
-    }
-
-    fn run_chunk(&mut self, budget: u64) -> Result<(u64, Option<EnvAction>), String> {
-        if self.burst {
-            let b = self
-                .cpu
-                .run_burst(SimTime::from_ps(u64::MAX), budget)
-                .map_err(|e| e.to_string())?;
-            return Ok((b.steps, b.action));
-        }
-        let mut steps = 0;
-        while steps < budget && self.cpu.state() == CoreState::Running {
-            match self.cpu.step().map_err(|e| e.to_string())? {
-                StepOutcome::Executed { action, .. } => {
-                    steps += 1;
-                    if action.is_some() {
-                        return Ok((steps, action));
-                    }
-                }
-                _ => break,
-            }
-        }
-        Ok((steps, None))
-    }
-
-    /// Drive until the post-injection state at exactly `target`
-    /// executed instructions. `Ok(true)` means the target was reached;
-    /// `Ok(false)` means the run ended first (halt, instruction budget,
-    /// or quiescent with the script drained).
-    fn advance_to(&mut self, target: u64) -> Result<bool, String> {
-        loop {
-            while self.idx < self.script.stimuli.len()
-                && self.script.stimuli[self.idx].at <= self.executed
-            {
-                let kind = self.script.stimuli[self.idx].kind;
-                self.inject(kind);
-                self.idx += 1;
-            }
-            if self.executed >= target {
-                return Ok(true);
-            }
-            if self.executed >= self.script.max_instructions
-                || self.cpu.state() == CoreState::Halted
-            {
-                return Ok(false);
-            }
-            if self.cpu.state() == CoreState::Asleep {
-                let outcome = self.cpu.step().map_err(|e| e.to_string())?;
-                if matches!(outcome, StepOutcome::Woke { .. }) {
-                    continue;
-                }
-                if let Some(exp) = self.cpu.next_timer_expiry() {
-                    self.cpu.advance_idle(exp);
-                    continue;
-                }
-                if self.idx < self.script.stimuli.len() {
-                    let kind = self.script.stimuli[self.idx].kind;
-                    self.inject(kind);
-                    self.idx += 1;
-                    continue;
-                }
-                return Ok(false);
-            }
-            let next_at = self
-                .script
-                .stimuli
-                .get(self.idx)
-                .map_or(u64::MAX, |s| s.at)
-                .min(self.script.max_instructions)
-                .min(target);
-            let budget = next_at - self.executed;
-            let before = self.executed;
-            let (steps, action) = self.run_chunk(budget)?;
-            self.executed += steps;
-            if let Some(a) = action {
-                match a {
-                    EnvAction::TxWord(_) => {
-                        self.cpu.post_radio_tx_done();
-                    }
-                    EnvAction::Query(id) => {
-                        self.cpu.post_sensor_reply(sensor_reply_value(id));
-                    }
-                    EnvAction::RadioMode(_) | EnvAction::PortWrite(_) => {}
-                }
-            } else if self.executed == before && self.cpu.state() == CoreState::Running {
-                return Err("bisect driver stalled: running target made no progress".into());
-            }
-        }
-    }
+/// A leg at the start of its script or, the time-travel entry point,
+/// at a checkpoint. Legs run on [`crate::diff`]'s own cursor, so they
+/// inject, respond and quiesce exactly as the straight differential
+/// runs do. A resumed core goes through a snapshot, so every replay
+/// exercises restore.
+fn leg_at<'a>(
+    spec: &LegSpec<'a>,
+    from: Option<&Checkpoint>,
+) -> Result<Cursor<'a, CoreTarget>, String> {
+    let Some(ck) = from else {
+        let target = CoreTarget::load(spec.runner, spec.program)?;
+        return Ok(Cursor::new(target, spec.script));
+    };
+    let mut leg = Cursor::new(CoreTarget::restore(spec.runner, &ck.cpu)?, spec.script);
+    leg.executed = ck.executed;
+    leg.idx = ck.idx;
+    Ok(leg)
 }
 
 /// First pass: run a leg to completion, checkpointing at every
@@ -310,7 +144,7 @@ fn run_with_checkpoints(
     spec: &LegSpec<'_>,
     interval: u64,
 ) -> Result<(Vec<Checkpoint>, LegEnd), String> {
-    let mut leg = Leg::new(spec)?;
+    let mut leg = leg_at(spec, None)?;
     let mut cks = Vec::new();
     let mut boundary = 0u64;
     loop {
@@ -319,7 +153,7 @@ fn run_with_checkpoints(
                 cks.push(Checkpoint {
                     executed: leg.executed,
                     idx: leg.idx,
-                    cpu: leg.cpu.clone(),
+                    cpu: leg.target.cpu.clone(),
                 });
                 boundary += interval;
             }
@@ -328,7 +162,7 @@ fn run_with_checkpoints(
                     cks,
                     LegEnd {
                         executed: leg.executed,
-                        cpu: leg.cpu,
+                        cpu: leg.target.cpu,
                         error: None,
                     },
                 ));
@@ -338,7 +172,7 @@ fn run_with_checkpoints(
                     cks,
                     LegEnd {
                         executed: leg.executed,
-                        cpu: leg.cpu,
+                        cpu: leg.target.cpu,
                         error: Some(e),
                     },
                 ));
@@ -492,8 +326,8 @@ pub fn bisect(
     // time. Small slack past the window guards the boundary case where
     // the split lands exactly on `window_hi`.
     let start = ref_cks[from_ck].executed;
-    let mut r = Leg::resume(reference, &ref_cks[from_ck])?;
-    let mut s = Leg::resume(suspect, &sus_cks[from_ck])?;
+    let mut r = leg_at(reference, Some(&ref_cks[from_ck]))?;
+    let mut s = leg_at(suspect, Some(&sus_cks[from_ck]))?;
     let cap = window_hi + interval;
     let mut e = start;
     let (first_divergence, detail) = loop {
@@ -525,7 +359,7 @@ pub fn bisect(
                 );
             }
             (Ok(ca), Ok(cb)) => {
-                if let Some(d) = snapshot_diff(&r.cpu, &s.cpu) {
+                if let Some(d) = snapshot_diff(&r.target.cpu, &s.target.cpu) {
                     break (r.executed.max(s.executed), d);
                 }
                 if ca != cb {
@@ -611,6 +445,7 @@ pub fn format_report(r: &BisectReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snap_core::{CoreConfig, Engine};
     use snap_snapshot::{fnv1a, Snapshot};
 
     /// A core that armed timer 0 and went to sleep: timer, energy and

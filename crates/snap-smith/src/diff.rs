@@ -28,9 +28,7 @@ pub enum Runner {
     CoreStep,
     /// `snap_core::Processor` via `run_burst()` under one translation
     /// tier. [`Engine::Aot`] additionally runs snap-lint over the
-    /// program and installs every proved handler region, so generated
-    /// `isw` self-modification and unproven fallback edges are
-    /// exercised too.
+    /// loaded image and installs every proved handler region.
     CoreBurst {
         /// Translation tier under test.
         engine: Engine,
@@ -152,7 +150,7 @@ fn convert(action: EnvAction) -> OracleAction {
 }
 
 /// The driver's view of a machine under test.
-trait Target {
+pub(crate) trait Target {
     fn is_halted(&self) -> bool;
     fn is_asleep(&self) -> bool;
     /// While asleep: attempt to wake; `true` when a handler was
@@ -225,9 +223,65 @@ impl Target for Oracle {
     }
 }
 
-struct CoreTarget {
-    cpu: Processor,
+/// A `snap_core::Processor` under one core configuration.
+pub(crate) struct CoreTarget {
+    pub(crate) cpu: Processor,
     burst: bool,
+}
+
+impl CoreTarget {
+    /// The core `runner` names with `program` loaded.
+    pub(crate) fn load(runner: Runner, program: &Program) -> Result<CoreTarget, String> {
+        let engine = match runner {
+            Runner::CoreBurst { engine } => engine,
+            _ => Engine::default(),
+        };
+        let mut cpu = Processor::new(CoreConfig {
+            engine,
+            ..CoreConfig::default()
+        });
+        cpu.load_image(0, &program.imem_image())
+            .map_err(|e| e.to_string())?;
+        cpu.load_data(0, &program.dmem_image())
+            .map_err(|e| e.to_string())?;
+        CoreTarget::with_cpu(runner, cpu)
+    }
+
+    /// `cpu` rebuilt from its own snapshot under `runner`, so every
+    /// resume exercises restore.
+    pub(crate) fn restore(runner: Runner, cpu: &Processor) -> Result<CoreTarget, String> {
+        let cpu = Processor::from_snapshot(&cpu.export_snapshot()).map_err(|e| e.to_string())?;
+        CoreTarget::with_cpu(runner, cpu)
+    }
+
+    /// Wrap `cpu` for `runner`. An AOT core gets every handler region
+    /// snap-lint proves over its current IMEM compiled (generated `isw`
+    /// self-modification and unproven fallback edges are exercised
+    /// too); compiled blocks are never serialized, so a restored core
+    /// needs this as much as a fresh one.
+    fn with_cpu(runner: Runner, mut cpu: Processor) -> Result<CoreTarget, String> {
+        let burst = match runner {
+            Runner::Oracle => {
+                return Err("the oracle is not a core configuration: it cannot checkpoint".into());
+            }
+            Runner::CoreStep => false,
+            Runner::CoreBurst { .. } => true,
+        };
+        if cpu.config().engine == Engine::Aot {
+            let analysis =
+                snap_lint::analyze_image(cpu.imem().as_words(), cpu.config().operating_point);
+            let regions: Vec<snap_core::AotRegion> = analysis
+                .regions
+                .iter()
+                .map(|r| snap_core::AotRegion {
+                    entry: r.entry,
+                    addrs: r.addrs.clone(),
+                })
+                .collect();
+            cpu.install_aot(&regions);
+        }
+        Ok(CoreTarget { cpu, burst })
+    }
 }
 
 impl Target for CoreTarget {
@@ -290,66 +344,129 @@ impl Target for CoreTarget {
     }
 }
 
-fn inject<T: Target>(t: &mut T, kind: StimulusKind) {
-    match kind {
-        StimulusKind::SensorIrq => t.post_irq(),
-        StimulusKind::RadioRx(w) => t.post_rx(w),
+/// A resumable run of one target through a script. Stimuli are
+/// injected at their executed-instruction counts, transmitted words
+/// complete at once, sensor queries are answered with
+/// [`sensor_reply_value`], and sleeps fast-forward to the next timer
+/// expiry. Chunk boundaries never change observable state (every tier
+/// executes the identical instruction sequence), so a run stopped and
+/// resumed at any count matches a straight run.
+pub(crate) struct Cursor<'s, T> {
+    pub(crate) target: T,
+    script: &'s Script,
+    /// Instructions executed so far.
+    pub(crate) executed: u64,
+    /// Index of the next stimulus to inject.
+    pub(crate) idx: usize,
+    /// Every environment action, in order.
+    actions: Vec<OracleAction>,
+    /// `(address, instruction)` per executed instruction, when wanted.
+    trace: Option<Vec<(u16, Instruction)>>,
+}
+
+impl<'s, T: Target> Cursor<'s, T> {
+    /// A run of `target` from the start of `script`.
+    pub(crate) fn new(target: T, script: &'s Script) -> Cursor<'s, T> {
+        Cursor {
+            target,
+            script,
+            executed: 0,
+            idx: 0,
+            actions: Vec::new(),
+            trace: None,
+        }
+    }
+
+    fn inject_next(&mut self) {
+        match self.script.stimuli[self.idx].kind {
+            StimulusKind::SensorIrq => self.target.post_irq(),
+            StimulusKind::RadioRx(w) => self.target.post_rx(w),
+        }
+        self.idx += 1;
+    }
+
+    /// Drive to the post-injection state at exactly `target` executed
+    /// instructions; a full run is `advance_to(u64::MAX)`. `Ok(true)`
+    /// means the target was reached; `Ok(false)` means the run ended
+    /// first (halt, instruction budget, or asleep with nothing left to
+    /// wake it).
+    pub(crate) fn advance_to(&mut self, target: u64) -> Result<bool, String> {
+        let script = self.script;
+        let stimuli = &script.stimuli;
+        loop {
+            while self.idx < stimuli.len() && stimuli[self.idx].at <= self.executed {
+                self.inject_next();
+            }
+            if self.executed >= target {
+                return Ok(true);
+            }
+            if self.executed >= script.max_instructions || self.target.is_halted() {
+                return Ok(false);
+            }
+            if self.target.is_asleep() {
+                if self.target.wake()? {
+                    continue;
+                }
+                if let Some(exp) = self.target.next_timer_expiry() {
+                    self.target.advance_idle(exp);
+                    continue;
+                }
+                if self.idx < stimuli.len() {
+                    self.inject_next();
+                    continue;
+                }
+                return Ok(false);
+            }
+            let next_at = stimuli
+                .get(self.idx)
+                .map_or(u64::MAX, |s| s.at)
+                .min(script.max_instructions)
+                .min(target);
+            let (steps, action) = self
+                .target
+                .run_chunk(next_at - self.executed, &mut self.trace)?;
+            self.executed += steps;
+            if let Some(a) = action {
+                self.actions.push(a);
+                match a {
+                    OracleAction::TxWord(_) => self.target.post_tx_done(),
+                    OracleAction::Query(id) => {
+                        self.target.post_sensor_reply(sensor_reply_value(id));
+                    }
+                    OracleAction::RadioMode(_) | OracleAction::PortWrite(_) => {}
+                }
+            } else if steps == 0 && !self.target.is_asleep() && !self.target.is_halted() {
+                return Err("script run stalled: running target made no progress".into());
+            }
+        }
     }
 }
 
 /// Assemble-and-run is split so callers with an existing [`Program`]
 /// (e.g. golden-trace tests over `snap-apps`) can reuse the driver.
 pub fn run_program(program: &Program, script: &Script, runner: Runner) -> RunResult {
-    match runner {
-        Runner::Oracle => {
-            let mut o = Oracle::new(Lfsr16::default().state());
-            o.load_image(0, &program.imem_image());
-            o.load_data(0, &program.dmem_image());
-            let mut trace = Some(Vec::new());
-            let actions = drive_traced(&mut o, script, &mut trace)?;
-            Ok(RunOutput {
-                observed: observe_oracle(&o, actions),
-                trace,
-            })
-        }
-        Runner::CoreStep | Runner::CoreBurst { .. } => {
-            let burst = matches!(runner, Runner::CoreBurst { .. });
-            let engine = match runner {
-                Runner::CoreBurst { engine } => engine,
-                _ => Engine::default(),
-            };
-            let config = CoreConfig {
-                engine,
-                ..CoreConfig::default()
-            };
-            let mut cpu = Processor::new(config);
-            cpu.load_image(0, &program.imem_image())
-                .map_err(|e| e.to_string())?;
-            cpu.load_data(0, &program.dmem_image())
-                .map_err(|e| e.to_string())?;
-            if engine == Engine::Aot {
-                // Tier 2 under test: prove and compile whatever the
-                // analyzer can; everything else falls back.
-                let analysis = snap_lint::analyze_program(program, config.operating_point);
-                let regions: Vec<snap_core::AotRegion> = analysis
-                    .regions
-                    .iter()
-                    .map(|r| snap_core::AotRegion {
-                        entry: r.entry,
-                        addrs: r.addrs.clone(),
-                    })
-                    .collect();
-                cpu.install_aot(&regions);
-            }
-            let mut target = CoreTarget { cpu, burst };
-            let mut trace = if burst { None } else { Some(Vec::new()) };
-            let actions = drive_traced(&mut target, script, &mut trace)?;
-            Ok(RunOutput {
-                observed: observe_core(&target.cpu, actions),
-                trace,
-            })
-        }
+    if runner == Runner::Oracle {
+        let mut o = Oracle::new(Lfsr16::default().state());
+        o.load_image(0, &program.imem_image());
+        o.load_data(0, &program.dmem_image());
+        let mut run = Cursor::new(o, script);
+        run.trace = Some(Vec::new());
+        run.advance_to(u64::MAX)?;
+        return Ok(RunOutput {
+            observed: observe_oracle(&run.target, run.actions),
+            trace: run.trace,
+        });
     }
+    let target = CoreTarget::load(runner, program)?;
+    let mut run = Cursor::new(target, script);
+    if !run.target.burst {
+        run.trace = Some(Vec::new());
+    }
+    run.advance_to(u64::MAX)?;
+    Ok(RunOutput {
+        observed: observe_core(&run.target.cpu, run.actions),
+        trace: run.trace,
+    })
 }
 
 /// Run the program on a sampling stepped `Processor` through the
@@ -363,73 +480,12 @@ pub fn run_core_sampled(
     script: &Script,
     retain: usize,
 ) -> Result<(Processor, Vec<(u16, Instruction)>), String> {
-    let mut cpu = Processor::new(CoreConfig::default());
-    cpu.enable_sampling(retain);
-    cpu.load_image(0, &program.imem_image())
-        .map_err(|e| e.to_string())?;
-    cpu.load_data(0, &program.dmem_image())
-        .map_err(|e| e.to_string())?;
-    let mut target = CoreTarget { cpu, burst: false };
-    let mut trace = Some(Vec::new());
-    drive_traced(&mut target, script, &mut trace)?;
-    Ok((target.cpu, trace.unwrap_or_default()))
-}
-
-/// Drive a target through the script; returns the ordered action log.
-/// The executed-instruction trace (when requested) is appended to
-/// `trace` by `run_chunk`.
-fn drive_traced<T: Target>(
-    t: &mut T,
-    script: &Script,
-    trace: &mut Option<Vec<(u16, Instruction)>>,
-) -> Result<Vec<OracleAction>, String> {
-    let mut executed = 0u64;
-    let mut idx = 0usize;
-    let mut actions = Vec::new();
-    loop {
-        while idx < script.stimuli.len() && script.stimuli[idx].at <= executed {
-            inject(t, script.stimuli[idx].kind);
-            idx += 1;
-        }
-        if executed >= script.max_instructions || t.is_halted() {
-            break;
-        }
-        if t.is_asleep() {
-            if t.wake()? {
-                continue;
-            }
-            if let Some(exp) = t.next_timer_expiry() {
-                t.advance_idle(exp);
-                continue;
-            }
-            if idx < script.stimuli.len() {
-                inject(t, script.stimuli[idx].kind);
-                idx += 1;
-                continue;
-            }
-            break;
-        }
-        let next_at = script
-            .stimuli
-            .get(idx)
-            .map_or(u64::MAX, |s| s.at)
-            .min(script.max_instructions);
-        let budget = next_at - executed;
-        let before = executed;
-        let (steps, action) = t.run_chunk(budget, trace)?;
-        executed += steps;
-        if let Some(a) = action {
-            actions.push(a);
-            match a {
-                OracleAction::TxWord(_) => t.post_tx_done(),
-                OracleAction::Query(id) => t.post_sensor_reply(sensor_reply_value(id)),
-                OracleAction::RadioMode(_) | OracleAction::PortWrite(_) => {}
-            }
-        } else if executed == before && !t.is_asleep() && !t.is_halted() {
-            return Err("driver stalled: running target made no progress".into());
-        }
-    }
-    Ok(actions)
+    let mut target = CoreTarget::load(Runner::CoreStep, program)?;
+    target.cpu.enable_sampling(retain);
+    let mut run = Cursor::new(target, script);
+    run.trace = Some(Vec::new());
+    run.advance_to(u64::MAX)?;
+    Ok((run.target.cpu, run.trace.unwrap_or_default()))
 }
 
 fn observe_oracle(o: &Oracle, actions: Vec<OracleAction>) -> Observed {
