@@ -13,6 +13,8 @@ use snap_core::{CoreConfig, Engine, Processor};
 use snap_isa::{AluImmOp, AluOp, Instruction, Reg};
 use snap_net::{NetworkSim, Position, Scheduler, Stimulus, TraceMode};
 use snap_node::{BatteryConfig, NodeId, NodeKind};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Baseline timings measured on this tree immediately before the
@@ -469,13 +471,52 @@ fn build_grid(
     sim
 }
 
-/// Resident-set size in bytes (`/proc/self/statm`; 0 where absent).
-fn rss_bytes() -> u64 {
-    std::fs::read_to_string("/proc/self/statm")
-        .ok()
-        .and_then(|s| s.split_whitespace().nth(1)?.parse::<u64>().ok())
-        .map_or(0, |pages| pages * 4096)
+/// Live heap bytes: everything allocated and not yet freed, counted
+/// by [`CountingAlloc`].
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+/// The system allocator, counting live heap bytes. The grid rows' memory
+/// column reads this rather than RSS, which misses whatever the
+/// allocator reuses from heap an earlier scenario freed, and whatever
+/// it returns to the OS.
+struct CountingAlloc;
+
+// SAFETY: every call goes straight to `System`; the counter only
+// observes the sizes.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        }
+        ptr
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let ptr = System.alloc_zeroed(layout);
+        if !ptr.is_null() {
+            LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let new = System.realloc(ptr, layout, new_size);
+        if !new.is_null() {
+            LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
+            LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+        }
+        new
+    }
 }
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Hand-timed grid measurement. The fleet build (node cloning, kick
 /// scheduling) is setup and stays outside the timed region; only
@@ -483,8 +524,10 @@ fn rss_bytes() -> u64 {
 /// run goes first and is excluded from the stats — the first run in a
 /// fresh process pays one-off costs (allocator arena growth, page
 /// faults for the copy-on-write node clones) that would otherwise
-/// pollute the mean. RSS growth across the first (cold) build gives
-/// the `bytes_per_node` memory column.
+/// pollute the mean. The `bytes_per_node` memory column is the heap
+/// the first fleet holds after its run, counted from before its build:
+/// by then every sleeper has written its data words and owns the pages
+/// it copied.
 struct GridTiming {
     min_us: f64,
     median_us: f64,
@@ -509,26 +552,17 @@ fn time_grid(
     let (mut deliveries, mut collisions) = (0u64, 0u64);
     let warmup = u64::from(reps > 1);
     for rep in 0..reps.max(1) + warmup {
-        let before = rss_bytes();
+        let before = LIVE_BYTES.load(Ordering::Relaxed);
         let mut sim = build_grid(size, scheduler, shards, programs);
-        if rep == 0 {
-            bytes_per_node = rss_bytes().saturating_sub(before) / (size.0 * size.1) as u64;
-        }
-        let rss_built = rss_bytes();
         let start = Instant::now();
         sim.run_until(SimTime::ZERO + SimDuration::from_ms(size.2))
             .expect("grid runs");
         if rep >= warmup {
             times.push(start.elapsed().as_secs_f64() * 1e6);
         }
-        if rep == 0 && std::env::var_os("GRID_RSS_DEBUG").is_some() {
-            eprintln!(
-                "grid {}x{}: rss {} MB built, {} MB after run",
-                size.0,
-                size.1,
-                rss_built / (1 << 20),
-                rss_bytes() / (1 << 20)
-            );
+        if rep == 0 {
+            let live = LIVE_BYTES.load(Ordering::Relaxed).saturating_sub(before);
+            bytes_per_node = (live / (size.0 * size.1)) as u64;
         }
         deliveries = sim.channel().deliveries();
         collisions = sim.channel().collisions();
@@ -580,7 +614,7 @@ struct Entry {
     mean_us: f64,
     iterations: u64,
     work: Workload,
-    /// RSS growth per node during fleet build (grid scenarios only).
+    /// Live heap per node after the first run (grid scenarios only).
     bytes_per_node: Option<u64>,
     /// Extra scenario-specific JSON fields, pre-rendered as
     /// `"key": value` pairs (serve throughput columns).
@@ -1152,7 +1186,8 @@ fn report_path() -> std::path::PathBuf {
 
 /// CI smoke mode: run every scenario for a couple of iterations, write
 /// the JSON, and verify it is well-formed — catches scenario panics and
-/// report-format rot without paying full measurement time.
+/// report-format rot without paying full measurement time — and that
+/// `net_grid_10k` stays under its per-node memory ceiling.
 fn run_check() {
     // A throwaway path: the smoke run's few-iteration timings must not
     // clobber the recorded repo-root report. The grid coverage is the
@@ -1161,7 +1196,32 @@ fn run_check() {
     run_json(Duration::from_millis(1), &path, false);
     let json = std::fs::read_to_string(&path).expect("read back bench report");
     validate_report(&json, false);
+    let bytes = grid_10k_bytes_per_node(&json);
+    assert!(
+        bytes <= GRID_10K_MAX_BYTES_PER_NODE,
+        "net_grid_10k holds {bytes} B/node of live heap after its run, \
+         over the {GRID_10K_MAX_BYTES_PER_NODE} B/node ceiling"
+    );
     println!("bench check ok: {} is well-formed", path.display());
+}
+
+/// The most live heap per node `net_grid_10k` may hold after its run.
+/// With copy-on-write pages each sleeper owns one 512 B DMEM page, and
+/// the row reads 4,819 B/node; a private 4 KB DMEM bank per sleeper
+/// read 8,417.
+const GRID_10K_MAX_BYTES_PER_NODE: u64 = 6_000;
+
+/// The `bytes_per_node` figure of the report's `net_grid_10k` row.
+fn grid_10k_bytes_per_node(json: &str) -> u64 {
+    let row = json
+        .split("\"name\": \"net_grid_10k\"")
+        .nth(1)
+        .and_then(|rest| rest.split("\n    }").next())
+        .expect("net_grid_10k row in report");
+    row.lines()
+        .find_map(|l| l.trim().strip_prefix("\"bytes_per_node\": "))
+        .and_then(|v| v.trim_end_matches(',').parse().ok())
+        .expect("net_grid_10k bytes_per_node")
 }
 
 /// Scenario names expected in a report; grid scenarios additionally
@@ -1235,8 +1295,8 @@ fn validate_report(json: &str, full_grids: bool) {
     let mem = count_of("bytes_per_node");
     assert_eq!(mem.len(), grids, "one bytes_per_node per grid scenario");
     assert!(
-        mem.iter().all(|b| b.is_finite() && *b >= 0.0),
-        "bytes_per_node must be finite: {mem:?}"
+        mem.iter().all(|b| b.is_finite() && *b > 0.0),
+        "bytes_per_node must be finite and positive: {mem:?}"
     );
     for field in ["tenants", "sims_per_sec", "queries", "p99_query_us"] {
         let values = count_of(field);

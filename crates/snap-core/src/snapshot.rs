@@ -26,6 +26,7 @@
 
 use crate::energy_acct::EnergyAccountant;
 use crate::event_queue::EventQueue;
+use crate::memory::MemBank;
 use crate::msg_cop::MsgCoprocessor;
 use crate::processor::{CoreConfig, CoreState, Processor};
 use crate::profile::HandlerProfile;
@@ -59,8 +60,8 @@ impl Encode for Processor {
     fn encode(&self, w: &mut Writer) {
         self.config.encode(w);
         self.regs.encode(w);
-        w.seq_u16(self.imem.as_words());
-        w.seq_u16(self.dmem.as_words());
+        write_bank(w, &self.imem);
+        write_bank(w, &self.dmem);
         w.u16(self.pc);
         self.state.encode(w);
         w.u64(self.now.as_ps());
@@ -114,6 +115,14 @@ impl Decode for Processor {
         cpu.wakeups = r.u64()?;
         cpu.handlers_dispatched = r.u64()?;
         Ok(cpu)
+    }
+}
+
+/// One full memory bank image, framed as [`Writer::seq_u16`] frames it.
+fn write_bank(w: &mut Writer, bank: &MemBank) {
+    w.len(MEM_WORDS);
+    for word in bank.words() {
+        w.u16(word);
     }
 }
 

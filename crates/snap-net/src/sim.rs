@@ -379,12 +379,13 @@ impl NetworkSim {
 
     /// Add a whole fleet of nodes running the same program, cloned from
     /// one fully-loaded template. The program is loaded (and its decode
-    /// cache warmed) exactly once; every clone shares the instruction
-    /// memory, data memory and decode cache copy-on-write, so a
+    /// cache warmed) exactly once; every clone shares the decode cache
+    /// and the instruction and data memory pages copy-on-write, so a
     /// mostly-idle million-node fleet costs per-node *state* (registers,
-    /// radio, timers), not per-node memory images. Positions are placed
-    /// through [`Topology::place_many`] (batched neighbour
-    /// construction). Returns the new ids in `positions` order.
+    /// radio, timers) plus the 512 B pages each node writes, not
+    /// per-node memory images. Positions are placed through
+    /// [`Topology::place_many`] (batched neighbour construction).
+    /// Returns the new ids in `positions` order.
     ///
     /// # Panics
     ///

@@ -1,7 +1,13 @@
 //! Node positions and radio connectivity.
+//!
+//! [`Topology`] keeps each node's position and cached neighbour list in
+//! plain vectors indexed by node id, so looking up a node's position,
+//! grid cell or neighbours is one index. A hash of grid cells one radio
+//! range wide bounds every neighbour search to the 3×3 cells around a
+//! node, so placement costs O(local density), not O(n).
 
 use snap_node::NodeId;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// A 2-D node position (unit-free; range uses the same unit).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,6 +32,12 @@ impl Position {
 
 /// Placement of nodes plus the (disc-model) radio range.
 ///
+/// Storage is dense: node id `i + 1` lives at index `i` of plain
+/// vectors (the ids [`NetworkSim`](crate::NetworkSim) hands out run
+/// 1, 2, 3, …), so a node's position, cell and neighbour list are one
+/// index away. Placing id `n` reserves slots for every id up to `n`;
+/// `NodeId(0)` has no slot and cannot be placed.
+///
 /// Connectivity is queried far more often than it changes (every
 /// delivery consults it; placement happens at setup), so each node's
 /// neighbour list is cached sorted and rebuilt whenever a node is
@@ -43,12 +55,38 @@ impl Position {
 /// [`place_many`]: Topology::place_many
 #[derive(Debug, Clone)]
 pub struct Topology {
-    positions: BTreeMap<NodeId, Position>,
     range: f64,
-    neighbours: BTreeMap<NodeId, Vec<NodeId>>,
+    /// Node id `i + 1`'s position at index `i`; `None` until placed.
+    positions: Vec<Option<Position>>,
+    /// Node id `i + 1`'s in-range peers at index `i`, id-sorted.
+    neighbours: Vec<Vec<NodeId>>,
     /// Spatial hash: cell coordinate → placed nodes in that cell,
     /// id-sorted. Cell side length is exactly `range`.
     cells: HashMap<(i64, i64), Vec<NodeId>>,
+}
+
+/// `node`'s dense index, or `None` for `NodeId(0)`.
+fn index(node: NodeId) -> Option<usize> {
+    (node.0 as usize).checked_sub(1)
+}
+
+/// The dense index of a node known to be placed.
+fn slot(node: NodeId) -> usize {
+    node.0 as usize - 1
+}
+
+/// Insert `node` into the id-sorted `list` (no duplicates).
+fn insert_sorted(list: &mut Vec<NodeId>, node: NodeId) {
+    if let Err(i) = list.binary_search(&node) {
+        list.insert(i, node);
+    }
+}
+
+/// Remove `node` from the id-sorted `list`, if present.
+fn remove_sorted(list: &mut Vec<NodeId>, node: NodeId) {
+    if let Ok(i) = list.binary_search(&node) {
+        list.remove(i);
+    }
 }
 
 impl Topology {
@@ -60,9 +98,9 @@ impl Topology {
     pub fn new(range: f64) -> Topology {
         assert!(range > 0.0, "radio range must be positive");
         Topology {
-            positions: BTreeMap::new(),
             range,
-            neighbours: BTreeMap::new(),
+            positions: Vec::new(),
+            neighbours: Vec::new(),
             cells: HashMap::new(),
         }
     }
@@ -88,34 +126,42 @@ impl Topology {
     /// live in the 3×3 block centred on its cell — the property the
     /// sharded scheduler's spatial partitioning relies on.
     pub fn cell(&self, node: NodeId) -> Option<(i64, i64)> {
-        self.positions.get(&node).map(|&p| self.cell_of(p))
+        self.position(node).map(|p| self.cell_of(p))
     }
 
-    /// Remove `node` from its cell list.
-    fn cell_remove(&mut self, node: NodeId, position: Position) {
-        let key = self.cell_of(position);
-        if let Some(list) = self.cells.get_mut(&key) {
-            if let Ok(i) = list.binary_search(&node) {
-                list.remove(i);
+    /// Store `position` for `node`, growing the dense vectors to reach
+    /// its slot, and move it between cell lists. A node that was placed
+    /// before is first unlinked from every cached neighbour list.
+    ///
+    /// # Panics
+    ///
+    /// Panics for `NodeId(0)`.
+    fn set_position(&mut self, node: NodeId, position: Position) {
+        let i = index(node).expect("NodeId(0) cannot be placed: topology ids start at 1");
+        if i >= self.positions.len() {
+            self.positions.resize(i + 1, None);
+            self.neighbours.resize_with(i + 1, Vec::new);
+        }
+        if let Some(old) = self.positions[i].replace(position) {
+            for other in std::mem::take(&mut self.neighbours[i]) {
+                remove_sorted(&mut self.neighbours[slot(other)], node);
             }
-            if list.is_empty() {
-                self.cells.remove(&key);
+            let key = self.cell_of(old);
+            if let Some(list) = self.cells.get_mut(&key) {
+                remove_sorted(list, node);
+                if list.is_empty() {
+                    self.cells.remove(&key);
+                }
             }
         }
-    }
-
-    /// Insert `node` into its cell list (id-sorted).
-    fn cell_insert(&mut self, node: NodeId, position: Position) {
         let key = self.cell_of(position);
-        let list = self.cells.entry(key).or_default();
-        if let Err(i) = list.binary_search(&node) {
-            list.insert(i, node);
-        }
+        insert_sorted(self.cells.entry(key).or_default(), node);
     }
 
-    /// In-range peers of `position` (excluding `node` itself), id-sorted,
-    /// found by scanning the 3×3 cell block around `position`.
-    fn in_range_peers(&self, node: NodeId, position: Position) -> Vec<NodeId> {
+    /// In-range peers of placed `node` (excluding itself), id-sorted,
+    /// found by scanning the 3×3 cell block around its position.
+    fn in_range_peers(&self, node: NodeId) -> Vec<NodeId> {
+        let position = self.position(node).expect("node is placed");
         let (cx, cy) = self.cell_of(position);
         let mut peers = Vec::new();
         for dx in -1..=1 {
@@ -124,11 +170,8 @@ impl Topology {
                     continue;
                 };
                 for &other in list {
-                    if other == node {
-                        continue;
-                    }
-                    let other_pos = self.positions[&other];
-                    if position.distance(&other_pos) <= self.range {
+                    let at = self.positions[slot(other)].expect("cell members are placed");
+                    if other != node && position.distance(&at) <= self.range {
                         peers.push(other);
                     }
                 }
@@ -142,82 +185,62 @@ impl Topology {
     /// incrementally. Candidate neighbours come from the 3×3 grid-cell
     /// block around the position, so each placement costs O(local
     /// density) rather than O(n).
+    ///
+    /// # Panics
+    ///
+    /// Panics for `NodeId(0)`: ids start at 1.
     pub fn place(&mut self, node: NodeId, position: Position) {
-        if let Some(old) = self.positions.insert(node, position) {
-            // The node's old in-range set is exactly its cached
-            // neighbour list; drop it from each of those lists and
-            // re-derive from the new position.
-            let old_neighbours = self.neighbours.remove(&node).unwrap_or_default();
-            for other in old_neighbours {
-                if let Some(list) = self.neighbours.get_mut(&other) {
-                    if let Ok(i) = list.binary_search(&node) {
-                        list.remove(i);
-                    }
-                }
-            }
-            self.cell_remove(node, old);
-        }
-        self.cell_insert(node, position);
-        let mine = self.in_range_peers(node, position);
+        self.set_position(node, position);
+        let mine = self.in_range_peers(node);
         for &other in &mine {
-            let list = self.neighbours.entry(other).or_default();
-            if let Err(i) = list.binary_search(&node) {
-                list.insert(i, node);
-            }
+            insert_sorted(&mut self.neighbours[slot(other)], node);
         }
-        self.neighbours.insert(node, mine);
+        self.neighbours[slot(node)] = mine;
     }
 
     /// Place a batch of nodes at once.
     ///
-    /// Equivalent to calling [`place`](Topology::place) for each entry,
-    /// but neighbour lists are derived once after all positions land
+    /// Equivalent to calling [`place`](Topology::place) for each entry
+    /// (a node listed twice ends up at its last position), but
+    /// neighbour lists are derived once after all positions land
     /// instead of being patched incrementally per placement — the fast
     /// path for constructing 10⁵–10⁶-node fleets.
+    ///
+    /// # Panics
+    ///
+    /// Panics for `NodeId(0)`: ids start at 1.
     pub fn place_many<I>(&mut self, batch: I)
     where
         I: IntoIterator<Item = (NodeId, Position)>,
     {
         let mut placed = Vec::new();
         for (node, position) in batch {
-            if let Some(old) = self.positions.insert(node, position) {
-                // Re-placement falls back to the incremental move path
-                // for the removal half; rare in bulk construction.
-                let old_neighbours = self.neighbours.remove(&node).unwrap_or_default();
-                for other in old_neighbours {
-                    if let Some(list) = self.neighbours.get_mut(&other) {
-                        if let Ok(i) = list.binary_search(&node) {
-                            list.remove(i);
-                        }
-                    }
-                }
-                self.cell_remove(node, old);
-            }
-            self.cell_insert(node, position);
-            placed.push((node, position));
+            self.set_position(node, position);
+            placed.push(node);
+        }
+        placed.sort_unstable();
+        placed.dedup();
+        let mut in_batch = vec![false; self.positions.len()];
+        for &node in &placed {
+            in_batch[slot(node)] = true;
         }
         // All positions are in the spatial hash now: derive each batch
         // node's full list in one cell-local scan, and splice the batch
         // node into the lists of in-range nodes from outside the batch.
-        placed.sort_unstable_by_key(|&(node, _)| node);
-        for &(node, position) in &placed {
-            let mine = self.in_range_peers(node, position);
+        for &node in &placed {
+            let mine = self.in_range_peers(node);
             for &other in &mine {
-                if placed.binary_search_by_key(&other, |&(n, _)| n).is_ok() {
-                    continue; // the batch peer derives its own full list
-                }
-                let list = self.neighbours.entry(other).or_default();
-                if let Err(i) = list.binary_search(&node) {
-                    list.insert(i, node);
+                if !in_batch[slot(other)] {
+                    insert_sorted(&mut self.neighbours[slot(other)], node);
                 }
             }
-            self.neighbours.insert(node, mine);
+            self.neighbours[slot(node)] = mine;
         }
     }
 
     /// The node's position, if placed.
     pub fn position(&self, node: NodeId) -> Option<Position> {
-        self.positions.get(&node).copied()
+        *self.positions.get(index(node)?)?
     }
 
     /// The radio range.
@@ -231,21 +254,25 @@ impl Topology {
         if a == b {
             return false;
         }
-        match (self.positions.get(&a), self.positions.get(&b)) {
-            (Some(pa), Some(pb)) => pa.distance(pb) <= self.range,
+        match (self.position(a), self.position(b)) {
+            (Some(pa), Some(pb)) => pa.distance(&pb) <= self.range,
             _ => false,
         }
     }
 
-    /// All placed nodes.
+    /// All placed nodes, in id order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.positions.keys().copied()
+        (self.positions.iter().enumerate())
+            .filter(|(_, p)| p.is_some())
+            .map(|(i, _)| NodeId(i as u32 + 1))
     }
 
     /// Nodes within range of `from` (excluding `from`), in id order.
     /// By radio symmetry this is also the set of nodes `from` hears.
     pub fn neighbours(&self, from: NodeId) -> &[NodeId] {
-        self.neighbours.get(&from).map_or(&[], Vec::as_slice)
+        index(from)
+            .and_then(|i| self.neighbours.get(i))
+            .map_or(&[], Vec::as_slice)
     }
 }
 
@@ -303,6 +330,30 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_range_rejected() {
         let _ = Topology::new(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "NodeId(0) cannot be placed")]
+    fn node_zero_is_rejected_by_place() {
+        Topology::new(10.0).place(NodeId(0), Position::new(0.0, 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "NodeId(0) cannot be placed")]
+    fn node_zero_is_rejected_by_place_many() {
+        Topology::new(10.0).place_many([(NodeId(0), Position::new(0.0, 0.0))]);
+    }
+
+    #[test]
+    fn ids_are_dense_slots() {
+        let mut t = Topology::new(10.0);
+        t.place(NodeId(3), Position::new(0.0, 0.0));
+        t.place(NodeId(1), Position::new(5.0, 0.0));
+        assert_eq!(t.nodes().collect::<Vec<_>>(), vec![NodeId(1), NodeId(3)]);
+        assert_eq!(t.position(NodeId(2)), None, "a skipped id stays unplaced");
+        assert_eq!(t.position(NodeId(0)), None);
+        assert!(t.neighbours(NodeId(0)).is_empty());
+        assert_eq!(t.neighbours(NodeId(3)), vec![NodeId(1)]);
     }
 
     #[test]

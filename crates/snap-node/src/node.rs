@@ -359,11 +359,11 @@ impl Node {
 
     /// Clone this node under a new identity.
     ///
-    /// Memory banks and the decode cache are copy-on-write, so cloning
+    /// Memory pages and the decode cache are copy-on-write, so cloning
     /// a fully-loaded template is the cheap way to build large fleets:
-    /// the program image and predecoded instructions are shared until a
-    /// node first writes to its own DMEM. The battery configuration is
-    /// inherited; the uplink buffer starts empty.
+    /// the program image and predecoded instructions stay shared, and a
+    /// node copies only the 512 B pages it writes. The battery
+    /// configuration is inherited; the uplink buffer starts empty.
     pub fn clone_with_id(&self, id: NodeId) -> Node {
         Node {
             id,

@@ -122,7 +122,7 @@ impl Decode for Node {
             (NodeKind::Snap | NodeKind::Gateway, Some(mut cpu)) => {
                 if cpu.config().engine == Engine::Aot {
                     let point = cpu.config().operating_point;
-                    let analysis = snap_lint::analyze_image(cpu.imem().as_words(), point);
+                    let analysis = snap_lint::analyze_image(&cpu.imem().to_vec(), point);
                     let regions: Vec<AotRegion> = analysis
                         .regions
                         .iter()

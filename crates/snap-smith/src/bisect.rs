@@ -233,14 +233,11 @@ fn snapshot_diff(a: &Processor, b: &Processor) -> Option<String> {
             ));
         }
     }
-    for (bank, x, y) in [
-        ("dmem", a.dmem().as_words(), b.dmem().as_words()),
-        ("imem", a.imem().as_words(), b.imem().as_words()),
-    ] {
-        if let Some(i) = x.iter().zip(y).position(|(x, y)| x != y) {
+    for (bank, x, y) in [("dmem", a.dmem(), b.dmem()), ("imem", a.imem(), b.imem())] {
+        let mut words = x.words().zip(y.words()).enumerate();
+        if let Some((i, (x, y))) = words.find(|(_, (x, y))| x != y) {
             return Some(format!(
-                "{bank}[{i:#05x}] mismatch: reference {:#06x}, suspect {:#06x}",
-                x[i], y[i]
+                "{bank}[{i:#05x}] mismatch: reference {x:#06x}, suspect {y:#06x}"
             ));
         }
     }

@@ -269,7 +269,7 @@ impl CoreTarget {
         };
         if cpu.config().engine == Engine::Aot {
             let analysis =
-                snap_lint::analyze_image(cpu.imem().as_words(), cpu.config().operating_point);
+                snap_lint::analyze_image(&cpu.imem().to_vec(), cpu.config().operating_point);
             let regions: Vec<snap_core::AotRegion> = analysis
                 .regions
                 .iter()
@@ -545,8 +545,8 @@ fn observe_core(cpu: &Processor, actions: Vec<OracleAction>) -> Observed {
             CoreState::Asleep => 1,
             CoreState::Halted => 2,
         },
-        dmem: cpu.dmem().as_words().to_vec(),
-        imem: cpu.imem().as_words().to_vec(),
+        dmem: cpu.dmem().to_vec(),
+        imem: cpu.imem().to_vec(),
         instructions: stats.instructions,
         cycles: stats.cycles,
         energy_bits: stats.energy.as_pj().to_bits(),

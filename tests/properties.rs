@@ -363,7 +363,7 @@ fn assert_lockstep(program: &[Instruction], max_steps: usize) {
         halted,
         "generated program must halt within {max_steps} steps"
     );
-    assert_eq!(cpu.imem().as_words(), oracle.imem());
+    assert_eq!(cpu.imem().to_vec(), oracle.imem());
     assert_eq!(cpu.acct().instructions(), oracle.instructions());
     assert_eq!(cpu.acct().busy_time(), oracle.busy_time());
 }
