@@ -3,10 +3,12 @@
 //! `snap-snapshot` checkpoints heterogeneous fleets; AVR nodes carry
 //! their core state as an *opaque blob* inside the fleet snapshot so
 //! the snapshot crate never learns the AVR ISA. This module defines
-//! that blob: a versioned, fail-closed, little-endian byte format
-//! covering every field that influences execution — registers, SRAM,
-//! flash (the decoded program, re-encoded instruction by instruction),
-//! flags, peripherals, and the cycle counters.
+//! that blob: a fail-closed, little-endian byte format covering every
+//! field that influences execution — registers, SRAM, flash (the
+//! decoded program, re-encoded instruction by instruction), flags,
+//! peripherals, and the cycle counters. The blob has no magic or
+//! version of its own: it only travels inside a snapshot, whose header
+//! versions every byte of the payload.
 //!
 //! Restoring a blob and continuing is bit-identical to never having
 //! snapshotted: the golden-file and snapshot-equivalence suites in
@@ -15,15 +17,8 @@
 use crate::core::{AvrCore, IoPorts, SRAM_BYTES};
 use crate::isa::{AvrBranch, AvrInstr, Ptr};
 
-/// Magic prefix of an AVR core blob.
-pub const AVR_STATE_MAGIC: [u8; 4] = *b"AVRS";
-
-/// Blob format version. Bump on any layout change; decode rejects
-/// mismatches rather than guessing.
-pub const AVR_STATE_VERSION: u16 = 1;
-
-/// Decode failure: the blob is truncated, from a different version, or
-/// encodes a state the core cannot represent.
+/// Decode failure: the blob is truncated or encodes a state the core
+/// cannot represent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AvrStateError(pub &'static str);
 
@@ -378,12 +373,9 @@ fn decode_instr(r: &mut R<'_>) -> Result<Option<AvrInstr>, AvrStateError> {
 }
 
 impl AvrCore {
-    /// Serialize the complete core state (program included) to a
-    /// self-describing byte blob.
+    /// Serialize the complete core state (program included) to a blob.
     pub fn export_state(&self) -> Vec<u8> {
         let mut w = W(Vec::with_capacity(SRAM_BYTES + self.flash.len() * 5 + 256));
-        w.0.extend_from_slice(&AVR_STATE_MAGIC);
-        w.u16(AVR_STATE_VERSION);
         w.0.extend_from_slice(&self.regs);
         w.0.extend_from_slice(&self.sram[..]);
         w.u16(self.pc);
@@ -434,16 +426,10 @@ impl AvrCore {
     }
 
     /// Reconstruct a core from an [`AvrCore::export_state`] blob.
-    /// Fail-closed: truncation, trailing bytes, version or range
-    /// violations are all errors.
+    /// Fail-closed: truncation, trailing bytes or range violations are
+    /// all errors.
     pub fn restore_state(bytes: &[u8]) -> Result<AvrCore, AvrStateError> {
         let mut r = R { bytes, pos: 0 };
-        if r.take(4)? != AVR_STATE_MAGIC {
-            return Err(AvrStateError("bad magic"));
-        }
-        if r.u16()? != AVR_STATE_VERSION {
-            return Err(AvrStateError("unsupported version"));
-        }
         let mut regs = [0u8; 32];
         regs.copy_from_slice(r.take(32)?);
         let mut sram = Box::new([0u8; SRAM_BYTES]);
@@ -564,7 +550,8 @@ mod tests {
 
     #[test]
     fn truncation_and_corruption_fail_closed() {
-        let blob = sample_core().export_state();
+        let core = sample_core();
+        let blob = core.export_state();
         for cut in [0, 3, 10, blob.len() / 2, blob.len() - 1] {
             assert!(AvrCore::restore_state(&blob[..cut]).is_err());
         }
@@ -574,17 +561,27 @@ mod tests {
             AvrCore::restore_state(&extra).err(),
             Some(AvrStateError("trailing bytes"))
         );
-        let mut bad_magic = blob.clone();
-        bad_magic[0] ^= 0xff;
+        // The carry flag follows the registers, SRAM, PC and SP.
+        let mut bad_flag = blob.clone();
+        bad_flag[32 + SRAM_BYTES + 4] = 2;
         assert_eq!(
-            AvrCore::restore_state(&bad_magic).err(),
-            Some(AvrStateError("bad magic"))
+            AvrCore::restore_state(&bad_flag).err(),
+            Some(AvrStateError("flag byte out of range"))
         );
-        let mut bad_version = blob;
-        bad_version[4] = 0xee;
+        // The flash table closes the blob: a tag and four operand bytes
+        // per instruction, a lone zero tag per empty slot.
+        let flash_bytes: usize = core
+            .flash
+            .iter()
+            .map(|s| 1 + 4 * s.is_some() as usize)
+            .sum();
+        assert!(core.flash[0].is_some());
+        let mut bad_tag = blob;
+        let first_tag = bad_tag.len() - flash_bytes;
+        bad_tag[first_tag] = 0xee;
         assert_eq!(
-            AvrCore::restore_state(&bad_version).err(),
-            Some(AvrStateError("unsupported version"))
+            AvrCore::restore_state(&bad_tag).err(),
+            Some(AvrStateError("instruction tag out of range"))
         );
     }
 

@@ -1,26 +1,35 @@
 //! # bench — the harness that regenerates every table and figure
 //!
 //! One module per experiment; each returns structured results and knows
-//! the paper's published values, so every bench/bin target prints
-//! `paper vs measured` rows. Launchers:
+//! the paper's published values, so every launcher prints
+//! `paper vs measured` rows. Launchers, one `cargo run -p bench --bin …`
+//! each:
 //!
-//! | experiment | `cargo run -p bench --bin …` | `cargo bench -p bench --bench …` |
-//! |---|---|---|
-//! | Fig. 4 energy per class | `fig4` | `fig4_energy_per_class` |
-//! | Table 1 handlers | `table1` | `table1_handlers` |
-//! | §4.3 throughput | `throughput` | `throughput_mips` |
-//! | §4.3 wake-up latency | `wakeup` | `wakeup_latency` |
-//! | §4.4 energy distribution | `energy_breakdown` | `energy_breakdown` |
-//! | Fig. 5 Blink | `fig5_blink` | `fig5_blink` |
-//! | §4.6 Sense | `sense_compare` | `sense_compare` |
-//! | §4.6 radio stack | `radiostack_compare` | `radiostack_compare` |
-//! | Table 2 | `table2` | `table2_related` |
-//! | §4.7 summary | `summary` | `summary_power` |
-//! | bus-hierarchy ablation | `ablation_bus` | `ablation_bus` |
-//! | radio word-interface ablation | `ablation_radio` | `ablation_radio_word` |
-//! | compiler-quality ablation | `ablation_compiler` | `ablation_compiler` |
-//! | voltage sweep (extension) | `ext_voltage_sweep` | `ext_voltage_sweep` |
-//! | CSMA contention (extension) | `ext_csma` | `ext_csma` |
+//! | experiment | bin |
+//! |---|---|
+//! | Fig. 4 energy per class | `fig4` |
+//! | Table 1 handlers | `table1` |
+//! | §4.3 throughput | `throughput` |
+//! | §4.3 wake-up latency | `wakeup` |
+//! | §4.4 energy distribution | `energy_breakdown` |
+//! | Fig. 5 Blink | `fig5_blink` |
+//! | §4.6 Sense | `sense_compare` |
+//! | §4.6 radio stack | `radiostack_compare` |
+//! | Table 2 | `table2` |
+//! | §4.7 summary | `summary` |
+//! | per-handler profile of a relay node | `handler_profile` |
+//! | bus-hierarchy ablation | `ablation_bus` |
+//! | radio word-interface ablation | `ablation_radio` |
+//! | compiler-quality ablation | `ablation_compiler` |
+//! | voltage sweep (extension) | `ext_voltage_sweep` |
+//! | CSMA contention (extension) | `ext_csma` |
+//! | delivery under fading (extension) | `ext_loss` |
+//! | idle-leakage sensitivity (extension) | `ext_leakage` |
+//! | every experiment above, in order | `all_experiments` |
+//!
+//! The two `cargo bench -p bench` targets time the toolchain itself:
+//! `sim_speed` (simulator throughput, `BENCH_sim_speed.json`) and
+//! `lint_speed` (the static analyser, `BENCH_lint.json`).
 
 #![warn(missing_docs)]
 

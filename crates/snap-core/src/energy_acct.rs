@@ -236,15 +236,8 @@ impl EnergyAccountant {
         bus: BusModel,
     ) -> Result<EnergyAccountant, SnapshotError> {
         let mut acct = EnergyAccountant::with_bus(point, bus);
-        let slots = acct.components.as_array_mut();
-        if r.len()? != slots.len() {
-            return Err(SnapshotError::Corrupt("component count"));
-        }
-        for slot in slots {
+        for slot in acct.components.as_array_mut() {
             *slot = Energy::from_pj(f64::from_bits(r.u64()?));
-        }
-        if r.len()? != acct.per_class.len() {
-            return Err(SnapshotError::Corrupt("instruction class count"));
         }
         for class in &mut acct.per_class {
             class.count = r.u64()?;
@@ -271,12 +264,9 @@ impl EnergyAccountant {
 /// The accumulators, not the models; every class, zero counts included.
 impl Encode for EnergyAccountant {
     fn encode(&self, w: &mut Writer) {
-        let components = self.components.as_array();
-        w.len(components.len());
-        for e in components {
+        for e in self.components.as_array() {
             w.u64(e.as_pj().to_bits());
         }
-        w.len(self.per_class.len());
         for class in &self.per_class {
             w.u64(class.count);
             w.u64(class.energy.as_pj().to_bits());

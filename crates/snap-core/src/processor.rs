@@ -22,14 +22,14 @@ use crate::msg_cop::{EnvAction, MsgCoprocessor};
 use crate::profile::HandlerProfile;
 use crate::regfile::RegFile;
 use crate::sampler::HandlerSampler;
-use crate::timer_cop::{TimerCoprocessor, TICK};
+use crate::timer_cop::TimerCoprocessor;
 use crate::translate::{AotImage, AotRegion};
 use dess::{Lfsr16, SimDuration, SimTime};
 use snap_energy::model::BusModel;
 use snap_energy::{Energy, OperatingPoint};
 use snap_isa::{
     Addr, AluImmOp, AluOp, DecodeError, EventKind, EventToken, Instruction, Reg, Word,
-    EVENT_QUEUE_DEPTH, EVENT_TABLE_ENTRIES, MEM_WORDS,
+    EVENT_TABLE_ENTRIES, MEM_WORDS,
 };
 use snap_snapshot::{Decode, Encode, Reader, SnapshotError, Writer};
 
@@ -73,9 +73,10 @@ impl Decode for Engine {
 
 /// Configuration of a [`Processor`].
 ///
-/// The event queue ([`EVENT_QUEUE_DEPTH`] tokens), the timer tick
-/// ([`crate::timer_cop::TICK`]) and the `rand` LFSR's power-on state
-/// ([`Lfsr16::default`]) are fixed hardware, not configuration.
+/// The event queue ([`snap_isa::EVENT_QUEUE_DEPTH`] tokens), the timer
+/// tick ([`crate::timer_cop::TICK`]) and the `rand` LFSR's power-on
+/// state ([`Lfsr16::default`]) are fixed hardware, not configuration,
+/// so snapshots do not carry them either.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreConfig {
     /// Supply-voltage operating point (default: 1.8 V nominal).
@@ -108,24 +109,17 @@ impl CoreConfig {
 }
 
 /// Captured so a restore rebuilds the identical energy and timing
-/// models before replaying a single instruction. The header also
-/// carries the fixed queue depth, timer tick, LFSR power-on seed and a
-/// decode-cache flag that is always set, so the format stays at v2.
+/// models before replaying a single instruction.
 impl Encode for CoreConfig {
     fn encode(&self, w: &mut Writer) {
         w.u64(self.operating_point.vdd().to_bits());
         w.u64(self.operating_point.delay_factor().to_bits());
         w.bool(self.bus == BusModel::Flat);
-        w.u64(EVENT_QUEUE_DEPTH as u64);
-        w.u64(TICK.as_ps());
-        w.u16(Lfsr16::default().state());
-        w.bool(true);
         self.engine.encode(w);
     }
 }
 
-/// Rejects operating points the energy model would panic on, and any
-/// fixed-hardware field that differs from the constant it must hold.
+/// Rejects operating points the energy model would panic on.
 impl Decode for CoreConfig {
     fn decode(r: &mut Reader) -> Result<CoreConfig, SnapshotError> {
         let vdd = f64::from_bits(r.u64()?);
@@ -138,18 +132,6 @@ impl Decode for CoreConfig {
         }
         // Encoded as a bool: `true` for the flat ablation bus.
         let bus = r.variant(&[BusModel::Hierarchical, BusModel::Flat], "bool flag")?;
-        if r.u64()? != EVENT_QUEUE_DEPTH as u64 {
-            return Err(SnapshotError::Corrupt("event queue capacity"));
-        }
-        if r.u64()? != TICK.as_ps() {
-            return Err(SnapshotError::Corrupt("timer tick"));
-        }
-        if r.u16()? != Lfsr16::default().state() {
-            return Err(SnapshotError::Corrupt("lfsr power-on seed"));
-        }
-        if r.u8()? != 1 {
-            return Err(SnapshotError::Corrupt("predecode flag"));
-        }
         Ok(CoreConfig {
             operating_point: OperatingPoint::new(vdd, delay),
             bus,
@@ -1322,7 +1304,7 @@ impl Processor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snap_isa::{BranchCond, MsgCommand};
+    use snap_isa::{BranchCond, MsgCommand, EVENT_QUEUE_DEPTH};
 
     fn cpu_with(prog: &[Instruction]) -> Processor {
         let mut cpu = Processor::new(CoreConfig::default());

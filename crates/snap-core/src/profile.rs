@@ -138,19 +138,22 @@ impl Decode for HandlerStats {
 impl Encode for HandlerProfile {
     fn encode(&self, w: &mut Writer) {
         self.boot.encode(w);
-        w.seq(&self.per_event);
+        for stats in &self.per_event {
+            stats.encode(w);
+        }
     }
 }
 
 impl Decode for HandlerProfile {
     fn decode(r: &mut Reader) -> Result<HandlerProfile, SnapshotError> {
-        Ok(HandlerProfile {
+        let mut profile = HandlerProfile {
             boot: HandlerStats::decode(r)?,
-            per_event: r
-                .seq()?
-                .try_into()
-                .map_err(|_| SnapshotError::Corrupt("profile bucket count"))?,
-        })
+            ..HandlerProfile::default()
+        };
+        for stats in &mut profile.per_event {
+            *stats = HandlerStats::decode(r)?;
+        }
+        Ok(profile)
     }
 }
 

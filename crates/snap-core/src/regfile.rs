@@ -71,7 +71,7 @@ impl RegFile {
 
 impl Encode for RegFile {
     fn encode(&self, w: &mut Writer) {
-        w.seq_u16(&self.regs);
+        w.array_u16(&self.regs);
         w.bool(self.carry);
     }
 }
@@ -79,10 +79,7 @@ impl Encode for RegFile {
 impl Decode for RegFile {
     fn decode(r: &mut Reader) -> Result<RegFile, SnapshotError> {
         Ok(RegFile {
-            regs: r
-                .seq_u16()?
-                .try_into()
-                .map_err(|_| SnapshotError::Corrupt("register count"))?,
+            regs: r.array_u16()?,
             carry: r.bool()?,
         })
     }

@@ -8,7 +8,10 @@
 //! Each component encodes itself in the module that owns it (the
 //! config in `processor`, then `regfile`, `event_queue`, `timer_cop`,
 //! `msg_cop`, `energy_acct`, `profile`); this module writes the
-//! processor's own scalars and the order of the sections.
+//! processor's own scalars and the order of the sections. Fixed-size
+//! state — the register file, both 4 KB banks, the handler table, the
+//! timer registers, the energy components and classes and the profile
+//! buckets — is written without a length, which its type fixes.
 //!
 //! Two classes of state are deliberately *not* captured:
 //!
@@ -65,7 +68,7 @@ impl Encode for Processor {
         w.u16(self.pc);
         self.state.encode(w);
         w.u64(self.now.as_ps());
-        w.seq_u16(&self.handler_table);
+        w.array_u16(&self.handler_table);
         w.u16(self.lfsr.state());
         w.opt_u8(self.current_event.map(|e| e.index() as u8));
         self.event_queue.encode(w);
@@ -86,17 +89,14 @@ impl Decode for Processor {
         let mut cpu = Processor::new(config);
         cpu.regs = RegFile::decode(r)?;
         // The loaders leave every cache cold against the restored IMEM.
-        cpu.load_image(0, &bank(r)?)
+        cpu.load_image(0, &r.array_u16::<MEM_WORDS>()?)
             .map_err(|_| SnapshotError::Corrupt("imem image"))?;
-        cpu.load_data(0, &bank(r)?)
+        cpu.load_data(0, &r.array_u16::<MEM_WORDS>()?)
             .map_err(|_| SnapshotError::Corrupt("dmem image"))?;
         cpu.pc = r.u16()?;
         cpu.state = CoreState::decode(r)?;
         cpu.now = SimTime::from_ps(r.u64()?);
-        cpu.handler_table = r
-            .seq_u16()?
-            .try_into()
-            .map_err(|_| SnapshotError::Corrupt("handler table size"))?;
+        cpu.handler_table = r.array_u16()?;
         cpu.lfsr = Lfsr16::new(r.u16()?);
         cpu.current_event = match r.opt_u8()? {
             Some(i) => Some(
@@ -118,21 +118,11 @@ impl Decode for Processor {
     }
 }
 
-/// One full memory bank image, framed as [`Writer::seq_u16`] frames it.
+/// One full memory bank image.
 fn write_bank(w: &mut Writer, bank: &MemBank) {
-    w.len(MEM_WORDS);
     for word in bank.words() {
         w.u16(word);
     }
-}
-
-/// One full memory bank image.
-fn bank(r: &mut Reader) -> Result<Vec<u16>, SnapshotError> {
-    let words = r.seq_u16()?;
-    if words.len() != MEM_WORDS {
-        return Err(SnapshotError::Corrupt("memory bank size"));
-    }
-    Ok(words)
 }
 
 #[cfg(test)]
@@ -140,6 +130,7 @@ mod tests {
     use super::*;
     use crate::processor::Engine;
     use snap_energy::OperatingPoint;
+    use snap_isa::EVENT_TABLE_ENTRIES;
     use snap_snapshot::Snapshot;
 
     /// Boot installs a sensor-IRQ handler, arms timer 0 and draws
@@ -226,29 +217,30 @@ mod tests {
     fn corrupt_fields_are_rejected() {
         let corrupt = |what| Some(SnapshotError::Corrupt(what));
         let cpu = busy_core(Engine::Fused);
-        // The config opens with vdd and, at 17, the queue depth; the
-        // registers and the IMEM length follow it.
+        // The config is vdd, delay factor, flat-bus flag and, at 17,
+        // the engine. The 16 registers and the carry flag follow it,
+        // then both banks, the PC and the state.
         let regs_at = cpu.config.encoded().len();
         let imem_at = regs_at + cpu.regs.encoded().len();
+        let state_at = imem_at + 2 * 2 * MEM_WORDS + 2;
         let cases: [(Patch, _); 4] = [
             (
                 &|b| b[..8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes()),
                 "operating point vdd",
             ),
-            (&|b| b[regs_at] = 14, "register count"),
-            (&|b| b[imem_at + 1] = 0, "memory bank size"),
-            (&|b| b[17] = 1, "event queue capacity"),
+            (&|b| b[17] = 3, "engine discriminant"),
+            (&|b| b[imem_at - 1] = 2, "bool flag"),
+            (&|b| b[state_at] = 3, "core state discriminant"),
         ];
         for (patch, want) in cases {
             assert_eq!(rejection(&cpu, patch), corrupt(want));
         }
 
-        // Mid-handler. Past both memories come the PC, state, clock,
-        // handler table and LFSR, then the current event's presence
-        // byte and index.
+        // Mid-handler. Past the state come the clock, handler table
+        // and LFSR, then the current event's presence byte and index.
         let mut mid = busy_core(Engine::Fused);
         mid.step().unwrap();
-        let event_at = imem_at + 2 * (8 + 2 * MEM_WORDS) + 2 + 1 + 8 + (8 + 2 * 8) + 2 + 1;
+        let event_at = state_at + 1 + 8 + 2 * EVENT_TABLE_ENTRIES + 2 + 1;
         let event = mid.current_event.unwrap().index() as u8;
         assert_eq!(mid.encoded()[event_at], event);
         let bad_event = rejection(&mid, &|b| b[event_at] = 9);

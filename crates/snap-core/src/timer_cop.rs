@@ -140,9 +140,6 @@ impl TimerCoprocessor {
 
     /// Decode the registers and counters.
     pub(crate) fn decode(r: &mut Reader) -> Result<TimerCoprocessor, SnapshotError> {
-        if r.len()? != NUM_TIMERS {
-            return Err(SnapshotError::Corrupt("timer register count"));
-        }
         let mut cop = TimerCoprocessor::default();
         for t in &mut cop.timers {
             t.staged_hi = r.u8()?;
@@ -157,7 +154,6 @@ impl TimerCoprocessor {
 
 impl Encode for TimerCoprocessor {
     fn encode(&self, w: &mut Writer) {
-        w.len(NUM_TIMERS);
         for t in &self.timers {
             w.u8(t.staged_hi);
             w.opt_u64(t.expiry.map(SimTime::as_ps));

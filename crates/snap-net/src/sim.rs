@@ -413,8 +413,11 @@ impl NetworkSim {
         // the compiled image copy-on-write like the memories.
         install_aot(&mut template, program, &core);
         let telemetry = self.telemetry_enabled();
-        let mut placed = Vec::new();
-        let mut ids = Vec::new();
+        // Collect first: a filtered iterator's size hint is 0, and a
+        // vector grown by doubling ends with up to twice the slots.
+        let positions: Vec<Position> = positions.into_iter().collect();
+        self.nodes.reserve_exact(positions.len());
+        let mut placed = Vec::with_capacity(positions.len());
         for position in positions {
             let id = NodeId(self.nodes.len() as u32 + 1);
             let mut node = template.clone_with_id(id);
@@ -424,8 +427,8 @@ impl NetworkSim {
             }
             self.nodes.push(node);
             placed.push((id, position));
-            ids.push(id);
         }
+        let ids = placed.iter().map(|&(id, _)| id).collect();
         self.topology.place_many(placed);
         ids
     }

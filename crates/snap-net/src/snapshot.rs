@@ -11,6 +11,8 @@
 //! themselves in their own modules; this module writes the fleet's
 //! fields in order. Positions and the calendars come from types that
 //! know nothing of snapshots, so they are written field by field here.
+//! Each node's position precedes the node: node `i` has id `i + 1`, so
+//! the node sequence fixes both the count and the ids of the positions.
 //!
 //! ## Why snapshots compose with every scheduler
 //!
@@ -38,7 +40,7 @@ use crate::sim::{NetworkSim, Scheduler, Stimulus};
 use crate::topology::Position;
 use crate::trace::Trace;
 use dess::SimTime;
-use snap_node::NodeId;
+use snap_node::{Node, NodeId};
 use snap_snapshot::{Decode, Encode, FleetSnapshot, Reader, SnapshotError, Writer};
 
 impl NetworkSim {
@@ -61,14 +63,11 @@ impl NetworkSim {
     }
 }
 
-/// The header keeps a fixed u64 of 8 after the shard count (a retired
-/// parallel threshold), so the format stays at v2.
 impl Encode for NetworkSim {
     fn encode(&self, w: &mut Writer) {
         w.u64(self.now.as_ps());
         self.scheduler.encode(w);
         w.u64(self.num_shards as u64);
-        w.u64(8);
         w.bool(self.trace_mode_explicit);
         w.u64(self.topology.range().to_bits());
         w.len(self.nodes.len());
@@ -77,11 +76,10 @@ impl Encode for NetworkSim {
                 .topology
                 .position(node.id())
                 .expect("every node is placed");
-            w.u32(node.id().0);
             w.u64(p.x.to_bits());
             w.u64(p.y.to_bits());
+            node.encode(w);
         }
-        w.seq(&self.nodes);
         self.channel.encode(w);
         let deliveries = self.deliveries.snapshot_entries();
         w.len(deliveries.len());
@@ -101,9 +99,8 @@ impl Encode for NetworkSim {
 }
 
 /// Node ids run 1..=n in slot order (they index the node vector), every
-/// position is finite and in [`Topology`](crate::Topology) bounds,
-/// every stimulus targets an existing node, and the fixed header field
-/// after the shard count holds 8.
+/// position is finite and in [`Topology`](crate::Topology) bounds, and
+/// every stimulus targets an existing node.
 impl Decode for NetworkSim {
     fn decode(r: &mut Reader) -> Result<NetworkSim, SnapshotError> {
         let now = SimTime::from_ps(r.u64()?);
@@ -111,9 +108,6 @@ impl Decode for NetworkSim {
         let num_shards = r.u64()?;
         if num_shards == 0 {
             return Err(SnapshotError::Corrupt("shard count"));
-        }
-        if r.u64()? != 8 {
-            return Err(SnapshotError::Corrupt("parallel threshold"));
         }
         let trace_mode_explicit = r.bool()?;
         let range = f64::from_bits(r.u64()?);
@@ -127,20 +121,17 @@ impl Decode for NetworkSim {
         sim.trace_mode_explicit = trace_mode_explicit;
 
         let mut placed = Vec::new();
-        for _ in 0..r.len()? {
-            let id = NodeId(r.u32()?);
+        for slot in 0..r.len()? {
             let p = Position::new(f64::from_bits(r.u64()?), f64::from_bits(r.u64()?));
             if !sim.topology.in_bounds(p) {
                 return Err(SnapshotError::Corrupt("node position"));
             }
-            placed.push((id, p));
-        }
-        sim.nodes = r.seq()?;
-        let in_slot_order = placed.len() == sim.nodes.len()
-            && (sim.nodes.iter().zip(&placed).enumerate())
-                .all(|(i, (n, &(id, _)))| n.id() == id && id.0 as usize == i + 1);
-        if !in_slot_order {
-            return Err(SnapshotError::Corrupt("node id sequence"));
+            let node = Node::decode(r)?;
+            if node.id().0 as usize != slot + 1 {
+                return Err(SnapshotError::Corrupt("node id sequence"));
+            }
+            placed.push((node.id(), p));
+            sim.nodes.push(node);
         }
         sim.topology.place_many(placed);
 

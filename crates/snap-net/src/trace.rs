@@ -92,21 +92,17 @@ impl Decode for TraceEvent {
 ///
 /// Long benchmark runs record millions of events; keeping them all
 /// ([`TraceMode::Full`], the default) would make trace memory — not
-/// simulation — the bottleneck. Ring mode keeps a sliding tail for
-/// post-mortems; count-only mode keeps nothing but the total.
+/// simulation — the bottleneck. Count-only mode keeps nothing but the
+/// total.
 ///
-/// Snapshots store a pinned discriminant (`Full` = 0, `Ring` = 1,
-/// `CountOnly` = 2) and the ring capacity (0 outside ring mode); see
-/// the [`Trace`] codec.
+/// The discriminants are pinned: snapshots store them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceMode {
     /// Keep every event (the default; what tests compare).
     #[default]
-    Full,
-    /// Keep only the most recent `cap` events (`cap >= 1`).
-    Ring(usize),
+    Full = 0,
     /// Keep no events, only the running total.
-    CountOnly,
+    CountOnly = 1,
 }
 
 /// The collected trace.
@@ -148,24 +144,13 @@ impl Trace {
         Trace::default()
     }
 
-    /// Switch storage mode. Shrinks (ring) or discards (count-only) the
-    /// events already held so the new bound applies immediately.
+    /// Switch storage mode. Count-only mode discards the events already
+    /// held so the new bound applies immediately.
     pub fn set_mode(&mut self, mode: TraceMode) {
         self.mode = mode;
-        match mode {
-            TraceMode::Full => {}
-            TraceMode::Ring(cap) => {
-                let cap = cap.max(1);
-                if self.events.len() > cap {
-                    let dropped = self.events.len() - cap;
-                    self.events.drain(..dropped);
-                    self.sealed = self.sealed.saturating_sub(dropped);
-                }
-            }
-            TraceMode::CountOnly => {
-                self.events = Vec::new();
-                self.sealed = 0;
-            }
+        if mode == TraceMode::CountOnly {
+            self.events = Vec::new();
+            self.sealed = 0;
         }
     }
 
@@ -177,26 +162,12 @@ impl Trace {
     /// Record an event.
     pub fn record(&mut self, event: TraceEvent) {
         self.recorded += 1;
-        match self.mode {
-            TraceMode::Full => self.events.push(event),
-            TraceMode::Ring(cap) => {
-                let cap = cap.max(1);
-                // Amortized eviction: let the buffer grow to 2*cap,
-                // then drop the stale half in one memmove, so `events`
-                // stays a plain slice (no ring-buffer index juggling
-                // at every call site) at O(1) amortized cost.
-                if self.events.len() >= cap * 2 {
-                    let dropped = self.events.len() - (cap - 1);
-                    self.events.drain(..dropped);
-                    self.sealed = self.sealed.saturating_sub(dropped);
-                }
-                self.events.push(event);
-            }
-            TraceMode::CountOnly => {}
+        if self.mode == TraceMode::Full {
+            self.events.push(event);
         }
     }
 
-    /// Total events recorded, including any no longer retained.
+    /// Total events recorded, including any a count-only trace dropped.
     pub fn recorded(&self) -> u64 {
         self.recorded
     }
@@ -209,26 +180,15 @@ impl Trace {
     /// raw recording order is scheduler-dependent. Sorting each chunk
     /// by a canonical total key makes the final trace a pure function
     /// of simulated behaviour: every scheduler produces the identical
-    /// event vector (the equivalence suite relies on this). In ring
-    /// mode, events evicted before their chunk was sealed are simply
-    /// gone; the retained tail is still sorted per chunk.
+    /// event vector (the equivalence suite relies on this).
     pub fn seal(&mut self) {
         self.events[self.sealed..].sort_unstable_by_key(canonical_key);
         self.sealed = self.events.len();
     }
 
-    /// Retained events, in recording order (in ring mode: the most
-    /// recent `cap` events; in count-only mode: empty). The ring's
-    /// backing buffer transiently holds up to 2×cap — this slices off
-    /// the stale prefix.
+    /// Retained events, in recording order (empty in count-only mode).
     pub fn events(&self) -> &[TraceEvent] {
-        match self.mode {
-            TraceMode::Ring(cap) => {
-                let cap = cap.max(1);
-                &self.events[self.events.len().saturating_sub(cap)..]
-            }
-            _ => &self.events,
-        }
+        &self.events
     }
 
     /// Retained events involving one node.
@@ -267,17 +227,9 @@ impl Trace {
     }
 }
 
-/// The whole event buffer: in ring mode it may hold up to twice the
-/// capacity (see [`Trace::record`]).
 impl Encode for Trace {
     fn encode(&self, w: &mut Writer) {
-        let (tag, cap) = match self.mode {
-            TraceMode::Full => (0, 0),
-            TraceMode::Ring(cap) => (1, cap),
-            TraceMode::CountOnly => (2, 0),
-        };
-        w.u8(tag);
-        w.u64(cap as u64);
+        w.u8(self.mode as u8);
         w.u64(self.recorded);
         w.u64(self.sealed as u64);
         w.seq(&self.events);
@@ -288,12 +240,8 @@ impl Encode for Trace {
 /// the next [`Trace::seal`], and a count-only trace holds no events.
 impl Decode for Trace {
     fn decode(r: &mut Reader) -> Result<Trace, SnapshotError> {
-        let mode = match (r.u8()?, r.u64()?) {
-            (0, _) => TraceMode::Full,
-            (1, cap) => TraceMode::Ring(cap as usize),
-            (2, _) => TraceMode::CountOnly,
-            _ => return Err(SnapshotError::Corrupt("trace mode discriminant")),
-        };
+        let modes = [TraceMode::Full, TraceMode::CountOnly];
+        let mode = r.variant(&modes, "trace mode discriminant")?;
         let recorded = r.u64()?;
         let sealed = r.u64()?;
         let events: Vec<TraceEvent> = r.seq()?;
@@ -343,24 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_mode_keeps_most_recent_cap() {
-        let mut t = Trace::new();
-        t.set_mode(TraceMode::Ring(3));
-        for i in 0..10u64 {
-            t.record(TraceEvent {
-                at_ps: i,
-                node: NodeId(1),
-                kind: TraceKind::Stimulus,
-            });
-        }
-        assert_eq!(t.recorded(), 10);
-        let kept: Vec<u64> = t.events().iter().map(|e| e.at_ps).collect();
-        assert_eq!(kept, vec![7, 8, 9]);
-        assert_eq!(t.count(|_| true), 3);
-        assert_eq!(t.to_json_lines().lines().count(), 3);
-    }
-
-    #[test]
     fn count_only_mode_keeps_nothing() {
         let mut t = Trace::new();
         t.set_mode(TraceMode::CountOnly);
@@ -376,7 +306,7 @@ mod tests {
     }
 
     #[test]
-    fn switching_to_ring_shrinks_existing_events() {
+    fn switching_to_count_only_discards_existing_events() {
         let mut t = Trace::new();
         for i in 0..6u64 {
             t.record(TraceEvent {
@@ -385,10 +315,11 @@ mod tests {
                 kind: TraceKind::Stimulus,
             });
         }
-        t.set_mode(TraceMode::Ring(2));
-        let kept: Vec<u64> = t.events().iter().map(|e| e.at_ps).collect();
-        assert_eq!(kept, vec![4, 5]);
+        t.set_mode(TraceMode::CountOnly);
+        assert!(t.events().is_empty());
         assert_eq!(t.recorded(), 6);
+        t.seal();
+        assert!(t.events().is_empty());
     }
 
     #[test]
@@ -423,22 +354,6 @@ mod tests {
         t.seal();
         assert!(matches!(t.events()[0].kind, TraceKind::Transmit { .. }));
         assert!(matches!(t.events()[1].kind, TraceKind::Deliver { .. }));
-    }
-
-    #[test]
-    fn seal_survives_ring_evictions() {
-        let mut t = Trace::new();
-        t.set_mode(TraceMode::Ring(2));
-        for i in 0..9u64 {
-            t.record(TraceEvent {
-                at_ps: 10 - i, // deliberately decreasing
-                node: NodeId(1),
-                kind: TraceKind::Stimulus,
-            });
-            t.seal();
-        }
-        assert_eq!(t.events().len(), 2);
-        assert_eq!(t.recorded(), 9);
     }
 
     #[test]

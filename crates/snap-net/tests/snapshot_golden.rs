@@ -3,8 +3,8 @@
 //! Two checked-in, byte-exact fleet snapshots pin `snap-snapshot`'s
 //! wire format: the SNAP-only `mac` demo at a fixed tick, and a mixed
 //! fleet (SNAP MAC ring, ATmega motes, a gateway, batteries, a sharded
-//! scheduler, a ring trace and a pending sensor-reading stimulus) that
-//! covers every section the first one leaves at its defaults. If this
+//! scheduler, a count-only trace and a pending sensor-reading stimulus)
+//! that covers every section the first one leaves at its defaults. If this
 //! test fails, you changed the serialized representation — which breaks
 //! every snapshot already sitting on disk (`srun --restore`,
 //! `snap-serve` forks).
@@ -60,8 +60,8 @@ fn golden_fleet() -> NetworkSim {
 
 /// The `fleet_death.rs` scenario frozen mid-run: a 2-node SNAP MAC
 /// ring and 2 ATmega beacon motes on micro batteries, plus a
-/// mains-powered gateway, under the sharded scheduler with a ring
-/// trace. Same rule as [`golden_fleet`]: do not edit.
+/// mains-powered gateway, under the sharded scheduler with a
+/// count-only trace. Same rule as [`golden_fleet`]: do not edit.
 fn mixed_fleet() -> NetworkSim {
     let core = CoreConfig {
         engine: Engine::Fused,
@@ -70,7 +70,7 @@ fn mixed_fleet() -> NetworkSim {
     let mut sim = NetworkSim::new(12.0);
     sim.set_scheduler(Scheduler::Sharded);
     sim.set_shards(2);
-    sim.set_trace_mode(TraceMode::Ring(16));
+    sim.set_trace_mode(TraceMode::CountOnly);
     for i in 0..2u8 {
         let dst = if i + 1 == 2 { 1 } else { i + 2 };
         let extra = install_handler("EV_IRQ", "app_send_irq");
@@ -129,7 +129,8 @@ const GOLDEN_TICK_US: u64 = 6_000;
 
 /// The mixed fleet's tick: both ATmega motes have died (about 7.0 and
 /// 9.0 ms), the SNAP ring runs until about 16.2 ms, the gateway holds
-/// undrained uplink frames, and the ring trace has evicted events.
+/// undrained uplink frames, and the count-only trace has dropped every
+/// event it counted.
 const MIXED_TICK_US: u64 = 10_000;
 
 #[test]

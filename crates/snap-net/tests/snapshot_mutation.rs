@@ -115,15 +115,15 @@ proptest! {
 }
 
 /// Payload layout offsets used by the regression cases: the fleet
-/// header is `now` (8), scheduler (1), shard count (8), parallel
-/// threshold (8), explicit-trace flag (1), range (8), position count
-/// (8), then per node id (4), x (8), y (8).
+/// header is `now` (8), scheduler (1), shard count (8), explicit-trace
+/// flag (1), range (8), node count (8), then per node x (8), y (8)
+/// and the node itself.
 const SHARDS_AT: usize = 9;
-const FIRST_X_AT: usize = 46;
-/// A trace ends the payload: mode (1), ring capacity (8), recorded (8),
-/// sealed (8), event count (8), then 19 bytes per event — time (8),
-/// node (4), kind (1), payload word (2), peer node (4).
-const TRACE_HEADER: usize = 33;
+const FIRST_X_AT: usize = 34;
+/// A trace ends the payload: mode (1), recorded (8), sealed (8), event
+/// count (8), then 19 bytes per event — time (8), node (4), kind (1),
+/// payload word (2), peer node (4).
+const TRACE_HEADER: usize = 25;
 const TRACE_EVENT: usize = 19;
 
 fn corrupt(what: &'static str) -> Result<(), SnapshotError> {
@@ -151,63 +151,6 @@ fn zero_shard_count_is_rejected() {
     assert_eq!(verdict(&p), corrupt("shard count"));
 }
 
-/// The mac golden with its first core config's field at `offset` past
-/// the queue depth overwritten by `value`. Inside a config: flat-bus
-/// flag (1), queue depth (8), timer tick (8), LFSR seed (2), predecode
-/// flag (1); the golden's cores hold the fixed values.
-fn config_patched(offset: usize, value: &[u8]) -> Vec<u8> {
-    let mut p = golden("mac_fleet")[17..].to_vec();
-    let mut fixed = vec![0u8];
-    fixed.extend_from_slice(&8u64.to_le_bytes());
-    fixed.extend_from_slice(&1_000_000u64.to_le_bytes());
-    fixed.extend_from_slice(&0xACE1u16.to_le_bytes());
-    fixed.push(1);
-    let at = 1 + p
-        .windows(fixed.len())
-        .position(|w| w == fixed.as_slice())
-        .expect("a core config");
-    p[at + offset..at + offset + value.len()].copy_from_slice(value);
-    p
-}
-
-/// The event queue is fixed hardware: a depth other than 8 is
-/// rejected, not built.
-#[test]
-fn event_queue_capacity_is_pinned() {
-    let p = config_patched(0, &9u64.to_le_bytes());
-    assert_eq!(verdict(&p), corrupt("event queue capacity"));
-}
-
-/// Timers tick every 1 µs; a 2 µs tick is rejected.
-#[test]
-fn timer_tick_is_pinned() {
-    let p = config_patched(8, &2_000_000u64.to_le_bytes());
-    assert_eq!(verdict(&p), corrupt("timer tick"));
-}
-
-/// The LFSR powers on at 0xACE1; another seed is rejected.
-#[test]
-fn lfsr_power_on_seed_is_pinned() {
-    let p = config_patched(16, &0x1234u16.to_le_bytes());
-    assert_eq!(verdict(&p), corrupt("lfsr power-on seed"));
-}
-
-/// The decode cache is always on; a cleared flag is rejected.
-#[test]
-fn predecode_flag_is_pinned() {
-    let p = config_patched(18, &[0]);
-    assert_eq!(verdict(&p), corrupt("predecode flag"));
-}
-
-/// The fleet header's parallel threshold is a fixed 8; 9 is rejected.
-#[test]
-fn parallel_threshold_is_pinned() {
-    let mut p = golden("mac_fleet")[17..].to_vec();
-    let at = SHARDS_AT + 8;
-    p[at..at + 8].copy_from_slice(&9u64.to_le_bytes());
-    assert_eq!(verdict(&p), corrupt("parallel threshold"));
-}
-
 /// The mac golden keeps a full trace; its events close the payload.
 fn trace_at(p: &[u8]) -> usize {
     let sim = restore(p).unwrap();
@@ -218,7 +161,7 @@ fn trace_at(p: &[u8]) -> usize {
 #[test]
 fn oversized_trace_seal_is_rejected() {
     let mut p = golden("mac_fleet")[17..].to_vec();
-    let sealed_at = trace_at(&p) + 17;
+    let sealed_at = trace_at(&p) + 9;
     p[sealed_at..sealed_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
     assert_eq!(verdict(&p), corrupt("trace sealed prefix"));
 }

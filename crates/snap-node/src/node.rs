@@ -14,7 +14,7 @@
 
 use crate::avr::{AvrMote, AVR_BIT_RATE, AVR_CYCLE_PS};
 use crate::led::LedPort;
-use crate::radio::Radio;
+use crate::radio::{Radio, DEFAULT_BIT_RATE};
 use crate::sensor::SensorBank;
 use atmega::{AvrCore, AvrCoreError};
 use dess::{Calendar, SimDuration, SimTime};
@@ -85,6 +85,17 @@ impl Decode for NodeKind {
     fn decode(r: &mut Reader) -> Result<NodeKind, SnapshotError> {
         let variants = [NodeKind::Snap, NodeKind::Avr, NodeKind::Gateway];
         r.variant(&variants, "node kind discriminant")
+    }
+}
+
+impl NodeKind {
+    /// The bit rate of this kind's radio: [`DEFAULT_BIT_RATE`] on SNAP
+    /// nodes and gateways, [`AVR_BIT_RATE`] on AVR motes.
+    pub(crate) fn bit_rate(self) -> f64 {
+        match self {
+            NodeKind::Snap | NodeKind::Gateway => DEFAULT_BIT_RATE,
+            NodeKind::Avr => AVR_BIT_RATE,
+        }
     }
 }
 
@@ -287,7 +298,7 @@ impl Node {
     }
 
     fn with_kind(config: NodeConfig, kind: NodeKind) -> Node {
-        let mut radio = Radio::new();
+        let mut radio = Radio::with_bit_rate(kind.bit_rate());
         if matches!(kind, NodeKind::Gateway) {
             // A gateway bridges from boot: its receiver is on before
             // (and regardless of whether) the program asks for it.
@@ -319,7 +330,7 @@ impl Node {
             id,
             kind: NodeKind::Avr,
             cpu: NodeCpu::Avr(AvrMote::new(core)),
-            radio: Radio::with_bit_rate(AVR_BIT_RATE),
+            radio: Radio::with_bit_rate(NodeKind::Avr.bit_rate()),
             sensors: SensorBank::new(),
             led: LedPort::new(),
             pending: Calendar::new(),

@@ -156,9 +156,9 @@ impl Radio {
     }
 }
 
+/// The bit rate is not written: the node's kind fixes it.
 impl Encode for Radio {
     fn encode(&self, w: &mut Writer) {
-        w.u64(self.bit_rate.to_bits());
         self.mode.encode(w);
         w.opt_u64(self.tx_done_at.map(SimTime::as_ps));
         w.opt_u16(self.tx_word);
@@ -167,12 +167,10 @@ impl Encode for Radio {
     }
 }
 
-impl Decode for Radio {
-    fn decode(r: &mut Reader) -> Result<Radio, SnapshotError> {
-        let bit_rate = f64::from_bits(r.u64()?);
-        if !bit_rate.is_finite() || bit_rate <= 0.0 {
-            return Err(SnapshotError::Corrupt("radio bit rate"));
-        }
+impl Radio {
+    /// Decode a radio whose transceiver runs at `bit_rate`, the rate its
+    /// node's kind fixes.
+    pub(crate) fn decode(r: &mut Reader, bit_rate: f64) -> Result<Radio, SnapshotError> {
         let radio = Radio {
             bit_rate,
             mode: RadioMode::decode(r)?,

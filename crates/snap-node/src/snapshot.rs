@@ -1,14 +1,17 @@
 //! Node checkpoints in the `snap-snapshot` format.
 //!
-//! A node snapshot is the core snapshot ([`snap_core::snapshot`])
-//! plus the node's peripherals: radio (including an in-flight
-//! transmission), sensor bank, output port history, the pending-event
-//! calendar, and the runaway-handler budget. Format v2 adds the
-//! fleet-heterogeneity state: the node kind, the opaque AVR core blob
-//! for [`NodeKind::Avr`] motes (its own versioned format, see
-//! [`atmega::state`]), the battery budget, the death instant, and the
-//! gateway uplink queue. A restored node resumes bit-identically — see
-//! the format crate's docs for the invariant.
+//! A node snapshot is the node's id and [`NodeKind`], its CPU, and its
+//! peripherals: radio (including an in-flight transmission), sensor
+//! bank, output port history, the pending-event calendar, the
+//! runaway-handler budget, the battery budget, the death instant and
+//! the gateway uplink queue. A restored node resumes bit-identically —
+//! see the format crate's docs for the invariant.
+//!
+//! The kind fixes the layout: SNAP nodes and gateways carry a core
+//! snapshot ([`snap_core::snapshot`]), AVR motes the opaque AVR core
+//! blob ([`atmega::state`]) with their drain cursor and listen flag,
+//! and neither carries a placeholder for the other. The kind also
+//! fixes the radio's bit rate, so the radio section omits it.
 //!
 //! The radio, sensors, LED port, node kind, pending events and uplink
 //! frames encode themselves in their own modules; this module writes
@@ -51,23 +54,15 @@ impl Node {
     }
 }
 
-/// A SNAP core is present exactly when the kind is not AVR; the AVR
-/// blob, drain cursor and listen flag are empty, 0 and `false` on SNAP
-/// nodes.
+/// The kind picks the CPU section: a SNAP core for SNAP nodes and
+/// gateways, the AVR blob, drain cursor and listen flag for AVR motes.
 impl Encode for Node {
     fn encode(&self, w: &mut Writer) {
         w.u32(self.id.0);
         self.kind.encode(w);
         match &self.cpu {
-            NodeCpu::Snap(cpu) => {
-                w.bool(true);
-                cpu.encode(w);
-                w.bytes(&[]);
-                w.u64(0);
-                w.bool(false);
-            }
+            NodeCpu::Snap(cpu) => cpu.encode(w),
             NodeCpu::Avr(mote) => {
-                w.bool(false);
                 w.bytes(&mote.core.export_state());
                 w.u64(mote.tx_emitted as u64);
                 w.bool(mote.listen);
@@ -99,27 +94,21 @@ impl Decode for Node {
     fn decode(r: &mut Reader) -> Result<Node, SnapshotError> {
         let id = NodeId(r.u32()?);
         let kind = NodeKind::decode(r)?;
-        let core = if r.bool()? {
-            Some(Processor::decode(r)?)
-        } else {
-            None
-        };
-        let avr_state = r.bytes()?;
-        let avr_tx_emitted = r.u64()?;
-        let avr_listen = r.bool()?;
-        let cpu = match (kind, core) {
-            (NodeKind::Avr, None) => {
-                let core = AvrCore::restore_state(&avr_state)
+        let cpu = match kind {
+            NodeKind::Avr => {
+                let core = AvrCore::restore_state(&r.bytes()?)
                     .map_err(|_| SnapshotError::Corrupt("avr core state blob"))?;
-                if avr_tx_emitted > core.spi_sent().len() as u64 {
+                let tx_emitted = r.u64()?;
+                if tx_emitted > core.spi_sent().len() as u64 {
                     return Err(SnapshotError::Corrupt("avr tx drain cursor"));
                 }
                 let mut mote = AvrMote::new(core);
-                mote.tx_emitted = avr_tx_emitted as usize;
-                mote.listen = avr_listen;
+                mote.tx_emitted = tx_emitted as usize;
+                mote.listen = r.bool()?;
                 NodeCpu::Avr(mote)
             }
-            (NodeKind::Snap | NodeKind::Gateway, Some(mut cpu)) => {
+            NodeKind::Snap | NodeKind::Gateway => {
+                let mut cpu = Processor::decode(r)?;
                 if cpu.config().engine == Engine::Aot {
                     let point = cpu.config().operating_point;
                     let analysis = snap_lint::analyze_image(&cpu.imem().to_vec(), point);
@@ -135,9 +124,8 @@ impl Decode for Node {
                 }
                 NodeCpu::Snap(cpu)
             }
-            _ => return Err(SnapshotError::Corrupt("node kind / core presence mismatch")),
         };
-        let radio = Radio::decode(r)?;
+        let radio = Radio::decode(r, kind.bit_rate())?;
         let sensors = SensorBank::decode(r)?;
         let led = LedPort::decode(r)?;
         // Re-scheduling in pop order reassigns fresh but ordered
@@ -201,8 +189,8 @@ fn decode_battery(r: &mut Reader) -> Result<BatteryConfig, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::radio::RadioMode;
-    use crate::{NodeConfig, UplinkFrame};
+    use crate::radio::{RadioMode, DEFAULT_BIT_RATE};
+    use crate::{NodeConfig, UplinkFrame, AVR_BIT_RATE};
     use dess::SimDuration;
     use snap_asm::assemble;
     use snap_snapshot::Snapshot;
@@ -305,7 +293,7 @@ mod tests {
         );
     }
 
-    type Patch = fn(&mut Vec<u8>);
+    type Patch<'a> = &'a dyn Fn(&mut Vec<u8>);
 
     /// Decode `value`'s encoding with `patch` applied; the error, if any.
     fn rejection<T: Encode + Decode>(value: &T, patch: Patch) -> Option<SnapshotError> {
@@ -318,6 +306,7 @@ mod tests {
     fn corrupt_fields_are_rejected() {
         let corrupt = |what| Some(SnapshotError::Corrupt(what));
         let node = busy_node();
+        let avr = busy_avr_node();
         let mut foreign_uplink = busy_node();
         foreign_uplink.uplink.push(UplinkFrame {
             at: SimTime::ZERO,
@@ -332,51 +321,86 @@ mod tests {
         if let NodeCpu::Avr(mote) = &mut runaway_cursor.cpu {
             mote.tx_emitted = usize::MAX;
         }
+        // Node: [0..4) id, [4] kind, then the CPU section. An AVR
+        // mote's is its blob's length and, from 13, the blob, which
+        // closes with the flash table: a tag and four operand bytes per
+        // instruction, a lone zero tag per empty slot.
+        let (_, program) = atmega::tinyos::beacon_system(3, 4).unwrap();
+        assert!(program.flash[0].is_some());
+        let flash_bytes: usize = (program.flash.iter())
+            .map(|slot| 1 + 4 * slot.is_some() as usize)
+            .sum();
+        let blob_len = avr.avr().unwrap().core.export_state().len();
+        let first_tag_at = 13 + blob_len - flash_bytes;
         let unchanged = |_: &mut Vec<u8>| {};
-        // Node: [0..4) id, [4] kind, [5] core present; an AVR blob's
-        // own bytes start at 14.
-        let cases: [(&Node, Patch, _); 6] = [
-            (&node, |b| b[4] = 9, "node kind discriminant"),
+        let cases: [(&Node, Patch, _); 7] = [
+            (&node, &|b| b[4] = 9, "node kind discriminant"),
+            // A SNAP core read as an AVR blob: its vdd bits make a blob
+            // length past the payload's end.
+            (&node, &|b| b[4] = NodeKind::Avr as u8, "sequence length"),
+            // An AVR blob read as a SNAP core: the register bytes land
+            // on the delay factor.
             (
-                &node,
-                |b| b[4] = NodeKind::Avr as u8,
-                "node kind / core presence mismatch",
+                &avr,
+                &|b| b[4] = NodeKind::Snap as u8,
+                "operating point delay factor",
             ),
             (
                 &foreign_uplink,
-                unchanged,
+                &unchanged,
                 "uplink frames on non-gateway node",
             ),
-            (&nan_battery, unchanged, "battery config field"),
-            (&busy_avr_node(), |b| b[14] ^= 0xff, "avr core state blob"),
-            (&runaway_cursor, unchanged, "avr tx drain cursor"),
+            (&nan_battery, &unchanged, "battery config field"),
+            (&avr, &|b| b[first_tag_at] = 0xee, "avr core state blob"),
+            (&runaway_cursor, &unchanged, "avr tx drain cursor"),
         ];
         for (node, patch, want) in cases {
             assert_eq!(rejection(node, patch), corrupt(want));
         }
-        // Radio: [0..8) bit rate, [8] mode, [9..18) tx end, [18..21)
-        // the in-flight word.
-        let cases: [(Patch, _); 4] = [
+        // Radio: [0] mode, [1..10) tx end, [10..13) the in-flight word.
+        let radio_rejection = |patch: Patch| {
+            let mut bytes = node.radio.encoded();
+            patch(&mut bytes);
+            Radio::decode(&mut Reader::new(&bytes), DEFAULT_BIT_RATE).err()
+        };
+        let cases: [(Patch, _); 3] = [
+            (&|b| b[0] = 9, "radio mode discriminant"),
             (
-                |b| b[..8].copy_from_slice(&(-1f64).to_bits().to_le_bytes()),
-                "radio bit rate",
+                &|b| b[0] = RadioMode::Rx as u8,
+                "radio mode vs in-flight tx",
             ),
-            (|b| b[8] = 9, "radio mode discriminant"),
-            (|b| b[8] = RadioMode::Rx as u8, "radio mode vs in-flight tx"),
             (
-                |b| {
-                    b.drain(19..21);
-                    b[18] = 0;
+                &|b| {
+                    b.drain(11..13);
+                    b[10] = 0;
                 },
                 "in-flight transmission",
             ),
         ];
         for (patch, want) in cases {
-            assert_eq!(rejection(&node.radio, patch), corrupt(want));
+            assert_eq!(radio_rejection(patch), corrupt(want));
         }
         assert_eq!(
-            rejection(&Pending::TxDone, |b| b[0] = 7),
+            rejection(&Pending::TxDone, &|b| b[0] = 7),
             corrupt("pending event discriminant")
         );
+    }
+
+    /// The radio's bit rate is not in the snapshot: a restored node's
+    /// radio runs at the rate its kind fixes.
+    #[test]
+    fn restored_radios_run_at_their_kinds_rate() {
+        let mut gateway = Node::new_gateway(NodeConfig::default());
+        gateway.load(&assemble("halt").unwrap()).unwrap();
+        for (node, rate) in [
+            (busy_node(), DEFAULT_BIT_RATE),
+            (gateway, DEFAULT_BIT_RATE),
+            (busy_avr_node(), AVR_BIT_RATE),
+        ] {
+            let restored = Node::from_snapshot(&node.export_snapshot()).unwrap();
+            let word_time = Radio::with_bit_rate(rate).word_time();
+            assert_eq!(restored.radio().word_time(), word_time);
+            assert_eq!(node.radio().word_time(), word_time);
+        }
     }
 }

@@ -20,6 +20,10 @@
 //!   exactly once. Enum discriminants are pinned `u8` values beside the
 //!   enum they encode, floats travel as [`f64::to_bits`] patterns,
 //!   times as picoseconds.
+//! * **Only state.** Every payload byte is state or framing. A constant
+//!   of the hardware, the length of a fixed-size array, a count or id
+//!   that another field already fixes, and a placeholder for a section
+//!   a node's kind lacks are not written.
 //! * **Caches are not state.** Predecode, fusion and AOT artifacts are
 //!   pure functions of IMEM + config; they rebuild on restore. All
 //!   execution tiers are bit-identical, so this is invisible.
@@ -55,7 +59,7 @@ pub const MAGIC: [u8; 4] = *b"SNPS";
 
 /// Current snapshot format version. Bump on **any** byte-layout change;
 /// see the crate docs for the versioning rules.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 const KIND_CORE: u8 = 1;
 const KIND_NODE: u8 = 2;

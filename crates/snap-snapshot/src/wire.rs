@@ -5,7 +5,8 @@
 //! written as floats — callers convert through [`f64::to_bits`] so a
 //! snapshot round-trip is bit-exact by construction (NaN payloads,
 //! signed zeros and all). Sequences are a `u64` length prefix followed
-//! by the elements.
+//! by the elements; fixed-size arrays carry no prefix, because their
+//! type fixes the length.
 //!
 //! The reader is fail-closed: every read checks the remaining length
 //! and decoding never panics on foreign bytes.
@@ -181,6 +182,11 @@ impl Writer {
     /// Write a length-prefixed `u16` sequence.
     pub fn seq_u16(&mut self, vs: &[u16]) {
         self.len(vs.len());
+        self.array_u16(vs);
+    }
+
+    /// Write a fixed-size `u16` array, without a length prefix.
+    pub fn array_u16(&mut self, vs: &[u16]) {
         for &v in vs {
             self.u16(v);
         }
@@ -317,6 +323,16 @@ impl<'a> Reader<'a> {
         }
         Ok(v)
     }
+
+    /// Read a fixed-size array of `N` `u16`s (no length prefix).
+    pub fn array_u16<const N: usize>(&mut self) -> Result<[u16; N], SnapshotError> {
+        let bytes = self.take(2 * N)?;
+        let mut out = [0; N];
+        for (v, b) in out.iter_mut().zip(bytes.chunks_exact(2)) {
+            *v = u16::from_le_bytes([b[0], b[1]]);
+        }
+        Ok(out)
+    }
 }
 
 /// FNV-1a 64-bit checksum over the payload, stored in the header so
@@ -346,6 +362,7 @@ mod tests {
         w.opt_u64(Some(9));
         w.opt_u64(None);
         w.seq_u16(&[1, 2, 3]);
+        w.array_u16(&[4, 5]);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.u8().unwrap(), 7);
@@ -356,6 +373,7 @@ mod tests {
         assert_eq!(r.opt_u64().unwrap(), Some(9));
         assert_eq!(r.opt_u64().unwrap(), None);
         assert_eq!(r.seq_u16().unwrap(), vec![1, 2, 3]);
+        assert_eq!(r.array_u16().unwrap(), [4, 5]);
         assert!(r.is_empty());
     }
 
