@@ -1206,11 +1206,12 @@ fn run_check() {
 }
 
 /// The most live heap per node `net_grid_10k` may hold after its run.
-/// With copy-on-write pages each sleeper owns one 512 B DMEM page, and
-/// with the node vector sized once the row reads 3,854 B/node; a
-/// vector grown by doubling read 4,819, and a private 4 KB DMEM bank
-/// per sleeper 8,417.
-const GRID_10K_MAX_BYTES_PER_NODE: u64 = 4_500;
+/// With copy-on-write memory and decode-cache pages each sleeper owns
+/// one 512 B DMEM page, and the row reads 2,698 B/node. A whole private
+/// decode cache on each of the 60 MAC-cluster nodes read 3,854, a node
+/// vector grown by doubling 4,819, and a private 4 KB DMEM bank per
+/// sleeper 8,417.
+const GRID_10K_MAX_BYTES_PER_NODE: u64 = 3_000;
 
 /// The `bytes_per_node` figure of the report's `net_grid_10k` row.
 fn grid_10k_bytes_per_node(json: &str) -> u64 {

@@ -1,9 +1,13 @@
 //! A minimal HTTP/1.1 front end over [`SimServer`].
 //!
 //! The workspace builds fully offline, so there is no async runtime to
-//! lean on; the server is `std::net` + thread-per-connection, which is
-//! entirely adequate for its job (tens of tenants steering
-//! long-running sims, not a public edge). Every response closes the
+//! lean on; the server is `std::net` with one accept thread and a
+//! thread per live connection, which is entirely adequate for its job
+//! (tens of tenants steering long-running sims, not a public edge).
+//! The accept thread blocks in `accept`: it never polls, so a request
+//! is picked up as soon as it connects. At most [`MAX_CONNECTIONS`]
+//! connections are served at once; past that the accept thread itself
+//! answers 503 and starts nothing. Every response closes the
 //! connection; streaming uses `text/event-stream` with close-delimited
 //! framing, so `curl -N` and any SSE client work unchanged. Requests
 //! are bounded before they are buffered: a request line over 8 KiB
@@ -33,7 +37,7 @@
 use crate::server::{SimHandle, SimServer};
 use snap_telemetry::{parse, Value};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -51,6 +55,14 @@ const MAX_HEADERS: usize = 64;
 /// Most unread request bytes dropped after a refusal before closing.
 const MAX_DRAIN: u64 = 64 << 10;
 
+/// Most connections served at once (SSE streams included). The next
+/// one is answered 503 by the accept thread.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// How long the accept loop backs off after a failed `accept` (say,
+/// out of file descriptors), so that it does not spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
 /// A running HTTP server; dropping it stops the accept loop.
 pub struct ServeHandle {
     addr: SocketAddr,
@@ -64,11 +76,27 @@ impl ServeHandle {
         self.addr
     }
 
-    /// Stop accepting connections. In-flight requests finish on their
-    /// own threads.
+    /// Stop accepting connections and close the listener. In-flight
+    /// requests finish on their own threads.
+    ///
+    /// The accept thread is blocked in `accept`, so after raising the
+    /// stop flag this wakes it with one connection to the server's own
+    /// address (loopback when bound to an unspecified one), then joins
+    /// it. Should that connection fail, the thread is left blocked
+    /// rather than hang the caller.
     pub fn shutdown(&mut self) {
+        let Some(t) = self.accept_thread.take() else {
+            return;
+        };
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
             let _ = t.join();
         }
     }
@@ -81,7 +109,8 @@ impl Drop for ServeHandle {
 }
 
 /// Bind `addr` (e.g. `"127.0.0.1:7878"`, port 0 for ephemeral) and
-/// serve `server` until the handle is dropped.
+/// serve `server` until the handle is dropped. Starts one thread, the
+/// accept loop; each accepted connection gets a thread of its own.
 ///
 /// # Errors
 ///
@@ -89,26 +118,34 @@ impl Drop for ServeHandle {
 pub fn serve(server: Arc<SimServer>, addr: &str) -> std::io::Result<ServeHandle> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     let stop = Arc::new(AtomicBool::new(false));
     let stop_flag = Arc::clone(&stop);
     let accept_thread = std::thread::Builder::new()
         .name("snap-serve-accept".to_string())
-        .spawn(move || loop {
-            if stop_flag.load(Ordering::SeqCst) {
-                return;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let server = Arc::clone(&server);
-                    let _ = std::thread::Builder::new()
-                        .name("snap-serve-conn".to_string())
-                        .spawn(move || handle_connection(&server, stream));
+        .spawn(move || {
+            // Every connection thread holds a clone, so the strong count
+            // less this one is the number of live connections; a thread
+            // that panics still gives its slot back.
+            let live = Arc::new(());
+            for conn in listener.incoming() {
+                if stop_flag.load(Ordering::SeqCst) {
+                    return;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
+                match conn {
+                    Ok(stream) if Arc::strong_count(&live) > MAX_CONNECTIONS => {
+                        refuse_busy(stream);
+                    }
+                    Ok(stream) => {
+                        let (server, slot) = (Arc::clone(&server), Arc::clone(&live));
+                        let _ = std::thread::Builder::new()
+                            .name("snap-serve-conn".to_string())
+                            .spawn(move || {
+                                handle_connection(&server, stream);
+                                drop(slot);
+                            });
+                    }
+                    Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
                 }
-                Err(_) => std::thread::sleep(Duration::from_millis(10)),
             }
         })?;
     Ok(ServeHandle {
@@ -116,6 +153,17 @@ pub fn serve(server: Arc<SimServer>, addr: &str) -> std::io::Result<ServeHandle>
         stop,
         accept_thread: Some(accept_thread),
     })
+}
+
+/// Answer a connection over [`MAX_CONNECTIONS`] with 503, on the accept
+/// thread. That thread must not wait on the client, so unlike a refused
+/// request it drops only the input that has already arrived.
+fn refuse_busy(mut stream: TcpStream) {
+    json_error(&mut stream, 503, "too many connections");
+    let _ = stream.shutdown(Shutdown::Write);
+    if stream.set_nonblocking(true).is_ok() {
+        let _ = std::io::copy(&mut (&stream).take(MAX_DRAIN), &mut std::io::sink());
+    }
 }
 
 struct Request {
@@ -197,6 +245,7 @@ fn write_response(stream: &mut TcpStream, status: u16, content_type: &str, body:
         413 => "Content Too Large",
         414 => "URI Too Long",
         431 => "Request Header Fields Too Large",
+        503 => "Service Unavailable",
         _ => "Error",
     };
     let head = format!(

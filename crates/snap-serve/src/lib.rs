@@ -20,6 +20,9 @@
 //! * [`http`] — a dependency-free `std::net` HTTP/1.1 front end with
 //!   SSE streaming (the workspace builds offline; there is no async
 //!   runtime, and this server does not need one — see DESIGN.md §11).
+//!   One accept thread blocks in `accept` and hands each connection a
+//!   thread of its own, at most [`http::MAX_CONNECTIONS`] at once;
+//!   past that it answers 503.
 //!
 //! ## Quickstart
 //!

@@ -12,7 +12,7 @@ use snap_telemetry::{parse, Value};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One-shot HTTP/1.1 request; the server closes every connection, so
 /// reading to EOF delimits the response.
@@ -384,4 +384,75 @@ fn submit_preflight_gates_custom_images() {
         "lint-clean image must pass: {}",
         String::from_utf8_lossy(&body)
     );
+}
+
+/// The accept loop blocks in `accept` rather than polling: 50
+/// sequential requests take a few milliseconds, where a 10 ms poll
+/// interval between connections would cost at least half a second.
+#[test]
+fn sequential_requests_do_not_wait_for_a_poll() {
+    let server = Arc::new(snap_serve::SimServer::new());
+    let handle = snap_serve::serve(server, "127.0.0.1:0").expect("bind");
+    let addr = handle.addr();
+    let start = Instant::now();
+    for _ in 0..50 {
+        let (status, _) = request(addr, "GET", "/", b"");
+        assert_eq!(status, 200);
+    }
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_millis(250),
+        "50 sequential GET / took {took:?}"
+    );
+}
+
+/// With `MAX_CONNECTIONS` idle connections open, the next one is
+/// answered 503 at once; once the idle ones close, the server answers
+/// normally again.
+#[test]
+fn connections_past_the_cap_get_503_until_slots_free() {
+    let server = Arc::new(snap_serve::SimServer::new());
+    let handle = snap_serve::serve(server, "127.0.0.1:0").expect("bind");
+    let addr = handle.addr();
+    let idle: Vec<TcpStream> = (0..snap_serve::http::MAX_CONNECTIONS)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+    // The server accepts in arrival order, so every idle connection
+    // holds its slot by the time this one is accepted.
+    let (status, body) = request(addr, "GET", "/", b"");
+    assert_eq!(status, 503, "{}", String::from_utf8_lossy(&body));
+    drop(idle);
+    // Each idle connection's thread sees EOF, answers 400 and exits.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match request(addr, "GET", "/", b"").0 {
+            200 => break,
+            503 if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(5)),
+            status => panic!("GET / answered {status} after the idle connections closed"),
+        }
+    }
+}
+
+/// `shutdown` wakes the accept thread blocked in `accept`, joins it
+/// and closes the port, also when the server is bound to an
+/// unspecified address.
+#[test]
+fn shutdown_wakes_the_accept_loop_and_closes_the_port() {
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let server = Arc::new(snap_serve::SimServer::new());
+        let mut handle = snap_serve::serve(server, bind).expect("bind");
+        let addr = SocketAddr::from(([127, 0, 0, 1], handle.addr().port()));
+        assert_eq!(request(addr, "GET", "/", b"").0, 200);
+        let start = Instant::now();
+        handle.shutdown();
+        let took = start.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "{bind}: shutdown took {took:?}"
+        );
+        assert!(
+            TcpStream::connect(addr).is_err(),
+            "{bind}: the port still accepts connections after shutdown"
+        );
+    }
 }
