@@ -539,10 +539,12 @@ struct GridTiming {
     collisions: u64,
 }
 
+/// `slice`, when given, runs the horizon in `run_until` calls of that
+/// simulated length instead of one call.
 fn time_grid(
     size: (usize, usize, u64),
-    scheduler: Scheduler,
-    shards: usize,
+    (scheduler, shards): (Scheduler, usize),
+    slice: Option<SimDuration>,
     reps: u64,
     programs: &GridPrograms,
 ) -> GridTiming {
@@ -554,9 +556,13 @@ fn time_grid(
     for rep in 0..reps.max(1) + warmup {
         let before = LIVE_BYTES.load(Ordering::Relaxed);
         let mut sim = build_grid(size, scheduler, shards, programs);
+        let horizon = SimTime::ZERO + SimDuration::from_ms(size.2);
         let start = Instant::now();
-        sim.run_until(SimTime::ZERO + SimDuration::from_ms(size.2))
-            .expect("grid runs");
+        let step = slice.unwrap_or(horizon - SimTime::ZERO);
+        while sim.now() < horizon {
+            sim.run_until((sim.now() + step).min(horizon))
+                .expect("grid runs");
+        }
         if rep >= warmup {
             times.push(start.elapsed().as_secs_f64() * 1e6);
         }
@@ -762,8 +768,8 @@ fn grid_entry(
     programs: &GridPrograms,
     note: Option<&'static str>,
 ) -> Entry {
-    let auto = time_grid(size, Scheduler::Auto, GRID_SHARDS, reps, programs);
-    let one_shard = time_grid(size, Scheduler::EventDriven, 1, 1, programs);
+    let auto = time_grid(size, (Scheduler::Auto, GRID_SHARDS), None, reps, programs);
+    let one_shard = time_grid(size, (Scheduler::EventDriven, 1), None, 1, programs);
     assert!(auto.deliveries > 0, "cluster must carry traffic");
     assert_eq!(
         (auto.deliveries, auto.collisions),
@@ -781,6 +787,45 @@ fn grid_entry(
         bytes_per_node: Some(auto.bytes_per_node),
         extra: Vec::new(),
         note,
+    }
+}
+
+/// The simulated length of one `run_until` call in the sliced grid
+/// row: snapbench's and snap-serve's slice.
+const GRID_SLICE: SimDuration = SimDuration::from_ms(1);
+
+/// The 10k grid of `one_call` again, run to the same horizon in
+/// [`GRID_SLICE`] calls, the way snapbench and snap-serve drive a
+/// fleet, with the one-call run as baseline: the ratio is what the
+/// calls themselves cost. The work must match the one-call row's.
+fn grid_sliced_entry(one_call: &Entry, reps: u64, programs: &GridPrograms) -> Entry {
+    let sliced = time_grid(
+        GRID_10K,
+        (Scheduler::Auto, GRID_SHARDS),
+        Some(GRID_SLICE),
+        reps,
+        programs,
+    );
+    assert_eq!(
+        sliced.work.0, one_call.work.0,
+        "slicing changed the instruction count"
+    );
+    assert_eq!(
+        sliced.work.1.to_bits(),
+        one_call.work.1.to_bits(),
+        "slicing changed the energy bits"
+    );
+    Entry {
+        name: "net_grid_10k_sliced",
+        baseline_us: one_call.min_us,
+        min_us: sliced.min_us,
+        median_us: sliced.median_us,
+        mean_us: sliced.mean_us,
+        iterations: sliced.reps,
+        work: sliced.work,
+        bytes_per_node: Some(sliced.bytes_per_node),
+        extra: Vec::new(),
+        note: Some("baseline = net_grid_10k in one run_until call; 1 ms slices"),
     }
 }
 
@@ -1118,6 +1163,14 @@ fn run_json(measurement: Duration, path: &std::path::Path, full_grids: bool) {
     let sparse_work = run_net_sparse(&programs, Scheduler::EventDriven);
 
     let grid_programs = grid_programs();
+    let grid_10k = grid_entry(
+        "net_grid_10k",
+        GRID_10K,
+        3,
+        &grid_programs,
+        Some("auto scheduler runs one shard at this scale, like the baseline: ~1.0x is honest"),
+    );
+    let grid_10k_sliced = grid_sliced_entry(&grid_10k, 3, &grid_programs);
     let mut entries = vec![
         summary_entry(
             "simulate_30k_instructions",
@@ -1133,13 +1186,8 @@ fn run_json(measurement: Duration, path: &std::path::Path, full_grids: bool) {
             sparse_work,
         ),
         compute_entry(5),
-        grid_entry(
-            "net_grid_10k",
-            GRID_10K,
-            3,
-            &grid_programs,
-            Some("auto scheduler runs one shard at this scale, like the baseline: ~1.0x is honest"),
-        ),
+        grid_10k,
+        grid_10k_sliced,
         // One quick rep in the CI smoke path; real stats on --json.
         serve_entry(if full_grids { 5 } else { 1 }),
         fleet_lifetime_entry(if full_grids { 5 } else { 1 }),
@@ -1155,7 +1203,13 @@ fn run_json(measurement: Duration, path: &std::path::Path, full_grids: bool) {
         // At a million nodes the one-shard baseline would take far
         // longer than the measurement is worth; the 10k/100k rows
         // establish the scaling, this row proves the size runs.
-        let m = time_grid(GRID_1M, Scheduler::Sharded, GRID_SHARDS, 1, &grid_programs);
+        let m = time_grid(
+            GRID_1M,
+            (Scheduler::Sharded, GRID_SHARDS),
+            None,
+            1,
+            &grid_programs,
+        );
         entries.push(Entry {
             name: "net_grid_1m",
             baseline_us: m.min_us,
@@ -1207,7 +1261,9 @@ fn run_check() {
 
 /// The most live heap per node `net_grid_10k` may hold after its run.
 /// With copy-on-write memory and decode-cache pages each sleeper owns
-/// one 512 B DMEM page, and the row reads 2,698 B/node. A whole private
+/// one 512 B DMEM page, and the row reads 2,785 B/node, the sharded
+/// engine's kept calendars and shard buffers included (2,698 without
+/// them). A whole private
 /// decode cache on each of the 60 MAC-cluster nodes read 3,854, a node
 /// vector grown by doubling 4,819, and a private 4 KB DMEM bank per
 /// sleeper 8,417.
@@ -1235,10 +1291,11 @@ fn expected_scenarios(full_grids: bool) -> (Vec<&'static str>, usize) {
         "net_sparse_256",
         "compute_heavy",
         "net_grid_10k",
+        "net_grid_10k_sliced",
         "serve_throughput",
         "fleet_lifetime",
     ];
-    let mut grids = 1;
+    let mut grids = 2;
     if full_grids {
         names.extend(["net_grid_100k", "net_grid_1m"]);
         grids += 2;
@@ -1349,7 +1406,7 @@ fn run_grid_probe(size: (usize, usize, u64), reps: u64) {
         ("sharded/8", Scheduler::Sharded, 8),
         ("sharded/64", Scheduler::Sharded, 64),
     ] {
-        let t = time_grid(size, scheduler, shards, reps, &programs);
+        let t = time_grid(size, (scheduler, shards), None, reps, &programs);
         println!(
             "{label:<14} min {:>10.0} µs  median {:>10.0} µs  ({} instr, {} B/node, {} dlv, {} col)",
             t.min_us, t.median_us, t.work.0, t.bytes_per_node, t.deliveries, t.collisions
@@ -1388,7 +1445,13 @@ fn main() {
         run_grid_probe(GRID_100K, 1);
     } else if std::env::args().any(|a| a == "--grid-probe-1m") {
         let programs = grid_programs();
-        let t = time_grid(GRID_1M, Scheduler::Sharded, GRID_SHARDS, 1, &programs);
+        let t = time_grid(
+            GRID_1M,
+            (Scheduler::Sharded, GRID_SHARDS),
+            None,
+            1,
+            &programs,
+        );
         println!(
             "1m sharded/8: {:.0} µs, {} instr, {} B/node, {} dlv, {} col",
             t.min_us, t.work.0, t.bytes_per_node, t.deliveries, t.collisions

@@ -9,6 +9,12 @@
 //! (node indices) supporting `set` (insert or re-key, both directions),
 //! `remove`, `peek` and `pop` in `O(log n)`.
 //!
+//! The heap holds `(time, key)` pairs inline, so a comparison reads the
+//! two entries it compares and nothing else. The usual per-wake cycle —
+//! [`WakeQueue::peek`] the due key, run it, [`WakeQueue::set`] its new
+//! instant — re-keys the root in place: one sift, where a pop followed by
+//! a push would take two.
+//!
 //! Determinism: entries order by `(time, key)`, so two runs of the same
 //! simulation pop identical sequences regardless of the insertion or
 //! re-key history. There is no FIFO sequence number — a key has at most
@@ -38,12 +44,10 @@ const ABSENT: usize = usize::MAX;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct WakeQueue {
-    /// Keys, heap-ordered by `(time[key], key)`.
-    heap: Vec<usize>,
+    /// Entries in heap order by `(time, key)`.
+    heap: Vec<(SimTime, usize)>,
     /// `pos[key]` = index into `heap`, or [`ABSENT`].
     pos: Vec<usize>,
-    /// `time[key]` = scheduled instant (valid while the key is present).
-    time: Vec<SimTime>,
 }
 
 impl WakeQueue {
@@ -57,7 +61,6 @@ impl WakeQueue {
         WakeQueue {
             heap: Vec::with_capacity(keys),
             pos: vec![ABSENT; keys],
-            time: vec![SimTime::ZERO; keys],
         }
     }
 
@@ -78,24 +81,22 @@ impl WakeQueue {
 
     /// The scheduled instant for `key`, if present.
     pub fn time_of(&self, key: usize) -> Option<SimTime> {
-        if self.contains(key) {
-            Some(self.time[key])
-        } else {
-            None
+        match self.pos.get(key) {
+            Some(&p) if p != ABSENT => Some(self.heap[p].0),
+            _ => None,
         }
     }
 
     /// The earliest entry without removing it.
     pub fn peek(&self) -> Option<(SimTime, usize)> {
-        self.heap.first().map(|&k| (self.time[k], k))
+        self.heap.first().copied()
     }
 
     /// Remove and return the earliest entry.
     pub fn pop(&mut self) -> Option<(SimTime, usize)> {
-        let &key = self.heap.first()?;
-        let at = self.time[key];
-        self.remove(key);
-        Some((at, key))
+        let first = self.peek()?;
+        self.remove(first.1);
+        Some(first)
     }
 
     /// Schedule `key` at `at`, inserting it or moving its existing entry
@@ -103,18 +104,21 @@ impl WakeQueue {
     pub fn set(&mut self, key: usize, at: SimTime) {
         if key >= self.pos.len() {
             self.pos.resize(key + 1, ABSENT);
-            self.time.resize(key + 1, SimTime::ZERO);
         }
-        self.time[key] = at;
         let p = self.pos[key];
         if p == ABSENT {
             self.pos[key] = self.heap.len();
-            self.heap.push(key);
+            self.heap.push((at, key));
             self.sift_up(self.heap.len() - 1);
         } else {
-            // Re-key in place: one of these is a no-op.
-            let p = self.sift_up(p);
-            self.sift_down(p);
+            // Re-key in place: only one direction can move the entry.
+            let old = self.heap[p].0;
+            self.heap[p].0 = at;
+            if at < old {
+                self.sift_up(p);
+            } else {
+                self.sift_down(p);
+            }
         }
     }
 
@@ -126,12 +130,12 @@ impl WakeQueue {
         if p == ABSENT {
             return;
         }
-        let last = self.heap.len() - 1;
-        self.heap.swap(p, last);
-        self.pos[self.heap[p]] = p;
-        self.heap.pop();
+        let removed = self.heap.swap_remove(p);
+        debug_assert_eq!(removed.1, key);
         self.pos[key] = ABSENT;
+        // The last entry moved into the hole: restore its place.
         if p < self.heap.len() {
+            self.pos[self.heap[p].1] = p;
             let p = self.sift_up(p);
             self.sift_down(p);
         }
@@ -139,24 +143,17 @@ impl WakeQueue {
 
     /// Drop every entry (the key space stays allocated).
     pub fn clear(&mut self) {
-        for &k in &self.heap {
+        for &(_, k) in &self.heap {
             self.pos[k] = ABSENT;
         }
         self.heap.clear();
     }
 
-    /// `(time, key)` order: earlier time first, lower key on ties.
-    fn before(&self, a: usize, b: usize) -> bool {
-        (self.time[a], a) < (self.time[b], b)
-    }
-
     fn sift_up(&mut self, mut i: usize) -> usize {
         while i > 0 {
             let parent = (i - 1) / 2;
-            if self.before(self.heap[i], self.heap[parent]) {
-                self.heap.swap(i, parent);
-                self.pos[self.heap[i]] = i;
-                self.pos[self.heap[parent]] = parent;
+            if self.heap[i] < self.heap[parent] {
+                self.swap(i, parent);
                 i = parent;
             } else {
                 break;
@@ -167,20 +164,27 @@ impl WakeQueue {
 
     fn sift_down(&mut self, mut i: usize) {
         loop {
+            let (left, right) = (2 * i + 1, 2 * i + 2);
             let mut best = i;
-            for child in [2 * i + 1, 2 * i + 2] {
-                if child < self.heap.len() && self.before(self.heap[child], self.heap[best]) {
-                    best = child;
-                }
+            if left < self.heap.len() && self.heap[left] < self.heap[best] {
+                best = left;
+            }
+            if right < self.heap.len() && self.heap[right] < self.heap[best] {
+                best = right;
             }
             if best == i {
                 break;
             }
-            self.heap.swap(i, best);
-            self.pos[self.heap[i]] = i;
-            self.pos[self.heap[best]] = best;
+            self.swap(i, best);
             i = best;
         }
+    }
+
+    /// Swap two heap slots and fix both keys' positions.
+    fn swap(&mut self, a: usize, b: usize) {
+        self.heap.swap(a, b);
+        self.pos[self.heap[a].1] = a;
+        self.pos[self.heap[b].1] = b;
     }
 }
 
@@ -267,8 +271,10 @@ mod tests {
 
     #[test]
     fn randomized_against_reference() {
-        // Mirror every operation into a naive Vec-based model and
-        // compare pop sequences.
+        // Mirror every operation into a naive Vec-based model: check
+        // `time_of` and the head after every step, re-key the head in
+        // place the way a wake loop does (peek, run, set), and compare
+        // the final pop sequence.
         let mut q = WakeQueue::new();
         let mut model: Vec<Option<SimTime>> = vec![None; 32];
         let mut state = 0x1234_5678_u64;
@@ -278,18 +284,52 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             state >> 33
         };
-        for _ in 0..2_000 {
+        let head = |model: &[Option<SimTime>]| {
+            model
+                .iter()
+                .enumerate()
+                .filter_map(|(k, t)| t.map(|t| (t, k)))
+                .min()
+        };
+        for _ in 0..4_000 {
             let key = (next() % 32) as usize;
-            match next() % 3 {
+            match next() % 5 {
                 0 | 1 => {
                     let t = ps(next() % 50);
                     q.set(key, t);
                     model[key] = Some(t);
                 }
-                _ => {
+                2 => {
                     q.remove(key);
                     model[key] = None;
                 }
+                _ => {
+                    // Peek the due key and move it in place: later,
+                    // earlier, to the same instant, or out.
+                    let Some((t, k)) = q.peek() else { continue };
+                    assert_eq!(Some((t, k)), head(&model));
+                    match next() % 4 {
+                        0 => {
+                            q.remove(k);
+                            model[k] = None;
+                        }
+                        step => {
+                            let to = match step {
+                                1 => ps(t.as_ps() + next() % 20),
+                                2 => ps(t.as_ps().saturating_sub(next() % 5)),
+                                _ => t,
+                            };
+                            q.set(k, to);
+                            model[k] = Some(to);
+                        }
+                    }
+                }
+            }
+            assert_eq!(q.peek(), head(&model));
+            assert_eq!(q.len(), model.iter().flatten().count());
+            for (k, t) in model.iter().enumerate() {
+                assert_eq!(q.time_of(k), *t, "time_of({k})");
+                assert_eq!(q.contains(k), t.is_some());
             }
         }
         let mut expect: Vec<(SimTime, usize)> = model

@@ -68,7 +68,7 @@ pub mod translate;
 pub use decode_cache::DecodeCache;
 pub use energy_acct::EnergyAccountant;
 pub use event_queue::EventQueue;
-pub use memory::MemBank;
+pub use memory::{Bank, MemBank};
 pub use msg_cop::{EnvAction, MsgCoprocessor};
 pub use processor::{CoreConfig, CoreState, CoreStats, Engine, Processor, StepError, StepOutcome};
 pub use profile::{HandlerProfile, HandlerStats};

@@ -13,8 +13,16 @@
 //! loaded template node, so identical IMEM/DMEM images cost one copy in
 //! total, and a node that writes a few data words pays 512 B for the
 //! page they sit on rather than 4 KB for the bank.
+//!
+//! A bank also keeps one *owned* bit per page: set by the write that
+//! made (or found) the page unshared, cleared on both sides by every
+//! clone. A write to an owned page is a plain store; only the first
+//! write to a page after a clone pays `Arc::make_mut`'s atomic
+//! read-modify-write. `load` leaves the bits alone, so a loaded template
+//! still hands its clones shared pages.
 
 use snap_isa::{Addr, Word, MEM_WORDS};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, LazyLock};
 
 const ADDR_MASK: usize = MEM_WORDS - 1;
@@ -27,25 +35,62 @@ type Page = [Word; PAGE_WORDS];
 /// The page every fresh or cleared slot of every bank shares.
 static ZERO_PAGE: LazyLock<Arc<Page>> = LazyLock::new(|| Arc::new([0; PAGE_WORDS]));
 
+/// Which of the core's two banks a [`MemBank`] is (its name in
+/// diagnostics).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Bank {
+    /// Instruction memory.
+    Imem,
+    /// Data memory.
+    Dmem,
+}
+
+impl Bank {
+    /// `"imem"` or `"dmem"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Bank::Imem => "imem",
+            Bank::Dmem => "dmem",
+        }
+    }
+}
+
 /// One 4 KB, word-addressed memory bank.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MemBank {
     pages: [Arc<Page>; PAGES],
-    name: &'static str,
+    /// Bit `p` set: this bank holds the only reference to page `p`.
+    /// Atomic only so that `clone(&self)` can clear the source's bits;
+    /// `write` reads them through `&mut self`, without an atomic.
+    owned: AtomicU8,
+    bank: Bank,
+}
+
+/// Both sides share every page afterwards, so neither owns any.
+impl Clone for MemBank {
+    fn clone(&self) -> MemBank {
+        self.owned.store(0, Ordering::Relaxed);
+        MemBank {
+            pages: self.pages.clone(),
+            owned: AtomicU8::new(0),
+            bank: self.bank,
+        }
+    }
 }
 
 impl MemBank {
-    /// A zeroed bank with a name used in diagnostics (`"imem"`/`"dmem"`).
-    pub fn new(name: &'static str) -> MemBank {
+    /// A zeroed bank.
+    pub fn new(bank: Bank) -> MemBank {
         MemBank {
             pages: std::array::from_fn(|_| Arc::clone(&ZERO_PAGE)),
-            name,
+            owned: AtomicU8::new(0),
+            bank,
         }
     }
 
     /// The bank's diagnostic name.
     pub fn name(&self) -> &'static str {
-        self.name
+        self.bank.name()
     }
 
     /// Read the word at `addr` (the address wraps modulo 2048).
@@ -59,7 +104,21 @@ impl MemBank {
     #[inline]
     pub fn write(&mut self, addr: Addr, value: Word) {
         let a = addr as usize & ADDR_MASK;
-        Arc::make_mut(&mut self.pages[a / PAGE_WORDS])[a % PAGE_WORDS] = value;
+        let (page, offset) = (a / PAGE_WORDS, a % PAGE_WORDS);
+        let owned = self.owned.get_mut();
+        if *owned & (1 << page) != 0 {
+            let ptr = Arc::as_ptr(&self.pages[page]).cast_mut();
+            // SAFETY: bit `page` is set only below, right after
+            // `make_mut` left this bank holding the page's only `Arc`
+            // (no `Weak` to a page is ever made), and a clone, the only
+            // way a second `Arc` can appear, clears the bit on both
+            // sides first. So nothing else points at the page, and
+            // `&mut self` shuts out readers through this bank.
+            unsafe { (*ptr)[offset] = value };
+        } else {
+            Arc::make_mut(&mut self.pages[page])[offset] = value;
+            *owned |= 1 << page;
+        }
     }
 
     /// Copy `image` into the bank starting at word address `base`. A
@@ -72,7 +131,7 @@ impl MemBank {
         let base = base as usize;
         if base + image.len() > MEM_WORDS {
             return Err(LoadError {
-                bank: self.name,
+                bank: self.name(),
                 base,
                 len: image.len(),
             });
@@ -93,7 +152,7 @@ impl MemBank {
 
     /// Zero the whole bank.
     pub fn clear(&mut self) {
-        *self = MemBank::new(self.name);
+        *self = MemBank::new(self.bank);
     }
 
     /// Every word of the bank, in address order.
@@ -142,7 +201,7 @@ mod tests {
 
     #[test]
     fn read_write_round_trip() {
-        let mut m = MemBank::new("dmem");
+        let mut m = MemBank::new(Bank::Dmem);
         m.write(0, 0xdead);
         m.write(2047, 0xbeef);
         assert_eq!(m.read(0), 0xdead);
@@ -151,7 +210,7 @@ mod tests {
 
     #[test]
     fn addresses_wrap_like_hardware() {
-        let mut m = MemBank::new("dmem");
+        let mut m = MemBank::new(Bank::Dmem);
         m.write(2048, 0x1234); // wraps to 0
         assert_eq!(m.read(0), 0x1234);
         assert_eq!(m.read(0x8000 | 5), m.read(5));
@@ -159,7 +218,7 @@ mod tests {
 
     #[test]
     fn load_image() {
-        let mut m = MemBank::new("imem");
+        let mut m = MemBank::new(Bank::Imem);
         m.load(10, &[1, 2, 3]).unwrap();
         assert_eq!(m.read(10), 1);
         assert_eq!(m.read(12), 3);
@@ -168,7 +227,7 @@ mod tests {
 
     #[test]
     fn load_straddles_pages() {
-        let mut m = MemBank::new("dmem");
+        let mut m = MemBank::new(Bank::Dmem);
         let image: Vec<Word> = (1..=600).collect();
         m.load(200, &image).unwrap();
         assert_eq!(m.read(199), 0);
@@ -177,12 +236,12 @@ mod tests {
         assert_eq!(m.read(256), 57);
         assert_eq!(m.read(799), 600);
         assert_eq!(m.read(800), 0);
-        assert_eq!(shared_pages(&m, &MemBank::new("dmem")), PAGES - 4);
+        assert_eq!(shared_pages(&m, &MemBank::new(Bank::Dmem)), PAGES - 4);
     }
 
     #[test]
     fn oversized_load_is_rejected() {
-        let mut m = MemBank::new("imem");
+        let mut m = MemBank::new(Bank::Imem);
         let image = vec![0u16; 100];
         let err = m.load(2000, &image).unwrap_err();
         assert!(err.to_string().contains("does not fit"));
@@ -190,23 +249,23 @@ mod tests {
 
     #[test]
     fn clear_zeroes_everything() {
-        let mut m = MemBank::new("dmem");
+        let mut m = MemBank::new(Bank::Dmem);
         m.write(7, 9);
         m.clear();
         assert!(m.words().all(|w| w == 0));
-        assert_eq!(shared_pages(&m, &MemBank::new("dmem")), PAGES);
+        assert_eq!(shared_pages(&m, &MemBank::new(Bank::Dmem)), PAGES);
     }
 
     #[test]
     fn fresh_banks_share_the_zero_page() {
-        let (a, b) = (MemBank::new("imem"), MemBank::new("dmem"));
+        let (a, b) = (MemBank::new(Bank::Imem), MemBank::new(Bank::Dmem));
         assert_eq!(shared_pages(&a, &b), PAGES);
         assert_eq!(a.to_vec(), vec![0; MEM_WORDS]);
     }
 
     #[test]
     fn a_write_after_a_clone_unshares_exactly_one_page() {
-        let mut template = MemBank::new("dmem");
+        let mut template = MemBank::new(Bank::Dmem);
         template.load(0, &[7; MEM_WORDS]).unwrap();
         let mut node = template.clone();
         assert_eq!(shared_pages(&node, &template), PAGES);
@@ -219,17 +278,40 @@ mod tests {
     }
 
     #[test]
+    fn owned_pages_are_stored_in_place_until_a_clone() {
+        let mut a = MemBank::new(Bank::Dmem);
+        a.write(5, 1);
+        assert_eq!(*a.owned.get_mut(), 0b1, "the write that un-shares owns");
+        let page = Arc::as_ptr(&a.pages[0]);
+        a.write(6, 2);
+        assert_eq!(Arc::as_ptr(&a.pages[0]), page, "an owned page stays put");
+        // A clone of an owning bank: both sides drop ownership, and a
+        // write on either side must not show through the other.
+        let mut b = a.clone();
+        assert_eq!((*a.owned.get_mut(), *b.owned.get_mut()), (0, 0));
+        a.write(5, 10);
+        b.write(6, 20);
+        assert_eq!((a.read(5), a.read(6)), (10, 2));
+        assert_eq!((b.read(5), b.read(6)), (1, 20));
+        assert_eq!(shared_pages(&a, &b), PAGES - 1);
+        assert_eq!((*a.owned.get_mut(), *b.owned.get_mut()), (0b1, 0b1));
+        a.clear();
+        assert_eq!(*a.owned.get_mut(), 0, "a cleared bank shares the zero page");
+        assert_eq!(a.name(), "dmem");
+    }
+
+    #[test]
     fn loading_words_already_present_unshares_nothing() {
-        let mut template = MemBank::new("dmem");
+        let mut template = MemBank::new(Bank::Dmem);
         template.load(250, &[1, 2, 3, 4, 5, 6, 7, 8, 9]).unwrap();
         let mut node = template.clone();
         node.load(250, &[1, 2, 3, 4, 5, 6, 7, 8, 9]).unwrap();
         node.load(1000, &[0; 600]).unwrap();
         assert_eq!(shared_pages(&node, &template), PAGES);
-        let mut restored = MemBank::new("dmem");
+        let mut restored = MemBank::new(Bank::Dmem);
         restored.load(0, &template.to_vec()).unwrap();
         assert_eq!(
-            shared_pages(&restored, &MemBank::new("dmem")),
+            shared_pages(&restored, &MemBank::new(Bank::Dmem)),
             PAGES - 2,
             "an all-zero page of a loaded image stays the zero page"
         );

@@ -17,7 +17,7 @@ use crate::decode_cache::{DecodeCache, Predecoded};
 use crate::energy_acct::EnergyAccountant;
 use crate::event_queue::EventQueue;
 use crate::fuse::{self, ExecCtx, FusedSlot};
-use crate::memory::MemBank;
+use crate::memory::{Bank, MemBank};
 use crate::msg_cop::{EnvAction, MsgCoprocessor};
 use crate::profile::HandlerProfile;
 use crate::regfile::RegFile;
@@ -390,10 +390,10 @@ impl Processor {
     pub fn new(config: CoreConfig) -> Processor {
         Processor {
             regs: RegFile::new(),
-            imem: MemBank::new("imem"),
+            imem: MemBank::new(Bank::Imem),
             decode: DecodeCache::new(),
             aot: AotImage::default(),
-            dmem: MemBank::new("dmem"),
+            dmem: MemBank::new(Bank::Dmem),
             event_queue: EventQueue::new(),
             timer: TimerCoprocessor::default(),
             msg: MsgCoprocessor::new(),
@@ -668,16 +668,13 @@ impl Processor {
         self.now
     }
 
+    /// Queue a token for every timer due now. Runs after every
+    /// instruction; with no timer due it is one compare.
     fn fire_due_timers(&mut self) {
-        // Cheap no-allocation check first: this runs after every
-        // instruction and timers are almost never due.
-        if !self.timer.any_due(self.now) {
-            return;
-        }
-        for ev in self.timer.poll(self.now) {
-            self.event_queue
-                .push_at(EventToken::new(ev), self.now.as_ps());
-        }
+        let (now, queue) = (self.now, &mut self.event_queue);
+        self.timer.poll(now, |ev| {
+            queue.push_at(EventToken::new(ev), now.as_ps());
+        });
     }
 
     // ---- execution ----

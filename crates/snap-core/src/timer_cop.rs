@@ -29,18 +29,17 @@ pub const MAX_COUNT: u32 = 0x00ff_ffff;
 /// reference"; the simulated hardware ticks once per microsecond.
 pub const TICK: SimDuration = SimDuration::from_us(1);
 
-#[derive(Debug, Clone, Copy, Default)]
-struct TimerReg {
-    /// Top 8 bits staged by `schedhi`, consumed by the next `schedlo`.
-    staged_hi: u8,
-    /// Absolute expiry time while the register is decrementing.
-    expiry: Option<SimTime>,
-}
-
 /// The three-register timer coprocessor.
 #[derive(Debug, Clone, Default)]
 pub struct TimerCoprocessor {
-    timers: [TimerReg; NUM_TIMERS],
+    /// Each register's absolute expiry time while it is decrementing.
+    expiry: [Option<SimTime>; NUM_TIMERS],
+    /// The earliest of `expiry`. The core asks for it around every
+    /// instruction, so every call that changes `expiry` recomputes it
+    /// and the asking is one load. Derived state: never encoded.
+    next: Option<SimTime>,
+    /// Top 8 bits staged by `schedhi`, consumed by the next `schedlo`.
+    staged_hi: [u8; NUM_TIMERS],
     scheduled: u64,
     expired: u64,
     cancelled: u64,
@@ -51,10 +50,10 @@ impl TimerCoprocessor {
     ///
     /// Returns `false` when `n` is not a valid timer number.
     pub fn sched_hi(&mut self, n: u16, value: u16) -> bool {
-        let Some(t) = self.timers.get_mut(n as usize) else {
+        let Some(hi) = self.staged_hi.get_mut(n as usize) else {
             return false;
         };
-        t.staged_hi = (value & 0xff) as u8;
+        *hi = (value & 0xff) as u8;
         true
     }
 
@@ -64,12 +63,14 @@ impl TimerCoprocessor {
     /// A zero count expires on the next poll. Returns `false` when `n` is
     /// not a valid timer number.
     pub fn sched_lo(&mut self, n: u16, value: u16, now: SimTime) -> bool {
-        let Some(t) = self.timers.get_mut(n as usize) else {
+        let n = n as usize;
+        if n >= NUM_TIMERS {
             return false;
-        };
-        let count = ((t.staged_hi as u32) << 16) | value as u32;
-        t.expiry = Some(now + TICK * count as u64);
+        }
+        let count = ((self.staged_hi[n] as u32) << 16) | value as u32;
+        self.expiry[n] = Some(now + TICK * count as u64);
         self.scheduled += 1;
+        self.refresh();
         true
     }
 
@@ -77,50 +78,52 @@ impl TimerCoprocessor {
     /// kind when the timer was active (the paper's always-token rule);
     /// `None` when it was inactive or `n` is invalid.
     pub fn cancel(&mut self, n: u16) -> Option<EventKind> {
-        let t = self.timers.get_mut(n as usize)?;
-        if t.expiry.take().is_some() {
-            self.cancelled += 1;
-            EventKind::timer(n as u8)
-        } else {
-            None
-        }
+        self.expiry.get_mut(n as usize)?.take()?;
+        self.cancelled += 1;
+        self.refresh();
+        EventKind::timer(n as u8)
     }
 
-    /// Collect expiry tokens for every timer whose countdown has reached
-    /// zero at `now`. Each expired register is deactivated.
-    pub fn poll(&mut self, now: SimTime) -> Vec<EventKind> {
-        let mut fired = Vec::new();
-        for (n, t) in self.timers.iter_mut().enumerate() {
-            if let Some(at) = t.expiry {
-                if at <= now {
-                    t.expiry = None;
-                    self.expired += 1;
-                    fired.push(EventKind::timer(n as u8).expect("n < 3"));
-                }
+    /// Fire every timer whose countdown has reached zero at `now`: each
+    /// expired register is deactivated and its token handed to `fire`,
+    /// in timer-number order. Allocates nothing, and costs one compare
+    /// when no timer is due.
+    #[inline]
+    pub fn poll(&mut self, now: SimTime, mut fire: impl FnMut(EventKind)) {
+        if !self.any_due(now) {
+            return;
+        }
+        for (n, slot) in self.expiry.iter_mut().enumerate() {
+            if slot.is_some_and(|at| at <= now) {
+                *slot = None;
+                self.expired += 1;
+                fire(EventKind::timer(n as u8).expect("n < 3"));
             }
         }
-        fired
+        self.refresh();
+    }
+
+    /// Recompute the cached earliest expiry.
+    fn refresh(&mut self) {
+        self.next = self.expiry.iter().flatten().min().copied();
     }
 
     /// The earliest pending expiry, if any register is active.
+    #[inline]
     pub fn next_expiry(&self) -> Option<SimTime> {
-        self.timers.iter().filter_map(|t| t.expiry).min()
+        self.next
     }
 
     /// `true` when some active timer has expired at or before `now`
-    /// (what [`TimerCoprocessor::poll`] would fire), without allocating.
+    /// (what [`TimerCoprocessor::poll`] would fire).
     #[inline]
     pub fn any_due(&self, now: SimTime) -> bool {
-        self.timers
-            .iter()
-            .any(|t| t.expiry.is_some_and(|at| at <= now))
+        self.next.is_some_and(|at| at <= now)
     }
 
     /// `true` when timer `n` is actively counting down.
     pub fn is_active(&self, n: u16) -> bool {
-        self.timers
-            .get(n as usize)
-            .is_some_and(|t| t.expiry.is_some())
+        self.expiry.get(n as usize).is_some_and(Option::is_some)
     }
 
     /// Timeouts scheduled over the coprocessor's lifetime.
@@ -141,22 +144,23 @@ impl TimerCoprocessor {
     /// Decode the registers and counters.
     pub(crate) fn decode(r: &mut Reader) -> Result<TimerCoprocessor, SnapshotError> {
         let mut cop = TimerCoprocessor::default();
-        for t in &mut cop.timers {
-            t.staged_hi = r.u8()?;
-            t.expiry = r.opt_u64()?.map(SimTime::from_ps);
+        for n in 0..NUM_TIMERS {
+            cop.staged_hi[n] = r.u8()?;
+            cop.expiry[n] = r.opt_u64()?.map(SimTime::from_ps);
         }
         cop.scheduled = r.u64()?;
         cop.expired = r.u64()?;
         cop.cancelled = r.u64()?;
+        cop.refresh();
         Ok(cop)
     }
 }
 
 impl Encode for TimerCoprocessor {
     fn encode(&self, w: &mut Writer) {
-        for t in &self.timers {
-            w.u8(t.staged_hi);
-            w.opt_u64(t.expiry.map(SimTime::as_ps));
+        for n in 0..NUM_TIMERS {
+            w.u8(self.staged_hi[n]);
+            w.opt_u64(self.expiry[n].map(SimTime::as_ps));
         }
         w.u64(self.scheduled);
         w.u64(self.expired);
@@ -172,6 +176,13 @@ mod tests {
         TimerCoprocessor::default()
     }
 
+    /// The tokens `poll` fires at `now`, in order.
+    fn poll(c: &mut TimerCoprocessor, now: SimTime) -> Vec<EventKind> {
+        let mut fired = Vec::new();
+        c.poll(now, |ev| fired.push(ev));
+        fired
+    }
+
     #[test]
     fn schedule_and_expire() {
         let mut c = cop();
@@ -180,8 +191,8 @@ mod tests {
         assert!(c.sched_lo(0, 100, t0)); // 100 us
         assert!(c.is_active(0));
         assert_eq!(c.next_expiry(), Some(t0 + SimDuration::from_us(100)));
-        assert!(c.poll(t0 + SimDuration::from_us(99)).is_empty());
-        let fired = c.poll(t0 + SimDuration::from_us(100));
+        assert!(poll(&mut c, t0 + SimDuration::from_us(99)).is_empty());
+        let fired = poll(&mut c, t0 + SimDuration::from_us(100));
         assert_eq!(fired, vec![EventKind::Timer0]);
         assert!(!c.is_active(0));
         assert_eq!(c.expired(), 1);
@@ -211,7 +222,7 @@ mod tests {
             c.next_expiry().unwrap(),
             SimTime::ZERO + SimDuration::from_us(0x0001_0000)
         );
-        let fired = c.poll(SimTime::ZERO + SimDuration::from_us(0x0001_0000));
+        let fired = poll(&mut c, SimTime::ZERO + SimDuration::from_us(0x0001_0000));
         assert_eq!(fired, vec![EventKind::Timer0]);
         assert!(c.is_active(2), "timer 2 keeps its staged high bits");
     }
@@ -224,7 +235,7 @@ mod tests {
         assert!(!c.is_active(0));
         assert_eq!(c.cancelled(), 1);
         // Cancelled timers never expire.
-        assert!(c.poll(SimTime::ZERO + SimDuration::from_secs(1)).is_empty());
+        assert!(poll(&mut c, SimTime::ZERO + SimDuration::from_secs(1)).is_empty());
     }
 
     #[test]
@@ -232,7 +243,7 @@ mod tests {
         let mut c = cop();
         assert_eq!(c.cancel(1), None);
         c.sched_lo(1, 1, SimTime::ZERO);
-        c.poll(SimTime::ZERO + SimDuration::from_us(1));
+        poll(&mut c, SimTime::ZERO + SimDuration::from_us(1));
         // Already expired: the expiry token is in flight; no second token.
         assert_eq!(c.cancel(1), None);
     }
@@ -250,7 +261,7 @@ mod tests {
     fn zero_count_fires_immediately() {
         let mut c = cop();
         c.sched_lo(0, 0, SimTime::from_ps(5));
-        assert_eq!(c.poll(SimTime::from_ps(5)), vec![EventKind::Timer0]);
+        assert_eq!(poll(&mut c, SimTime::from_ps(5)), vec![EventKind::Timer0]);
     }
 
     #[test]
@@ -259,9 +270,48 @@ mod tests {
         c.sched_lo(0, 30, SimTime::ZERO);
         c.sched_lo(1, 10, SimTime::ZERO);
         c.sched_lo(2, 20, SimTime::ZERO);
-        let fired = c.poll(SimTime::ZERO + SimDuration::from_us(20));
+        let fired = poll(&mut c, SimTime::ZERO + SimDuration::from_us(20));
         assert_eq!(fired, vec![EventKind::Timer1, EventKind::Timer2]);
         assert!(c.is_active(0));
         assert_eq!(c.scheduled(), 3);
+    }
+
+    #[test]
+    fn cached_expiry_matches_a_full_scan() {
+        let mut c = cop();
+        let mut now = SimTime::ZERO;
+        let mut state = 0x9e37_79b9_u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        for _ in 0..5_000 {
+            let n = (next() % 4) as u16; // 3 is invalid: must change nothing
+            match next() % 5 {
+                0 => {
+                    c.sched_hi(n, (next() % 3) as u16);
+                }
+                1 | 2 => {
+                    c.sched_lo(n, (next() % 200) as u16, now);
+                }
+                3 => {
+                    c.cancel(n);
+                }
+                _ => {
+                    now += SimDuration::from_us(next() % 150);
+                    let due: Vec<EventKind> = (0..NUM_TIMERS)
+                        .filter(|&k| c.expiry[k].is_some_and(|at| at <= now))
+                        .map(|k| EventKind::timer(k as u8).unwrap())
+                        .collect();
+                    assert_eq!(c.any_due(now), !due.is_empty());
+                    assert_eq!(poll(&mut c, now), due, "timer-number order");
+                }
+            }
+            let scan = c.expiry.iter().flatten().min().copied();
+            assert_eq!(c.next_expiry(), scan);
+        }
+        assert!(c.expired() > 0 && c.cancelled() > 0);
     }
 }

@@ -8,9 +8,14 @@
 //! bits), and loads straddle page boundaries or run past the end. A
 //! write that leaks into a sibling clone, a page that `load` left stale
 //! or a rejected load that still wrote words all show up as a mismatch.
+//!
+//! A bank stores straight into a page it owns. Every clone is therefore
+//! taken from a bank that has just written (so it owns that page), and
+//! both sides write again right after it, the source on that same page:
+//! a clone that left either side owning a shared page leaks the write.
 
 use proptest::prelude::*;
-use snap_core::MemBank;
+use snap_core::{Bank, MemBank};
 use snap_isa::{Word, MEM_WORDS};
 
 /// Clones beyond this many are not taken (keeps each case small).
@@ -23,7 +28,10 @@ enum Op {
     Write(usize, u16, Word),
     Load(usize, u16, Vec<Word>),
     Clear(usize),
-    Clone(usize),
+    /// Write `(addr, value)` on the source, clone it, then write
+    /// `(addr, value2)` on the source and `(addr2, value3)` on the
+    /// clone.
+    Clone(usize, u16, [Word; 3], u16),
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -38,7 +46,11 @@ fn op() -> impl Strategy<Value = Op> {
         (0usize..MAX_BANKS, any::<u16>(), any::<u16>()).prop_map(|(b, a, v)| Op::Write(b, a, v)),
         (0usize..MAX_BANKS, 0u16..2200, image).prop_map(|(b, at, w)| Op::Load(b, at, w)),
         (0usize..MAX_BANKS).prop_map(Op::Clear),
-        (0usize..MAX_BANKS).prop_map(Op::Clone),
+        (
+            (0usize..MAX_BANKS, any::<u16>(), any::<u16>()),
+            (any::<u16>(), any::<u16>(), any::<u16>())
+        )
+            .prop_map(|((b, a, v1), (v2, v3, a2))| Op::Clone(b, a, [v1, v2, v3], a2)),
     ]
 }
 
@@ -77,11 +89,24 @@ fn apply(banks: &mut Vec<(MemBank, Vec<Word>)>, op: &Op) {
             bank.clear();
             flat.fill(0);
         }
-        Op::Clone(b) => {
-            if n < MAX_BANKS {
-                let copy = banks[b % n].clone();
+        Op::Clone(b, addr, [v1, v2, v3], addr2) => {
+            let src = b % n;
+            let write = |slot: &mut (MemBank, Vec<Word>), addr: u16, value: Word| {
+                slot.0.write(addr, value);
+                slot.1[addr as usize % MEM_WORDS] = value;
+            };
+            write(&mut banks[src], *addr, *v1);
+            let copy = banks[src].clone();
+            // Past the cap the clone replaces the source's neighbour.
+            let dst = if n < MAX_BANKS {
                 banks.push(copy);
-            }
+                n
+            } else {
+                banks[(src + 1) % n] = copy;
+                (src + 1) % n
+            };
+            write(&mut banks[src], *addr, *v2);
+            write(&mut banks[dst], *addr2, *v3);
         }
     }
 }
@@ -91,7 +116,7 @@ proptest! {
 
     #[test]
     fn paged_bank_matches_a_flat_model(ops in prop::collection::vec(op(), 1..64)) {
-        let mut banks = vec![(MemBank::new("dmem"), vec![0; MEM_WORDS])];
+        let mut banks = vec![(MemBank::new(Bank::Dmem), vec![0; MEM_WORDS])];
         for (step, op) in ops.iter().enumerate() {
             apply(&mut banks, op);
             for (i, (bank, flat)) in banks.iter().enumerate() {

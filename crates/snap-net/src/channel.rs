@@ -128,16 +128,29 @@ impl Channel {
         self.active.push(tx);
     }
 
-    /// Would `tx` be received cleanly by a listener that hears all of
-    /// `audible_from`? Checks for any *other* audible transmission
-    /// overlapping `tx` in time. `audible_from` must be id-sorted (the
-    /// topology's cached neighbour lists are), so the audibility test
-    /// is a binary search instead of a linear scan.
-    pub fn is_clean(&self, tx: &Transmission, audible_from: &[NodeId]) -> bool {
+    /// The senders of every *other* transmission on the air that
+    /// overlaps `tx` in time: the only words that can garble `tx` at any
+    /// receiver. Found once per word, then tested per receiver with
+    /// [`Channel::is_clean`]. Empty, and not allocated, when `tx` had
+    /// the air to itself.
+    pub fn rivals(&self, tx: &Transmission) -> Vec<NodeId> {
+        self.active
+            .iter()
+            .filter(|other| *other != tx && tx.overlaps(other))
+            .map(|other| other.from)
+            .collect()
+    }
+
+    /// Would a word with these [`Channel::rivals`] be received cleanly
+    /// by a listener that hears all of `audible_from`, that is, does
+    /// the listener hear none of them? `audible_from` must be id-sorted
+    /// (the topology's cached neighbour lists are), so each audibility
+    /// test is a binary search instead of a linear scan.
+    pub fn is_clean(rivals: &[NodeId], audible_from: &[NodeId]) -> bool {
         debug_assert!(audible_from.is_sorted());
-        !self.active.iter().any(|other| {
-            other != tx && audible_from.binary_search(&other.from).is_ok() && tx.overlaps(other)
-        })
+        !rivals
+            .iter()
+            .any(|from| audible_from.binary_search(from).is_ok())
     }
 
     /// Account a clean delivery.
@@ -230,7 +243,8 @@ mod tests {
         let mut ch = Channel::new();
         let t = tx(1, 0, 833);
         ch.transmit(t);
-        assert!(ch.is_clean(&t, &[NodeId(1), NodeId(2)]));
+        assert!(ch.rivals(&t).is_empty(), "a word is not its own rival");
+        assert!(Channel::is_clean(&ch.rivals(&t), &[NodeId(1), NodeId(2)]));
     }
 
     #[test]
@@ -240,8 +254,10 @@ mod tests {
         let t2 = tx(2, 400, 1233);
         ch.transmit(t1);
         ch.transmit(t2);
-        assert!(!ch.is_clean(&t1, &[NodeId(1), NodeId(2)]));
-        assert!(!ch.is_clean(&t2, &[NodeId(1), NodeId(2)]));
+        assert_eq!(ch.rivals(&t1), vec![NodeId(2)]);
+        assert_eq!(ch.rivals(&t2), vec![NodeId(1)]);
+        assert!(!Channel::is_clean(&ch.rivals(&t1), &[NodeId(1), NodeId(2)]));
+        assert!(!Channel::is_clean(&ch.rivals(&t2), &[NodeId(1), NodeId(2)]));
     }
 
     #[test]
@@ -252,7 +268,13 @@ mod tests {
         let t2 = tx(3, 400, 1233);
         ch.transmit(t1);
         ch.transmit(t2);
-        assert!(ch.is_clean(&t1, &[NodeId(1)]), "node 3 is inaudible here");
+        let rivals = ch.rivals(&t1);
+        assert_eq!(rivals, vec![NodeId(3)]);
+        assert!(
+            Channel::is_clean(&rivals, &[NodeId(1)]),
+            "node 3 is inaudible here"
+        );
+        assert!(!Channel::is_clean(&rivals, &[NodeId(1), NodeId(3)]));
     }
 
     #[test]
@@ -262,6 +284,32 @@ mod tests {
         ch.transmit(tx(2, 2000, 2833));
         ch.expire(SimTime::ZERO + SimDuration::from_us(1500));
         let t3 = tx(3, 100, 933);
-        assert!(ch.is_clean(&t3, &[NodeId(1), NodeId(2), NodeId(3)]));
+        assert!(ch.rivals(&t3).is_empty());
+        assert!(Channel::is_clean(
+            &ch.rivals(&t3),
+            &[NodeId(1), NodeId(2), NodeId(3)]
+        ));
+    }
+
+    #[test]
+    fn back_to_back_words_are_not_rivals() {
+        let mut ch = Channel::new();
+        let (t1, t2, t3) = (tx(1, 0, 833), tx(2, 833, 1666), tx(3, 1666, 2499));
+        for t in [t1, t2, t3] {
+            ch.transmit(t);
+        }
+        assert!(
+            ch.rivals(&t2).is_empty(),
+            "touching air times do not overlap"
+        );
+        ch.transmit(tx(4, 1000, 1833));
+        ch.transmit(tx(5, 1200, 2033));
+        assert_eq!(ch.rivals(&t2), vec![NodeId(4), NodeId(5)]);
+        let rivals = ch.rivals(&t2);
+        assert!(Channel::is_clean(
+            &rivals,
+            &[NodeId(1), NodeId(2), NodeId(3)]
+        ));
+        assert!(!Channel::is_clean(&rivals, &[NodeId(2), NodeId(5)]));
     }
 }

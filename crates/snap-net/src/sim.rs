@@ -11,6 +11,14 @@
 //! when an event finally reaches them. Fleets below
 //! [`AUTO_SHARDED_THRESHOLD`] run as a single shard.
 //!
+//! The shards and their calendars are kept from one `run_until` call to
+//! the next, so a run sliced into many calls pays for its wakes, not
+//! for rebuilding per-node state on every call. What remains O(nodes)
+//! per call is the closing clock sync: lockstep semantics have every
+//! node's clock read the call's end instant. The kept state is a cache
+//! of what the nodes already determine, and every call that could make
+//! it stale drops it (see `ShardSet`).
+//!
 //! Shards are grid cells of the [`Topology`] spatial hash, grouped
 //! contiguously, and advance independently through conservative
 //! *epochs*: since a radio word takes one full word time (≈833 µs at
@@ -214,6 +222,11 @@ pub struct NetworkSim {
     /// scheduler window or epoch, and every node gets per-dispatch
     /// sampling.
     window_activity: Option<Histogram>,
+    /// The sharded engine's state, kept from one `run_until` call to
+    /// the next so that a call costs what its wakes cost. `None` until
+    /// a sharded run builds it; dropped by every call that could make
+    /// it stale (see [`ShardSet`]).
+    shard_set: Option<ShardSet>,
 }
 
 impl NetworkSim {
@@ -232,6 +245,7 @@ impl NetworkSim {
             num_shards: DEFAULT_SHARDS,
             trace_mode_explicit: false,
             window_activity: None,
+            shard_set: None,
         }
     }
 
@@ -275,6 +289,7 @@ impl NetworkSim {
     /// All strategies produce bit-identical results; lockstep exists as
     /// the reference, the others pick the sharded engine's shard count.
     pub fn set_scheduler(&mut self, scheduler: Scheduler) {
+        self.shard_set = None;
         self.scheduler = scheduler;
     }
 
@@ -312,6 +327,7 @@ impl NetworkSim {
     /// [`DEFAULT_SHARDS`]); clamped to at least 1. Results are
     /// bit-identical for every shard count.
     pub fn set_shards(&mut self, shards: usize) {
+        self.shard_set = None;
         self.num_shards = shards.max(1);
     }
 
@@ -359,6 +375,7 @@ impl NetworkSim {
         position: Position,
         core: CoreConfig,
     ) -> NodeId {
+        self.shard_set = None;
         let id = NodeId(self.nodes.len() as u32 + 1);
         let cfg = NodeConfig {
             id,
@@ -399,6 +416,7 @@ impl NetworkSim {
     where
         I: IntoIterator<Item = Position>,
     {
+        self.shard_set = None;
         let cfg = NodeConfig {
             id: NodeId(1), // placeholder; every clone gets its own id
             core,
@@ -439,6 +457,7 @@ impl NetworkSim {
     /// AVR motes carry no SNAP dispatch sampler — telemetry reports
     /// them through the kind-aware node metrics instead.
     pub fn add_avr_node(&mut self, core: AvrCore, position: Position) -> NodeId {
+        self.shard_set = None;
         let id = NodeId(self.nodes.len() as u32 + 1);
         let node = Node::new_avr(id, core);
         self.topology.place(id, position);
@@ -469,6 +488,7 @@ impl NetworkSim {
         position: Position,
         core: CoreConfig,
     ) -> NodeId {
+        self.shard_set = None;
         let id = NodeId(self.nodes.len() as u32 + 1);
         let cfg = NodeConfig {
             id,
@@ -496,6 +516,7 @@ impl NetworkSim {
     ///
     /// Panics for unknown ids.
     pub fn set_battery(&mut self, id: NodeId, battery: Option<BatteryConfig>) {
+        self.shard_set = None;
         self.nodes[Self::idx(id)].set_battery(battery);
     }
 
@@ -513,12 +534,15 @@ impl NetworkSim {
         &self.nodes[Self::idx(id)]
     }
 
-    /// Mutable access to a node (fixtures: sensors, etc.).
+    /// Mutable access to a node (fixtures: sensors, etc.). A change
+    /// through it can move the node's next activity, so the sharded
+    /// engine rebuilds its wake calendars on the next run.
     ///
     /// # Panics
     ///
     /// Panics for unknown ids.
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
+        self.shard_set = None;
         &mut self.nodes[Self::idx(id)]
     }
 
@@ -565,7 +589,11 @@ impl NetworkSim {
     pub fn run_until(&mut self, t_end: SimTime) -> Result<(), NodeError> {
         self.guard_trace_mode();
         match self.scheduler {
-            Scheduler::Lockstep => self.run_lockstep(t_end),
+            Scheduler::Lockstep => {
+                // Lockstep moves nodes without the calendars.
+                self.shard_set = None;
+                self.run_lockstep(t_end)
+            }
             _ => self.run_sharded(t_end),
         }
     }
@@ -719,62 +747,53 @@ impl NetworkSim {
     // ---- sharded scheduler (conservative lookahead epochs) ----
 
     fn run_sharded(&mut self, t_end: SimTime) -> Result<(), NodeError> {
-        let (mut shards, shard_of) = self.build_shards(t_end);
-        let word_floor = self.min_word_time();
+        // The kept state goes back only when the call succeeds: a
+        // fault can leave a node its calendar entry does not describe.
+        let mut set = self.shard_set.take().unwrap_or_else(|| self.build_shards());
+        self.hand_out_stimuli(&mut set, t_end);
+        self.run_epochs_until(&mut set, t_end)?;
+        self.shard_set = Some(set);
+        Ok(())
+    }
+
+    fn run_epochs_until(&mut self, set: &mut ShardSet, t_end: SimTime) -> Result<(), NodeError> {
         loop {
             // The earliest instant anything can happen, over the global
             // delivery calendar and every shard's wakes and stimuli.
             let mut first = self.deliveries.peek_time();
-            for shard in &shards {
+            for shard in &set.shards {
                 first = Self::min_time(first, shard.wake.peek().map(|(t, _)| t));
                 first = Self::min_time(first, shard.stimuli.front().map(|s| s.0));
             }
-            let Some(t) = first else {
-                return self.finish_sharded(&mut shards, t_end);
+            let Some(t) = first.filter(|&t| t < t_end) else {
+                return self.finish_sharded(set, t_end);
             };
-            if t >= t_end {
-                return self.finish_sharded(&mut shards, t_end);
-            }
             // Phase 1 (coordinator): deliveries, then boundary
             // stimuli, due at exactly `t` — the lockstep order.
-            self.apply_due_sharded(t, &mut shards, &shard_of)?;
+            self.apply_due_sharded(t, set)?;
             // Phase 2: every shard runs to the conservative epoch
             // bound. A word needs `word_floor` to serialize, so no
             // transmission started after `t` can be delivered before
             // `t + word_floor`; already-scheduled deliveries cap the
             // epoch explicitly. Within the bound shards cannot affect
             // each other, so they advance independently.
-            let mut to = t + word_floor;
+            let mut to = t + set.word_floor;
             if let Some(d) = self.deliveries.peek_time() {
                 to = to.min(d);
             }
             to = to.min(t_end);
-            self.run_epochs(&mut shards, to)?;
+            self.run_epochs(&mut set.shards, to)?;
             self.now = to;
         }
     }
 
-    /// The epoch lookahead: the shortest radio word time in the fleet.
-    /// A word takes this long to serialize, so nothing a node does
-    /// after `t` can reach another node before `t + word_floor`.
-    fn min_word_time(&self) -> SimDuration {
-        self.nodes
-            .iter()
-            .map(|n| n.radio().word_time())
-            .min()
-            .unwrap_or(RUN_QUANTUM)
-    }
-
-    /// Partition the fleet into shards, rebuild each shard's wake
-    /// calendar, and hand each shard its slice of this run's stimuli in
-    /// global pop order. Several shards split the fleet sorted by grid
-    /// cell (whole cells stay together, so most radio neighbourhoods
-    /// are shard-local), each node's cell looked up once; one shard
-    /// takes the fleet in index order, as nothing observes member order
-    /// inside a shard. Returns the shards plus the global-index →
-    /// (shard, member position) map.
-    #[allow(clippy::type_complexity)]
-    fn build_shards(&mut self, t_end: SimTime) -> (Vec<Shard>, Vec<(u32, u32)>) {
+    /// Partition the fleet into shards and key each shard's wake
+    /// calendar. Several shards split the fleet sorted by grid cell
+    /// (whole cells stay together, so most radio neighbourhoods are
+    /// shard-local), each node's cell looked up once; one shard takes
+    /// the fleet in index order, as nothing observes member order
+    /// inside a shard.
+    fn build_shards(&self) -> ShardSet {
         let n = self.nodes.len();
         let shard_count = self.effective_shards().min(n.max(1));
         let mut shards: Vec<Shard> = if shard_count == 1 {
@@ -791,30 +810,38 @@ impl NetworkSim {
         };
         let mut shard_of = vec![(0u32, 0u32); n];
         for (s, shard) in shards.iter_mut().enumerate() {
-            for (local, &gi) in shard.members.iter().enumerate() {
+            for local in 0..shard.members.len() {
+                let gi = shard.members[local];
                 shard_of[gi] = (s as u32, local as u32);
-                if let Some(wt) = self.nodes[gi].next_activity() {
-                    shard.wake.set(local, wt);
-                }
+                shard.rekey(&self.nodes[gi], local);
             }
         }
+        // The epoch lookahead: the shortest radio word time in the
+        // fleet. A word takes this long to serialize, so nothing a node
+        // does after `t` can reach another node before `t + word_floor`.
+        let word_floor = self
+            .nodes
+            .iter()
+            .map(|n| n.radio().word_time())
+            .min()
+            .unwrap_or(RUN_QUANTUM);
+        ShardSet {
+            shards,
+            shard_of,
+            word_floor,
+        }
+    }
+
+    /// Hand each shard its slice of this call's stimuli (due by
+    /// `t_end`), in global pop order.
+    fn hand_out_stimuli(&mut self, set: &mut ShardSet, t_end: SimTime) {
         while let Some(due) = self.stimuli.peek_time() {
             if due > t_end {
                 break;
             }
             let (due, (id, stim)) = self.stimuli.pop().expect("peeked");
-            let (s, local) = shard_of[Self::idx(id)];
-            shards[s as usize].push_stimulus(due, local as usize, stim);
-        }
-        (shards, shard_of)
-    }
-
-    /// Refresh one node's entry in its owning shard's wake calendar.
-    fn rekey_sharded(shards: &mut [Shard], shard_of: &[(u32, u32)], node: &Node, gi: usize) {
-        let (s, local) = shard_of[gi];
-        match node.next_activity() {
-            Some(wt) => shards[s as usize].wake.set(local as usize, wt),
-            None => shards[s as usize].wake.remove(local as usize),
+            let (s, local) = set.shard_of[Self::idx(id)];
+            set.shards[s as usize].push_stimulus(due, local as usize, stim);
         }
     }
 
@@ -822,12 +849,7 @@ impl NetworkSim {
     /// stimuli left at the previous epoch's boundary (epochs consume
     /// interior stimuli themselves but stop strictly before their
     /// bound, preserving the deliveries-before-stimuli order here).
-    fn apply_due_sharded(
-        &mut self,
-        t: SimTime,
-        shards: &mut [Shard],
-        shard_of: &[(u32, u32)],
-    ) -> Result<(), NodeError> {
+    fn apply_due_sharded(&mut self, t: SimTime, set: &mut ShardSet) -> Result<(), NodeError> {
         while let Some(due) = self.deliveries.peek_time() {
             if due > t {
                 break;
@@ -838,27 +860,31 @@ impl NetworkSim {
                 self.sync_node(Self::idx(id), t)?;
             }
             self.deliver(tx);
-            for r in 0..self.topology.neighbours(tx.from).len() {
-                let id = self.topology.neighbours(tx.from)[r];
-                let gi = Self::idx(id);
-                Self::rekey_sharded(shards, shard_of, &self.nodes[gi], gi);
-            }
+            self.rekey_receivers(set, tx.from);
         }
-        for s in 0..shards.len() {
-            while let Some(&(due, local, stim)) = shards[s].stimuli.front() {
+        for s in 0..set.shards.len() {
+            while let Some(&(due, local, stim)) = set.shards[s].stimuli.front() {
                 if due > t {
                     break;
                 }
-                shards[s].pop_stimulus();
-                let gi = shards[s].members[local];
+                set.shards[s].pop_stimulus();
+                let gi = set.shards[s].members[local];
                 self.sync_node(gi, t)?;
                 let id = self.nodes[gi].id();
                 self.apply_stimulus(id, stim, due);
-                Self::rekey_sharded(shards, shard_of, &self.nodes[gi], gi);
+                set.shards[s].rekey(&self.nodes[gi], local);
             }
         }
         self.expire_channel(t);
         Ok(())
+    }
+
+    /// Refresh the calendar entries of everyone who heard `from`.
+    fn rekey_receivers(&self, set: &mut ShardSet, from: NodeId) {
+        for &id in self.topology.neighbours(from) {
+            let gi = Self::idx(id);
+            set.rekey(&self.nodes[gi], gi);
+        }
     }
 
     /// Run every shard's epoch to `to` (on the pool when it helps) and
@@ -911,17 +937,48 @@ impl NetworkSim {
     }
 
     /// Tail of a sharded run: bring every node to the horizon, then
-    /// apply anything due at exactly `t_end` — the order lockstep uses.
-    /// Shard stimulus queues can only hold `t_end`-exact leftovers here
-    /// (epochs consume everything earlier).
-    fn finish_sharded(&mut self, shards: &mut [Shard], t_end: SimTime) -> Result<(), NodeError> {
-        self.advance_all(t_end)?;
-        self.process_due(t_end);
-        for shard in shards.iter_mut() {
+    /// apply anything due at exactly `t_end` on clocks already there —
+    /// the order lockstep uses. Shard stimulus queues can only hold
+    /// `t_end`-exact leftovers here (epochs consume everything
+    /// earlier). Every node whose next activity moved is re-keyed as it
+    /// goes, so the calendars leave the call exact and the stimulus
+    /// queues empty.
+    fn finish_sharded(&mut self, set: &mut ShardSet, t_end: SimTime) -> Result<(), NodeError> {
+        let mut failed = None;
+        for i in 0..self.nodes.len() {
+            // Most nodes sleep past the horizon: their clocks move and
+            // nothing else does, calendar entries included.
+            if set.time_of(i).is_some_and(|t| t > t_end) && self.nodes[i].sleep_until(t_end) {
+                continue;
+            }
+            match self.nodes[i].run_until(t_end) {
+                Ok(outputs) => {
+                    let from = self.nodes[i].id();
+                    self.fold_outputs(from, outputs);
+                    set.rekey(&self.nodes[i], i);
+                }
+                Err(e) => keep_earliest(&mut failed, fault(&self.nodes[i], i, e)),
+            }
+        }
+        if let Some((_, _, e)) = failed {
+            return Err(e);
+        }
+        while let Some(due) = self.deliveries.peek_time() {
+            if due > t_end {
+                break;
+            }
+            let (_, tx) = self.deliveries.pop().expect("peeked");
+            self.deliver(tx);
+            self.rekey_receivers(set, tx.from);
+        }
+        self.expire_channel(t_end);
+        for shard in &mut set.shards {
             while let Some((due, local, stim)) = shard.pop_stimulus() {
                 debug_assert!(due == t_end, "interior stimuli are consumed by epochs");
-                let id = self.nodes[shard.members[local]].id();
+                let gi = shard.members[local];
+                let id = self.nodes[gi].id();
                 self.apply_stimulus(id, stim, due);
+                shard.rekey(&self.nodes[gi], local);
             }
         }
         self.now = t_end;
@@ -977,8 +1034,8 @@ impl NetworkSim {
     }
 
     /// Deliver transmissions and apply stimuli due at or before `t`
-    /// (every node is already at `t`: a lockstep round, or the tail of
-    /// a sharded run).
+    /// (every node is already at `t`: a lockstep round). The sharded
+    /// tail does the same in `finish_sharded`, re-keying as it goes.
     fn process_due(&mut self, t: SimTime) {
         while let Some(due) = self.deliveries.peek_time() {
             if due > t {
@@ -1004,13 +1061,14 @@ impl NetworkSim {
     }
 
     fn deliver(&mut self, tx: Transmission) {
+        let rivals = self.channel.rivals(&tx);
         // Cached neighbour slices borrow `topology`; the loop mutates
         // only the disjoint `channel`/`nodes`/`trace` fields.
         let receivers = self.topology.neighbours(tx.from);
         for &id in receivers {
             // By symmetry, what `id` hears is exactly its neighbours.
             let audible = self.topology.neighbours(id);
-            let clean = self.channel.is_clean(&tx, audible) && !self.channel.fades();
+            let clean = Channel::is_clean(&rivals, audible) && !self.channel.fades();
             let idx = Self::idx(id);
             if clean {
                 if self.nodes[idx].deliver_rx(tx.word) {
@@ -1053,6 +1111,43 @@ impl NetworkSim {
     }
 }
 
+/// The sharded engine's state between `run_until` calls: a cache of
+/// values the node state already determines, so it is never encoded.
+/// Between calls:
+///
+/// * every calendar entry equals its node's `next_activity()`, and a
+///   node without one has no entry;
+/// * every shard's stimulus queue is empty, and its per-member counts
+///   are zero;
+/// * shard membership is a function of topology and shard count.
+///
+/// Each call restores these before it returns `Ok`; the calls that
+/// could break them from outside (adding nodes, `node_mut`,
+/// `set_battery`, a scheduler or shard-count change, a lockstep run, a
+/// call that faults) drop the set, and the next sharded run rebuilds
+/// it exactly as a fresh one would.
+struct ShardSet {
+    shards: Vec<Shard>,
+    /// Global node index → (shard, member position).
+    shard_of: Vec<(u32, u32)>,
+    /// The epoch lookahead: the shortest radio word time in the fleet.
+    word_floor: SimDuration,
+}
+
+impl ShardSet {
+    /// Node `gi`'s calendar entry, if it has one.
+    fn time_of(&self, gi: usize) -> Option<SimTime> {
+        let (s, local) = self.shard_of[gi];
+        self.shards[s as usize].wake.time_of(local as usize)
+    }
+
+    /// Refresh one node's entry in its owning shard's wake calendar.
+    fn rekey(&mut self, node: &Node, gi: usize) {
+        let (s, local) = self.shard_of[gi];
+        self.shards[s as usize].rekey(node, local as usize);
+    }
+}
+
 /// One spatial shard of a [`Scheduler::Sharded`] run: a group of grid
 /// cells' nodes with a private wake calendar, advanced independently of
 /// every other shard inside each conservative epoch. All cross-shard
@@ -1062,7 +1157,7 @@ pub(crate) struct Shard {
     members: Vec<usize>,
     /// Wake calendar keyed by position in `members`.
     wake: WakeQueue,
-    /// This run's stimuli for member nodes — `(due, member position,
+    /// This call's stimuli for member nodes — `(due, member position,
     /// stimulus)` — ascending by due time (global-calendar pop order).
     stimuli: VecDeque<(SimTime, usize, Stimulus)>,
     /// Pending-stimulus count per member position: lets `run_member`
@@ -1142,8 +1237,11 @@ impl Shard {
                     let (due, local, stim) = self.pop_stimulus().expect("peeked");
                     unsafe { self.apply_stimulus(base, due, local, stim) };
                 }
+                // The member stays in the calendar while it runs and is
+                // re-keyed in place afterwards: one sift, not a pop and
+                // a push.
                 _ => {
-                    let (_, local) = self.wake.pop().expect("peeked");
+                    let (_, local) = self.wake.peek().expect("peeked");
                     unsafe { self.run_member(base, local, to) };
                 }
             }
@@ -1186,7 +1284,12 @@ impl Shard {
                 }
                 self.rekey(node, local);
             }
-            Err(e) => keep_earliest(&mut self.error, fault(node, gi, e)),
+            Err(e) => {
+                // Out of the calendar, so the epoch's remaining work
+                // does not pick the faulted member again.
+                self.wake.remove(local);
+                keep_earliest(&mut self.error, fault(node, gi, e));
+            }
         }
     }
 
@@ -1237,9 +1340,14 @@ impl Shard {
         self.rekey(node, local);
     }
 
-    /// Refresh one member's wake-calendar entry from its node state.
+    /// Refresh one member's wake-calendar entry from its node state,
+    /// touching the heap only when the instant moved.
     fn rekey(&mut self, node: &Node, local: usize) {
-        match node.next_activity() {
+        let next = node.next_activity();
+        if self.wake.time_of(local) == next {
+            return;
+        }
+        match next {
             Some(wt) => self.wake.set(local, wt),
             None => self.wake.remove(local),
         }

@@ -18,12 +18,16 @@
 //!
 //! A snapshot is only taken between [`NetworkSim::run_until`] calls
 //! (`export_snapshot` takes `&self`; a run holds `&mut self`). At that
-//! boundary no scheduler-internal state exists: every non-lockstep run
-//! builds its `Shard` structs, wake calendars included, at its top.
-//! The observable state is exactly {nodes, topology, channel,
-//! calendars, trace, clock} — what this module serializes. In
-//! particular a *mid-epoch* sharded snapshot cannot exist, which is
-//! the safety argument for `Scheduler::Sharded` (DESIGN.md §11).
+//! boundary the sharded engine may keep its shards and wake calendars
+//! from the last call, but they hold nothing this module does not
+//! write: every calendar entry equals its node's `next_activity()`,
+//! every shard stimulus queue is empty, and membership follows from
+//! topology and shard count. A restored fleet builds the same
+//! calendars on its first run. The observable state is exactly
+//! {nodes, topology, channel, calendars, trace, clock} — what this
+//! module serializes. In particular a *mid-epoch* sharded snapshot
+//! cannot exist, which is the safety argument for `Scheduler::Sharded`
+//! (DESIGN.md §11).
 //!
 //! Calendar FIFO order survives the round trip: entries are exported
 //! sorted by `(time, insertion seq)` and re-`schedule`d in that order,

@@ -14,12 +14,19 @@
 //! node faults, the same fault. Shard epochs run on the worker pool
 //! when the host has more than one CPU and inline otherwise; CI runs
 //! this suite both ways.
+//!
+//! The sharded engine keeps its shards and wake calendars from one
+//! `run_until` call to the next. `outside_operations_between_slices`
+//! pokes the fleet between slices through every public door that can
+//! move a node's next activity, and holds the kept state to the
+//! lockstep reference fed the same operations.
 
 use dess::{SimDuration, SimTime};
 use proptest::prelude::*;
 use snap_apps::blink::blink_program;
 use snap_apps::mac::{mac_program, send_on_irq_app, RX_DISPATCH_STUB};
 use snap_apps::prelude::install_handler;
+use snap_energy::BatteryConfig;
 use snap_isa::Reg;
 use snap_net::{NetworkSim, Position, Scheduler, Stimulus};
 use snap_node::{NodeError, NodeId};
@@ -38,6 +45,17 @@ struct Scenario {
     run_ms: u64,
 }
 
+/// Add MAC node `i` (id `i + 1`) of a ring of `ring` at its grid slot:
+/// it sends to the next node of the ring on every sensor interrupt.
+fn add_mac_node(sim: &mut NetworkSim, i: u8, ring: u8) -> NodeId {
+    let dst = if i + 1 == ring { 1 } else { i + 2 };
+    let extra = install_handler("EV_IRQ", "app_send_irq");
+    let app = format!("{}{}", send_on_irq_app(dst), RX_DISPATCH_STUB);
+    let program = mac_program(i + 1, &extra, &app).unwrap();
+    let (col, row) = (f64::from(i % 5), f64::from(i / 5));
+    sim.add_node(&program, Position::new(col * 8.0, row * 8.0))
+}
+
 fn build(s: &Scenario, scheduler: Scheduler, shards: usize) -> NetworkSim {
     let mut sim = NetworkSim::new(12.0);
     sim.set_scheduler(scheduler);
@@ -46,12 +64,7 @@ fn build(s: &Scenario, scheduler: Scheduler, shards: usize) -> NetworkSim {
         sim.set_loss(f64::from(s.loss_ppm) / 1_000_000.0, s.loss_seed);
     }
     for i in 0..s.mac_nodes {
-        let dst = if i + 1 == s.mac_nodes { 1 } else { i + 2 };
-        let extra = install_handler("EV_IRQ", "app_send_irq");
-        let app = format!("{}{}", send_on_irq_app(dst), RX_DISPATCH_STUB);
-        let program = mac_program(i + 1, &extra, &app).unwrap();
-        let (col, row) = (f64::from(i % 5), f64::from(i / 5));
-        let id = sim.add_node(&program, Position::new(col * 8.0, row * 8.0));
+        let id = add_mac_node(&mut sim, i, s.mac_nodes);
         sim.schedule(
             id,
             SimTime::ZERO + SimDuration::from_us(1_000 + s.stagger_us * u64::from(i)),
@@ -167,6 +180,82 @@ fn run_sliced(
     Ok(observe(&sim, node_count(s)))
 }
 
+/// One operation on the fleet from outside, between two slices.
+#[derive(Debug, Clone)]
+enum Outside {
+    /// `schedule` a sensor interrupt this many µs after the slice end
+    /// on node `n % nodes`.
+    Schedule(u8, u64),
+    /// `node_mut(..).trigger_sensor_irq()`.
+    Irq(u8),
+    /// `node_mut(..).sensors_mut().set_reading(id, value)`.
+    Reading(u8, u16, u16),
+    /// `set_battery` with a budget of this many nAh: at 1 mA of sleep
+    /// current it lasts 3.6 ms per nAh, so some nodes die in the run.
+    Battery(u8, u32),
+    /// `add_node`: a MAC node that joins the ring's radio range
+    /// (`true`), or a timer-periodic blink node (`false`).
+    AddNode(bool),
+    /// `set_scheduler` on the sharded side: Auto, EventDriven or
+    /// Sharded (the reference stays lockstep).
+    Scheduler(u8),
+}
+
+fn outside() -> impl Strategy<Value = Outside> {
+    prop_oneof![
+        (any::<u8>(), 0u64..8_000).prop_map(|(n, us)| Outside::Schedule(n, us)),
+        any::<u8>().prop_map(Outside::Irq),
+        (any::<u8>(), 0u16..4, any::<u16>()).prop_map(|(n, id, v)| Outside::Reading(n, id, v)),
+        (any::<u8>(), 1u32..8).prop_map(|(n, nah)| Outside::Battery(n, nah)),
+        any::<bool>().prop_map(Outside::AddNode),
+        (0u8..3).prop_map(Outside::Scheduler),
+    ]
+}
+
+/// Apply `op` to `sim`; `reference` marks the lockstep side, which
+/// ignores scheduler flips.
+fn apply_outside(sim: &mut NetworkSim, op: &Outside, reference: bool) {
+    let nodes = sim.node_count() as u32;
+    let node = |n: u8| NodeId(u32::from(n) % nodes + 1);
+    match *op {
+        Outside::Schedule(n, us) => {
+            let at = sim.now() + SimDuration::from_us(us);
+            sim.schedule(node(n), at, Stimulus::SensorIrq);
+        }
+        Outside::Irq(n) => {
+            sim.node_mut(node(n)).trigger_sensor_irq();
+        }
+        Outside::Reading(n, id, value) => {
+            sim.node_mut(node(n)).sensors_mut().set_reading(id, value);
+        }
+        Outside::Battery(n, nah) => {
+            let battery = BatteryConfig {
+                capacity_uah: f64::from(nah) * 1e-3,
+                voltage_v: 3.0,
+                sleep_ua: 1_000.0,
+                tx_pj_per_word: 50_000.0,
+            };
+            sim.set_battery(node(n), Some(battery));
+        }
+        Outside::AddNode(true) if nodes < 20 => {
+            // Node ids are sequential, so the new node is MAC node
+            // `nodes` of a ring one longer than before.
+            add_mac_node(sim, nodes as u8, nodes as u8 + 1);
+        }
+        Outside::AddNode(_) => {
+            sim.add_node(
+                &blink_program().unwrap(),
+                Position::new(1_000.0 + f64::from(nodes) * 100.0, 50.0),
+            );
+        }
+        Outside::Scheduler(_) if reference => {}
+        Outside::Scheduler(k) => {
+            let scheduler = [Scheduler::Auto, Scheduler::EventDriven, Scheduler::Sharded];
+            sim.set_scheduler(scheduler[usize::from(k)]);
+        }
+    }
+}
+
 fn observe(sim: &NetworkSim, nodes: u32) -> Observed {
     let per_node = (1..=nodes)
         .map(|n| {
@@ -236,8 +325,8 @@ proptest! {
 
     /// Slicing is invisible: a scenario run to its horizon in 2–8
     /// random `run_until` slices ends exactly where one call does, fault
-    /// included, although every slice rebuilds the shards and syncs the
-    /// fleet's clocks at its end.
+    /// included, although every slice syncs the fleet's clocks at its
+    /// end and the calendars it keeps must carry over exactly.
     #[test]
     fn sliced_runs_match_one_call(
         s in scenario(),
@@ -254,6 +343,50 @@ proptest! {
             let whole = run(&s, scheduler, shards);
             let sliced = run_sliced(&s, scheduler, shards, &cuts_ppm);
             prop_assert_eq!(sliced, whole, "slicing diverged under {}", label);
+        }
+    }
+
+    /// The sharded engine keeps its shards and calendars between
+    /// calls: random slices with random outside operations between
+    /// them (stimuli, interrupts and sensor readings through
+    /// `node_mut`, batteries, new nodes, scheduler flips) end where the
+    /// lockstep reference, fed the same operations, ends — after every
+    /// slice, not only at the horizon — or in the same fault.
+    #[test]
+    fn outside_operations_between_slices(
+        s in scenario(),
+        shards in 1usize..4,
+        steps in prop::collection::vec((1u64..1_000_000, outside()), 1..8),
+    ) {
+        let mut sim = build(&s, Scheduler::Sharded, shards);
+        let mut reference = build(&s, Scheduler::Lockstep, 1);
+        let end = horizon(&s).as_ps();
+        let mut steps = steps;
+        steps.sort_by_key(|&(cut, _)| cut);
+        let mut slices = steps
+            .iter()
+            .map(|(cut, op)| (end * cut / 1_000_000, Some(op)))
+            .collect::<Vec<_>>();
+        slices.push((end, None));
+        for (at, op) in slices {
+            let at = SimTime::from_ps(at);
+            match (sim.run_until(at), reference.run_until(at)) {
+                (Ok(()), Ok(())) => {
+                    let nodes = sim.node_count() as u32;
+                    prop_assert_eq!(
+                        observe(&sim, nodes), observe(&reference, nodes),
+                        "diverged at {:?} before {:?}", at, op
+                    );
+                }
+                (got, want) => {
+                    prop_assert_eq!(got, want, "fault diverged at {:?}", at);
+                    break;
+                }
+            }
+            if let Some(op) = op {
+                apply_outside(&mut sim, op, false);
+                apply_outside(&mut reference, op, true);
+            }
         }
     }
 

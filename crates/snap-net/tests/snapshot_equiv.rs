@@ -370,6 +370,52 @@ fn chained_checkpoints_accumulate_no_drift() {
     assert_eq!(observe(&sim), straight);
 }
 
+/// The sharded engine keeps its shards and wake calendars between
+/// `run_until` calls; a restored fleet starts without them and builds
+/// them on its first call. Both must continue bit-identically: the
+/// kept state holds nothing a snapshot does not carry. Checked slice by
+/// slice after a checkpoint taken mid-traffic, under every scheduler
+/// that runs the sharded engine.
+#[test]
+fn kept_engine_state_and_restored_copy_continue_identically() {
+    let s = Scenario {
+        mac_nodes: 5,
+        blink_nodes: 2,
+        loss_ppm: 150_000,
+        loss_seed: 11,
+        stagger_us: 650,
+        extra_irqs: vec![(1, 7_300), (3, 12_100)],
+        snap_at_us: 6_000,
+        run_to_us: 24_000,
+    };
+    for scheduler in [Scheduler::EventDriven, Scheduler::Sharded, Scheduler::Auto] {
+        let mut kept = build(&s, Engine::Fused, scheduler);
+        for ms in 1..=6u64 {
+            kept.run_until(SimTime::ZERO + SimDuration::from_ms(ms))
+                .unwrap();
+        }
+        let bytes = Snapshot::Fleet(Box::new(kept.export_snapshot())).to_bytes();
+        let back = Snapshot::from_bytes(&bytes).unwrap();
+        let mut restored = NetworkSim::from_snapshot(back.as_fleet().unwrap()).unwrap();
+        let heard = kept.channel().deliveries();
+        for ms in 7..=24u64 {
+            let at = SimTime::ZERO + SimDuration::from_ms(ms);
+            let (a, b) = (kept.run_until(at), restored.run_until(at));
+            assert_eq!(a, b, "{scheduler:?}: fault diverged at {ms} ms");
+            a.unwrap();
+            assert_eq!(
+                observe(&kept),
+                observe(&restored),
+                "{scheduler:?}: diverged at {ms} ms"
+            );
+        }
+        assert!(
+            kept.channel().deliveries() > heard,
+            "no traffic after the checkpoint"
+        );
+    }
+}
+
 /// A program-level fault (here: an injected IRQ makes the MAC app start
 /// a TX while a word is already on air) must reproduce **identically**
 /// after a checkpoint/restore taken before the fault — same error

@@ -629,6 +629,29 @@ impl Node {
         }
     }
 
+    /// Let a sleeping node's clock run to `to` when its next activity
+    /// lies after `to`: what [`Node::run_until`] does for such a node
+    /// (sleep time accrues; no instruction, timer, delivery or output),
+    /// without the event loop, and leaving [`Node::next_activity`]
+    /// where it was. Returns `false` and does nothing unless the node is
+    /// a live SNAP core asleep with an empty event queue; the caller
+    /// must already know that nothing is due by `to`.
+    pub fn sleep_until(&mut self, to: SimTime) -> bool {
+        debug_assert!(self.next_activity().is_none_or(|t| t > to));
+        if self.died_at.is_some() {
+            return false;
+        }
+        let NodeCpu::Snap(cpu) = &mut self.cpu else {
+            return false;
+        };
+        if cpu.state() != CoreState::Asleep || !cpu.event_queue().is_empty() {
+            return false;
+        }
+        self.run_steps = 0;
+        cpu.advance_idle(to);
+        true
+    }
+
     /// Advance the node until `deadline`, executing handlers and
     /// delivering radio/sensor events at their due times.
     ///
@@ -997,6 +1020,19 @@ mod tests {
         let mut node = Node::new(NodeConfig::default());
         node.load(&program).unwrap();
         node
+    }
+
+    /// A 100k-node fleet holds 100k of each: every byte added here is
+    /// ~100 kB of resident node state and shifts the hot fields behind
+    /// it. The ceilings are the sizes on x86_64 when they were pinned;
+    /// lower them when a change shrinks the structs.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn node_state_does_not_grow() {
+        let (cpu, node) = (size_of::<Processor>(), size_of::<Node>());
+        eprintln!("size_of Processor = {cpu} B, Node = {node} B");
+        assert!(cpu <= 1_304, "Processor grew to {cpu} B (ceiling 1,304)");
+        assert!(node <= 1_560, "Node grew to {node} B (ceiling 1,560)");
     }
 
     #[test]

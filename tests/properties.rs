@@ -202,7 +202,7 @@ proptest! {
     /// 11-bit address decoder.
     #[test]
     fn membank_wraps(addr in any::<u16>(), value in any::<u16>()) {
-        let mut m = snap_core::MemBank::new("dmem");
+        let mut m = snap_core::MemBank::new(snap_core::Bank::Dmem);
         m.write(addr, value);
         prop_assert_eq!(m.read(addr & 0x7ff), value);
         prop_assert_eq!(m.read(addr | 0x0800), m.read(addr & 0x7ff));
