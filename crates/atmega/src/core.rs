@@ -245,11 +245,6 @@ impl AvrCore {
         self.pending.iter().any(|&p| p)
     }
 
-    /// Is the global interrupt flag set?
-    pub fn irqs_enabled(&self) -> bool {
-        self.flag_i
-    }
-
     /// Wall cycle of the next peripheral event (timer fire, ADC or SPI
     /// completion), if any peripheral is armed.
     pub fn next_event_cycle(&self) -> Option<u64> {

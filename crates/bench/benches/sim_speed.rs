@@ -18,10 +18,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Baseline timings measured on this tree immediately before the
-/// fast-path changes (predecoded IMEM, persistent worker pool, cached
-/// neighbourhoods), release profile, same machine; the minimum of six
-/// runs, so reported speedups are conservative. `--json` reports
-/// current timings as a speedup over these.
+/// fast-path changes (predecoded IMEM, a worker pool since removed,
+/// cached neighbourhoods), release profile, same machine; the minimum
+/// of six runs, so reported speedups are conservative. `--json`
+/// reports current timings as a speedup over these.
 const BASELINE_30K_US: f64 = 1_562.0;
 const BASELINE_NET_US: f64 = 163_100.0;
 
@@ -292,11 +292,10 @@ const GRID_MAC_NODES: usize = 6;
 /// a single shared calendar still pays a global scheduling boundary
 /// for every cluster's channel events.
 const GRID_CLUSTERS: usize = 10;
-/// Shard count for the sharded grid runs. On one core the curve
-/// flattens past ~64 shards (smaller per-shard calendars, same total
-/// work); with worker threads available the pool runs shards in
-/// parallel, so a generous count also leaves headroom for multi-core
-/// hosts.
+/// Shard count for the explicitly sharded grid runs (`net_grid_1m`
+/// and the probes): the count `Scheduler::Auto` picks at 100k nodes.
+/// Epochs run one shard after another, so the count moves host time
+/// only through calendar sizes and barriers.
 const GRID_SHARDS: usize = 64;
 /// Grid scenario sizes: (width, height, simulated ms).
 const GRID_10K: (usize, usize, u64) = (100, 100, 10);
@@ -825,7 +824,7 @@ fn grid_sliced_entry(one_call: &Entry, reps: u64, programs: &GridPrograms) -> En
         work: sliced.work,
         bytes_per_node: Some(sliced.bytes_per_node),
         extra: Vec::new(),
-        note: Some("baseline = net_grid_10k in one run_until call; 1 ms slices"),
+        note: Some("baseline = net_grid_10k in one run_until call; 1 ms slices, so <1.0x is what the calls' clock syncs cost"),
     }
 }
 
@@ -1198,7 +1197,7 @@ fn run_json(measurement: Duration, path: &std::path::Path, full_grids: bool) {
             GRID_100K,
             3,
             &grid_programs,
-            Some("auto scheduler splits the fleet into 64 shards at this scale"),
+            Some("auto scheduler splits the fleet into 64 shards at this scale; one shard runs it as fast, so ~1.0x"),
         ));
         // At a million nodes the one-shard baseline would take far
         // longer than the measurement is worth; the 10k/100k rows
@@ -1261,9 +1260,10 @@ fn run_check() {
 
 /// The most live heap per node `net_grid_10k` may hold after its run.
 /// With copy-on-write memory and decode-cache pages each sleeper owns
-/// one 512 B DMEM page, and the row reads 2,785 B/node, the sharded
-/// engine's kept calendars and shard buffers included (2,698 without
-/// them). A whole private
+/// one 512 B DMEM page, and the row reads 2,743 B/node, the sharded
+/// engine's kept calendars included (2,698 before the engine kept
+/// them; 2,785 while its shards also kept a whole call's stimulus
+/// queue and per-shard output and trace buffers). A whole private
 /// decode cache on each of the 60 MAC-cluster nodes read 3,854, a node
 /// vector grown by doubling 4,819, and a private 4 KB DMEM bank per
 /// sleeper 8,417.

@@ -121,11 +121,6 @@ impl Packet {
             payload: words[2..2 + len].to_vec(),
         })
     }
-
-    /// Total words on the wire.
-    pub fn wire_len(&self) -> usize {
-        self.payload.len() + 3
-    }
 }
 
 #[cfg(test)]

@@ -52,4 +52,4 @@ pub mod program;
 pub use assembler::{assemble, assemble_modules, Assembler};
 pub use disasm::{disassemble, DisasmLine};
 pub use error::AsmError;
-pub use program::{Program, Segment, SourceLine};
+pub use program::{Program, SourceLine};

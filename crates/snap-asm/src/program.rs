@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// A contiguous run of words at a fixed base address.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Segment {
+pub(crate) struct Segment {
     /// Base word address.
     pub base: Addr,
     /// The words.
@@ -66,16 +66,6 @@ impl Program {
         })
     }
 
-    /// IMEM segments, sorted by base address.
-    pub fn imem_segments(&self) -> &[Segment] {
-        &self.imem
-    }
-
-    /// DMEM segments, sorted by base address.
-    pub fn dmem_segments(&self) -> &[Segment] {
-        &self.dmem
-    }
-
     /// Look up a symbol's value (label address or `.equ` constant).
     pub fn symbol(&self, name: &str) -> Option<Addr> {
         self.symbols.get(name).map(|&v| v as Addr)
@@ -92,12 +82,6 @@ impl Program {
     /// small constants collide with low code addresses.)
     pub fn is_code_symbol(&self, name: &str) -> bool {
         self.code_symbols.contains(name)
-    }
-
-    /// True when `name` was defined as a label in a `.data` section,
-    /// i.e. its value is a DMEM word address.
-    pub fn is_data_symbol(&self, name: &str) -> bool {
-        self.data_symbols.contains(name)
     }
 
     /// Address ranges of the named data objects, sorted by base

@@ -54,11 +54,6 @@ impl EventQueue {
         }
     }
 
-    /// Whether enqueue times are being recorded.
-    pub fn stamps_enabled(&self) -> bool {
-        self.stamps.is_some()
-    }
-
     /// Decode a queue; the high-water mark restarts at the restored
     /// length.
     pub(crate) fn decode(r: &mut Reader) -> Result<EventQueue, SnapshotError> {

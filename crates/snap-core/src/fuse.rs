@@ -11,10 +11,9 @@
 //! dispatch replays back-to-back, the software analogue of threaded
 //! code with a computed-goto loop.
 //!
-//! Fusion recognizes the hot multi-word idioms the paper's handlers
-//! lean on — compare-and-branch pairs, `add`/`addc` carry chains,
-//! load-op-store sequences, and counted-loop back-edges — and tags each
-//! trace with its [`FuseKind`].
+//! Fusion covers the hot multi-word idioms the paper's handlers lean
+//! on — compare-and-branch pairs, `add`/`addc` carry chains,
+//! load-op-store sequences, and counted-loop back-edges.
 //!
 //! Correctness contract (shared with tier 2 in [`crate::translate`]):
 //! replaying a trace is **bit-identical** to interpreting its
@@ -91,22 +90,6 @@ pub(crate) enum FusedTerm {
     },
 }
 
-/// The idiom a trace was recognized as (observability/tests; execution
-/// is identical for all kinds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FuseKind {
-    /// One compare/test op plus a conditional branch.
-    CmpBranch,
-    /// Contains an `addc`/`subc` multi-precision carry chain.
-    CarryChain,
-    /// Load and store with intervening ops.
-    LoadOpStore,
-    /// Ends in a backward conditional branch (counted-loop back-edge).
-    LoopEdge,
-    /// Any other fusable straight-line run.
-    StraightLine,
-}
-
 /// A fused superinstruction: a straight-line run of micro-ops plus an
 /// optional control-flow terminator, all charged per constituent
 /// exactly as the interpreter would.
@@ -135,8 +118,6 @@ pub(crate) struct FusedTrace {
     /// Dynamic instruction count per class, for batch-updating the
     /// per-class histogram (integer counts commute).
     pub counts: Box<[(InstructionClass, u32)]>,
-    /// The recognized idiom.
-    pub kind: FuseKind,
 }
 
 impl FusedTrace {
@@ -297,7 +278,6 @@ pub(crate) fn build_run(
             FusedTerm::Fall { .. } => {}
         }
     }
-    let kind = classify(&ops, &term, at);
     Some((
         FusedTrace {
             ops: ops.into_boxed_slice(),
@@ -307,39 +287,9 @@ pub(crate) fn build_run(
             total_latency,
             total_cycles,
             counts: counts.into_boxed_slice(),
-            kind,
         },
         cursor,
     ))
-}
-
-fn classify(ops: &[(UOp, InstrCosts)], term: &FusedTerm, entry: Addr) -> FuseKind {
-    let carry = ops.iter().any(|(u, _)| {
-        matches!(
-            u,
-            UOp::AluReg {
-                op: AluOp::Addc | AluOp::Subc,
-                ..
-            }
-        )
-    });
-    if carry {
-        return FuseKind::CarryChain;
-    }
-    if let FusedTerm::Branch { taken, .. } = term {
-        if *taken <= entry {
-            return FuseKind::LoopEdge;
-        }
-        if ops.len() == 1 {
-            return FuseKind::CmpBranch;
-        }
-    }
-    let loads = ops.iter().any(|(u, _)| matches!(u, UOp::Load { .. }));
-    let stores = ops.iter().any(|(u, _)| matches!(u, UOp::Store { .. }));
-    if loads && stores {
-        return FuseKind::LoadOpStore;
-    }
-    FuseKind::StraightLine
 }
 
 /// The mutable processor fields a trace replay touches. Split out of
@@ -620,7 +570,6 @@ mod tests {
         };
         assert_eq!(t.len, 3);
         assert_eq!(t.ops.len(), 2);
-        assert_eq!(t.kind, FuseKind::LoopEdge);
         assert!(matches!(
             t.term,
             FusedTerm::Branch {
@@ -668,7 +617,7 @@ mod tests {
         let FusedSlot::Trace(t) = build_trace(0, decoder(&prog)) else {
             panic!("expected a trace");
         };
-        assert_eq!(t.kind, FuseKind::CarryChain);
+        assert_eq!(t.ops.len(), 2);
         assert!(matches!(t.term, FusedTerm::Fall { to: 2 }));
     }
 
@@ -690,8 +639,16 @@ mod tests {
         let FusedSlot::Trace(t) = build_trace(0, decoder(&prog)) else {
             panic!("expected a trace");
         };
-        assert_eq!(t.kind, FuseKind::CmpBranch);
         assert_eq!(t.len, 2);
+        assert_eq!(t.ops.len(), 1);
+        assert!(matches!(
+            t.term,
+            FusedTerm::Branch {
+                taken: 40,
+                fall: 3,
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -717,8 +674,9 @@ mod tests {
         let FusedSlot::Trace(t) = build_trace(0, decoder(&prog)) else {
             panic!("expected a trace");
         };
-        assert_eq!(t.kind, FuseKind::LoadOpStore);
         assert_eq!(t.len, 3);
+        assert_eq!(t.ops.len(), 3);
+        assert!(matches!(t.term, FusedTerm::Fall { to: 6 }));
     }
 
     #[test]

@@ -75,11 +75,6 @@ impl AvrEnergyModel {
         self.active_power.for_duration(self.cycle_time() * cycles)
     }
 
-    /// Elapsed time of a `cycles`-cycle task.
-    pub fn task_time(&self, cycles: u64) -> SimDuration {
-        self.cycle_time() * cycles
-    }
-
     /// The fastest sleep→active transition (idle sleep): ≈4 ms.
     pub fn min_wakeup(&self) -> SimDuration {
         SimDuration::from_ms(4)

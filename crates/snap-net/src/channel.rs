@@ -82,17 +82,6 @@ impl Channel {
         }
     }
 
-    /// Add independent per-word, per-receiver random loss ("fading").
-    /// Deterministic for a given seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= probability <= 1.0`.
-    pub fn with_loss(mut self, probability: f64, seed: u64) -> Channel {
-        self.set_loss(probability, seed);
-        self
-    }
-
     /// Enable random per-word loss in place: statistics and in-flight
     /// transmissions are preserved, only the fading model is replaced.
     ///

@@ -39,7 +39,6 @@
 #![warn(missing_docs)]
 
 pub mod channel;
-mod pool;
 pub mod sim;
 pub mod snapshot;
 pub mod telemetry;

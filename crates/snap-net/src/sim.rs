@@ -26,7 +26,12 @@
 //! can be delivered before `t + word_time`, so shards can run to
 //! `min(t + word_time, next scheduled delivery)` without hearing from
 //! each other. Cross-shard transmissions are exchanged at the epoch
-//! barrier through the one global delivery calendar.
+//! barrier through the one global delivery calendar. Epochs run one
+//! shard after another on the calling thread. Stimuli wait in the
+//! global calendar and enter a shard one epoch at a time: the shard
+//! applies those due inside its epoch, and the coordinator applies
+//! those due exactly at an epoch's start or at the horizon, after that
+//! instant's deliveries.
 //!
 //! The original lockstep scheduler (advance *every* node each round)
 //! survives as [`Scheduler::Lockstep`], the reference for the
@@ -46,7 +51,6 @@
 //! earliest fault, ties broken by node index, under every scheduler.
 
 use crate::channel::{Channel, Transmission};
-use crate::pool::WorkerPool;
 use crate::topology::{Position, Topology};
 use crate::trace::{Trace, TraceEvent, TraceKind, TraceMode};
 use dess::{Calendar, SimDuration, SimTime, WakeQueue};
@@ -212,7 +216,6 @@ pub struct NetworkSim {
     pub(crate) stimuli: Calendar<(NodeId, Stimulus)>,
     pub(crate) trace: Trace,
     pub(crate) now: SimTime,
-    pool: WorkerPool,
     pub(crate) scheduler: Scheduler,
     pub(crate) num_shards: usize,
     /// Whether the caller picked the trace mode explicitly (suppresses
@@ -240,7 +243,6 @@ impl NetworkSim {
             stimuli: Calendar::new(),
             trace: Trace::new(),
             now: SimTime::ZERO,
-            pool: WorkerPool::default(),
             scheduler: Scheduler::default(),
             num_shards: DEFAULT_SHARDS,
             trace_mode_explicit: false,
@@ -725,11 +727,17 @@ impl NetworkSim {
 
     /// Bring a node that may have been skipped (lazily-synced clock) to
     /// `to` before an event is posted to it, exactly as the lockstep
-    /// `advance_all` would have. For an already-advanced, halted, or
-    /// quietly sleeping node this is a cheap no-op / `advance_idle`; it
-    /// can execute no instructions and produce no outputs, because any
-    /// node with work before `to` already ran in an earlier epoch.
+    /// `advance_all` would have. For a halted or quietly sleeping node
+    /// this is a cheap no-op / `advance_idle`; it can execute no
+    /// instructions and produce no outputs, because any node with work
+    /// before `to` already ran in an earlier epoch. A node whose clock
+    /// already reads `to` is left alone: it may hold a word or stimulus
+    /// posted at `to`, and running it again would wake it before the
+    /// rest of that instant's work is posted, which lockstep never does.
     fn sync_node(&mut self, i: usize, to: SimTime) -> Result<(), NodeError> {
+        if self.nodes[i].now() >= to {
+            return Ok(());
+        }
         let outputs = self.nodes[i].run_until(to)?;
         // The one output a pure clock sync can produce is battery
         // death: a skipped node's death instant can land inside the
@@ -750,7 +758,6 @@ impl NetworkSim {
         // The kept state goes back only when the call succeeds: a
         // fault can leave a node its calendar entry does not describe.
         let mut set = self.shard_set.take().unwrap_or_else(|| self.build_shards());
-        self.hand_out_stimuli(&mut set, t_end);
         self.run_epochs_until(&mut set, t_end)?;
         self.shard_set = Some(set);
         Ok(())
@@ -759,17 +766,17 @@ impl NetworkSim {
     fn run_epochs_until(&mut self, set: &mut ShardSet, t_end: SimTime) -> Result<(), NodeError> {
         loop {
             // The earliest instant anything can happen, over the global
-            // delivery calendar and every shard's wakes and stimuli.
-            let mut first = self.deliveries.peek_time();
+            // delivery and stimulus calendars and every shard's wakes
+            // (shard stimulus queues are empty between epochs).
+            let mut first = Self::min_time(self.deliveries.peek_time(), self.stimuli.peek_time());
             for shard in &set.shards {
                 first = Self::min_time(first, shard.wake.peek().map(|(t, _)| t));
-                first = Self::min_time(first, shard.stimuli.front().map(|s| s.0));
             }
             let Some(t) = first.filter(|&t| t < t_end) else {
                 return self.finish_sharded(set, t_end);
             };
-            // Phase 1 (coordinator): deliveries, then boundary
-            // stimuli, due at exactly `t` — the lockstep order.
+            // Phase 1 (coordinator): deliveries, then stimuli, due at
+            // exactly `t` — the lockstep order.
             self.apply_due_sharded(t, set)?;
             // Phase 2: every shard runs to the conservative epoch
             // bound. A word needs `word_floor` to serialize, so no
@@ -782,7 +789,8 @@ impl NetworkSim {
                 to = to.min(d);
             }
             to = to.min(t_end);
-            self.run_epochs(&mut set.shards, to)?;
+            self.hand_out_stimuli(set, to);
+            self.run_epochs(set, to)?;
             self.now = to;
         }
     }
@@ -829,26 +837,27 @@ impl NetworkSim {
             shards,
             shard_of,
             word_floor,
+            outputs: Vec::new(),
         }
     }
 
-    /// Hand each shard its slice of this call's stimuli (due by
-    /// `t_end`), in global pop order.
-    fn hand_out_stimuli(&mut self, set: &mut ShardSet, t_end: SimTime) {
-        while let Some(due) = self.stimuli.peek_time() {
-            if due > t_end {
-                break;
-            }
+    /// Hand each shard the stimuli due strictly before the epoch bound
+    /// `to`, in global pop order. A stimulus due exactly at `to` stays
+    /// in the global calendar for the next phase 1 or the tail, which
+    /// apply it after that instant's deliveries.
+    fn hand_out_stimuli(&mut self, set: &mut ShardSet, to: SimTime) {
+        while self.stimuli.peek_time().is_some_and(|due| due < to) {
             let (due, (id, stim)) = self.stimuli.pop().expect("peeked");
             let (s, local) = set.shard_of[Self::idx(id)];
             set.shards[s as usize].push_stimulus(due, local as usize, stim);
         }
     }
 
-    /// Coordinator-side phase 1: deliveries due at exactly `t`, then
-    /// stimuli left at the previous epoch's boundary (epochs consume
-    /// interior stimuli themselves but stop strictly before their
-    /// bound, preserving the deliveries-before-stimuli order here).
+    /// Apply everything due at or before `t` on clocks synced to `t`:
+    /// deliveries, then stimuli — the lockstep order. Phase 1 runs this
+    /// at every epoch's start and the tail at the horizon (where every
+    /// clock already reads `t`, so the syncs do nothing). Every node
+    /// whose next activity moved is re-keyed.
     fn apply_due_sharded(&mut self, t: SimTime, set: &mut ShardSet) -> Result<(), NodeError> {
         while let Some(due) = self.deliveries.peek_time() {
             if due > t {
@@ -862,18 +871,15 @@ impl NetworkSim {
             self.deliver(tx);
             self.rekey_receivers(set, tx.from);
         }
-        for s in 0..set.shards.len() {
-            while let Some(&(due, local, stim)) = set.shards[s].stimuli.front() {
-                if due > t {
-                    break;
-                }
-                set.shards[s].pop_stimulus();
-                let gi = set.shards[s].members[local];
-                self.sync_node(gi, t)?;
-                let id = self.nodes[gi].id();
-                self.apply_stimulus(id, stim, due);
-                set.shards[s].rekey(&self.nodes[gi], local);
+        while let Some(due) = self.stimuli.peek_time() {
+            if due > t {
+                break;
             }
+            let (due, (id, stim)) = self.stimuli.pop().expect("peeked");
+            let gi = Self::idx(id);
+            self.sync_node(gi, t)?;
+            self.apply_stimulus(id, stim, due);
+            set.rekey(&self.nodes[gi], gi);
         }
         self.expire_channel(t);
         Ok(())
@@ -887,48 +893,39 @@ impl NetworkSim {
         }
     }
 
-    /// Run every shard's epoch to `to` (on the pool when it helps) and
+    /// Run every shard's epoch to `to`, one shard after another, and
     /// merge the results at the barrier.
-    fn run_epochs(&mut self, shards: &mut [Shard], to: SimTime) -> Result<(), NodeError> {
-        if shards.len() > 1 && self.pool.parallelism() > 1 {
-            self.pool.run_shards(&mut self.nodes, shards, to);
-        } else {
-            let base = self.nodes.as_mut_ptr();
-            for shard in shards.iter_mut() {
-                // SAFETY: shards own disjoint member index sets and run
-                // one at a time here; `base` covers all of them.
-                unsafe { shard.run_epoch(base, to) };
-            }
+    fn run_epochs(&mut self, set: &mut ShardSet, to: SimTime) -> Result<(), NodeError> {
+        let mut ran = 0;
+        for shard in &mut set.shards {
+            ran += shard.run_epoch(&mut self.nodes, &mut self.trace, &mut set.outputs, to);
         }
-        self.barrier(shards)
+        self.note_window(ran);
+        self.barrier(set)
     }
 
-    /// Epoch barrier: flush shard traces, merge shard outputs into the
-    /// global channel/calendar in a deterministic order, and propagate
-    /// the earliest fault, if any.
-    fn barrier(&mut self, shards: &mut [Shard]) -> Result<(), NodeError> {
+    /// Epoch barrier: merge the epoch's outputs into the global
+    /// channel/calendar in a deterministic order, and propagate the
+    /// earliest fault, if any.
+    fn barrier(&mut self, set: &mut ShardSet) -> Result<(), NodeError> {
         let mut failed = None;
-        let mut ran = 0;
-        let mut merged: Vec<(u64, usize, NodeOutput)> = Vec::new();
-        for shard in shards.iter_mut() {
-            ran += std::mem::take(&mut shard.ran);
-            for e in shard.trace.drain(..) {
-                self.trace.record(e);
-            }
-            merged.append(&mut shard.outputs);
+        for shard in &mut set.shards {
             if let Some(f) = shard.error.take() {
                 keep_earliest(&mut failed, f);
             }
         }
-        self.note_window(ran);
+        debug_assert!(
+            failed.is_some() || set.shards.iter().all(|s| s.stimuli.is_empty()),
+            "an epoch without a fault applies every stimulus it was handed"
+        );
         // Sort by output instant, then node index (stable, so one
         // node's outputs keep their chronological order). Everywhere
         // the global fold order is observable — FIFO ties in the
         // delivery calendar — this reproduces lockstep's node-index
         // fold order, because equal-length words that end together
         // also started together.
-        merged.sort_by_key(|&(at, gi, _)| (at, gi));
-        for (_, gi, output) in merged {
+        set.outputs.sort_by_key(|&(at, gi, _)| (at, gi));
+        for (_, gi, output) in set.outputs.drain(..) {
             let from = self.nodes[gi].id();
             self.fold_output(from, output);
         }
@@ -938,11 +935,8 @@ impl NetworkSim {
 
     /// Tail of a sharded run: bring every node to the horizon, then
     /// apply anything due at exactly `t_end` on clocks already there —
-    /// the order lockstep uses. Shard stimulus queues can only hold
-    /// `t_end`-exact leftovers here (epochs consume everything
-    /// earlier). Every node whose next activity moved is re-keyed as it
-    /// goes, so the calendars leave the call exact and the stimulus
-    /// queues empty.
+    /// the order lockstep uses. Every node whose next activity moved is
+    /// re-keyed as it goes, so the calendars leave the call exact.
     fn finish_sharded(&mut self, set: &mut ShardSet, t_end: SimTime) -> Result<(), NodeError> {
         let mut failed = None;
         for i in 0..self.nodes.len() {
@@ -963,24 +957,7 @@ impl NetworkSim {
         if let Some((_, _, e)) = failed {
             return Err(e);
         }
-        while let Some(due) = self.deliveries.peek_time() {
-            if due > t_end {
-                break;
-            }
-            let (_, tx) = self.deliveries.pop().expect("peeked");
-            self.deliver(tx);
-            self.rekey_receivers(set, tx.from);
-        }
-        self.expire_channel(t_end);
-        for shard in &mut set.shards {
-            while let Some((due, local, stim)) = shard.pop_stimulus() {
-                debug_assert!(due == t_end, "interior stimuli are consumed by epochs");
-                let gi = shard.members[local];
-                let id = self.nodes[gi].id();
-                self.apply_stimulus(id, stim, due);
-                shard.rekey(&self.nodes[gi], local);
-            }
-        }
+        self.apply_due_sharded(t_end, set)?;
         self.now = t_end;
         self.trace.seal();
         Ok(())
@@ -1035,7 +1012,8 @@ impl NetworkSim {
 
     /// Deliver transmissions and apply stimuli due at or before `t`
     /// (every node is already at `t`: a lockstep round). The sharded
-    /// tail does the same in `finish_sharded`, re-keying as it goes.
+    /// engine has its own copy, `apply_due_sharded`, which also syncs
+    /// and re-keys; the reference shares no code with what it checks.
     fn process_due(&mut self, t: SimTime) {
         while let Some(due) = self.deliveries.peek_time() {
             if due > t {
@@ -1111,14 +1089,23 @@ impl NetworkSim {
     }
 }
 
+/// An epoch output: `(output instant ps, global node index, output)`.
+/// The barrier merge sorts by that pair.
+type EpochOutput = (u64, usize, NodeOutput);
+
 /// The sharded engine's state between `run_until` calls: a cache of
 /// values the node state already determines, so it is never encoded.
-/// Between calls:
+/// At every epoch barrier that finds no fault, and between calls:
+///
+/// * every shard's stimulus queue is empty, and its per-member counts
+///   are zero (an epoch is handed only the stimuli due inside it, and
+///   applies them all);
+/// * the epoch output buffer is empty.
+///
+/// Between calls, also:
 ///
 /// * every calendar entry equals its node's `next_activity()`, and a
 ///   node without one has no entry;
-/// * every shard's stimulus queue is empty, and its per-member counts
-///   are zero;
 /// * shard membership is a function of topology and shard count.
 ///
 /// Each call restores these before it returns `Ok`; the calls that
@@ -1132,6 +1119,9 @@ struct ShardSet {
     shard_of: Vec<(u32, u32)>,
     /// The epoch lookahead: the shortest radio word time in the fleet.
     word_floor: SimDuration,
+    /// Outputs of the current epoch, from every shard. The barrier
+    /// drains it in place, so it keeps its capacity.
+    outputs: Vec<EpochOutput>,
 }
 
 impl ShardSet {
@@ -1152,26 +1142,18 @@ impl ShardSet {
 /// cells' nodes with a private wake calendar, advanced independently of
 /// every other shard inside each conservative epoch. All cross-shard
 /// interaction flows through the coordinator at epoch barriers.
-pub(crate) struct Shard {
+struct Shard {
     /// Global node indices owned by this shard (grid-cell order).
     members: Vec<usize>,
     /// Wake calendar keyed by position in `members`.
     wake: WakeQueue,
-    /// This call's stimuli for member nodes — `(due, member position,
+    /// This epoch's stimuli for member nodes — `(due, member position,
     /// stimulus)` — ascending by due time (global-calendar pop order).
     stimuli: VecDeque<(SimTime, usize, Stimulus)>,
     /// Pending-stimulus count per member position: lets `run_member`
     /// skip the queue scan for the (vast) majority of wakes whose node
-    /// has no stimulus left this run.
+    /// has no stimulus left this epoch.
     pending_stimuli: Vec<u32>,
-    /// Outputs produced this epoch: `(output instant ps, global node
-    /// index, output)`; the barrier merge sorts by that pair.
-    outputs: Vec<(u64, usize, NodeOutput)>,
-    /// Trace events produced this epoch (stimulus records), flushed
-    /// into the global trace at the barrier.
-    trace: Vec<TraceEvent>,
-    /// Members advanced this epoch (telemetry).
-    ran: usize,
     /// Earliest fault this epoch, with the global node index.
     error: Option<Fault>,
 }
@@ -1183,9 +1165,6 @@ impl Shard {
             wake: WakeQueue::with_keys(members.len()),
             members,
             stimuli: VecDeque::new(),
-            outputs: Vec::new(),
-            trace: Vec::new(),
-            ran: 0,
             error: None,
         }
     }
@@ -1203,7 +1182,10 @@ impl Shard {
         Some(entry)
     }
 
-    /// Advance this shard's due members up to (but excluding) `to`.
+    /// Advance this shard's due members up to (but excluding) `to`,
+    /// applying its stimuli on the way. Stimulus records go to `trace`
+    /// and node outputs to `outputs`. Returns how many member runs the
+    /// epoch made (telemetry).
     ///
     /// `to` is a conservative bound chosen by the coordinator: no radio
     /// delivery can become due strictly inside the epoch, so the shard
@@ -1216,33 +1198,34 @@ impl Shard {
     /// the fault instant: a member never faults before it wakes, so
     /// only those members can fault earlier (or tie with a lower
     /// index).
-    ///
-    /// # Safety
-    ///
-    /// `base` must point at the simulator's node slice, every index in
-    /// `members` must be owned by this shard alone for the duration of
-    /// the call, and the caller must not touch those nodes until the
-    /// epoch completes.
-    pub(crate) unsafe fn run_epoch(&mut self, base: *mut Node, to: SimTime) {
+    fn run_epoch(
+        &mut self,
+        nodes: &mut [Node],
+        trace: &mut Trace,
+        outputs: &mut Vec<EpochOutput>,
+        to: SimTime,
+    ) -> usize {
+        let mut ran = 0;
         loop {
             let fault_at = self.error.as_ref().map(|f| f.0);
             let due = |t: SimTime| t < to && fault_at.is_none_or(|at| t <= at);
             let wake_t = self.wake.peek().map(|(wt, _)| wt).filter(|&wt| due(wt));
             let stim_t = self.stimuli.front().map(|s| s.0).filter(|&st| due(st));
             match (wake_t, stim_t) {
-                (None, None) => return,
+                (None, None) => return ran,
                 // Stimuli win ties: lockstep applies a stimulus due at
                 // `t` before running the window that starts at `t`.
                 (w, Some(st)) if w.is_none_or(|wt| st <= wt) => {
                     let (due, local, stim) = self.pop_stimulus().expect("peeked");
-                    unsafe { self.apply_stimulus(base, due, local, stim) };
+                    self.apply_stimulus(nodes, trace, outputs, due, local, stim);
                 }
                 // The member stays in the calendar while it runs and is
                 // re-keyed in place afterwards: one sift, not a pop and
                 // a push.
                 _ => {
                     let (_, local) = self.wake.peek().expect("peeked");
-                    unsafe { self.run_member(base, local, to) };
+                    self.run_member(nodes, outputs, local, to);
+                    ran += 1;
                 }
             }
         }
@@ -1256,11 +1239,17 @@ impl Shard {
     /// interrupt late in node-local time. The stimulus queue is
     /// time-ordered, so the first entry for this member is its
     /// earliest.
-    unsafe fn run_member(&mut self, base: *mut Node, local: usize, to: SimTime) {
+    fn run_member(
+        &mut self,
+        nodes: &mut [Node],
+        outputs: &mut Vec<EpochOutput>,
+        local: usize,
+        to: SimTime,
+    ) {
         let gi = self.members[local];
-        // The scan is O(queue), but it only runs for members that
-        // still have a stimulus pending this run — for everyone else
-        // the per-member count short-circuits it.
+        // The scan is O(queue), which holds one epoch's stimuli, and it
+        // only runs for members that still have a stimulus pending —
+        // for everyone else the per-member count short-circuits it.
         let cap = if self.pending_stimuli[local] == 0 {
             to
         } else {
@@ -1269,18 +1258,16 @@ impl Shard {
                 .find(|s| s.1 == local)
                 .map_or(to, |s| s.0.min(to))
         };
-        // SAFETY: `gi` is a member index, owned by this shard alone.
-        let node = unsafe { &mut *base.add(gi) };
-        self.ran += 1;
+        let node = &mut nodes[gi];
         match node.run_until(cap) {
-            Ok(outputs) => {
-                for output in outputs {
+            Ok(out) => {
+                for output in out {
                     let at = match &output {
                         NodeOutput::Transmitted { start, .. } => start.as_ps(),
                         NodeOutput::LedWrite { at, .. } => at.as_ps(),
                         NodeOutput::Died { at } => at.as_ps(),
                     };
-                    self.outputs.push((at, gi, output));
+                    outputs.push((at, gi, output));
                 }
                 self.rekey(node, local);
             }
@@ -1294,22 +1281,23 @@ impl Shard {
     }
 
     /// Apply one stimulus at its exact due instant.
-    unsafe fn apply_stimulus(
+    fn apply_stimulus(
         &mut self,
-        base: *mut Node,
+        nodes: &mut [Node],
+        trace: &mut Trace,
+        outputs: &mut Vec<EpochOutput>,
         due: SimTime,
         local: usize,
         stim: Stimulus,
     ) {
         let gi = self.members[local];
-        // SAFETY: `gi` is a member index, owned by this shard alone.
-        let node = unsafe { &mut *base.add(gi) };
+        let node = &mut nodes[gi];
         // Sync the target's clock to the stimulus instant. `due` is no
         // later than any member wake (the epoch loop always picks the
         // minimum instant), so this executes nothing.
         match node.run_until(due) {
-            Ok(outputs) => {
-                for output in outputs {
+            Ok(out) => {
+                for output in out {
                     // As in `NetworkSim::sync_node`: battery death is
                     // the one output a pure clock sync can surface.
                     debug_assert!(
@@ -1317,7 +1305,7 @@ impl Shard {
                         "clock sync must not produce outputs (beyond battery death)"
                     );
                     if let NodeOutput::Died { at } = output {
-                        self.outputs.push((at.as_ps(), gi, output));
+                        outputs.push((at.as_ps(), gi, output));
                     }
                 }
             }
@@ -1332,7 +1320,7 @@ impl Shard {
             }
             Stimulus::SensorReading { id, value } => node.sensors_mut().set_reading(id, value),
         }
-        self.trace.push(TraceEvent {
+        trace.record(TraceEvent {
             at_ps: due.as_ps(),
             node: node.id(),
             kind: TraceKind::Stimulus,

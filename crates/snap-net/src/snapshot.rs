@@ -21,21 +21,21 @@
 //! boundary the sharded engine may keep its shards and wake calendars
 //! from the last call, but they hold nothing this module does not
 //! write: every calendar entry equals its node's `next_activity()`,
-//! every shard stimulus queue is empty, and membership follows from
-//! topology and shard count. A restored fleet builds the same
-//! calendars on its first run. The observable state is exactly
-//! {nodes, topology, channel, calendars, trace, clock} — what this
-//! module serializes. In particular a *mid-epoch* sharded snapshot
-//! cannot exist, which is the safety argument for `Scheduler::Sharded`
-//! (DESIGN.md §11).
+//! every shard stimulus queue and the epoch output buffer are empty
+//! (pending stimuli wait in the global calendar, which is written),
+//! and membership follows from topology and shard count. A restored
+//! fleet builds the same calendars on its first run. The observable
+//! state is exactly {nodes, topology, channel, calendars, trace,
+//! clock} — what this module serializes. In particular a *mid-epoch*
+//! sharded snapshot cannot exist, which is the safety argument for
+//! `Scheduler::Sharded` (DESIGN.md §11).
 //!
 //! Calendar FIFO order survives the round trip: entries are exported
 //! sorted by `(time, insertion seq)` and re-`schedule`d in that order,
 //! which reassigns fresh-but-ordered sequence numbers.
 //!
-//! Not captured, by design: the worker pool (rebuilt fresh; thread
-//! count never affects results), telemetry (observation-only — call
-//! [`NetworkSim::enable_telemetry`] again after restore), and AOT
+//! Not captured, by design: telemetry (observation-only — call
+//! [`NetworkSim::enable_telemetry`] again after restore) and AOT
 //! artifacts (each node's restore recompiles them; see
 //! [`snap_node::snapshot`]).
 

@@ -1,11 +1,11 @@
-//! Parallel/sequential equivalence: the worker pool must be invisible.
+//! Sharded/lockstep equivalence: shard epochs must be invisible.
 //!
 //! The same 10-node scenario runs twice — once on four shards (each
-//! epoch's shards run on the worker pool when the host has more than
-//! one CPU) and once under the lockstep reference (every node in index
-//! order on the calling thread). Traces and per-node energy totals must
-//! be bit-identical; anything less means the pool or the barrier
-//! reordered node outputs or perturbed the accounting.
+//! epoch runs the shards one after another, and the barrier merges
+//! their outputs) and once under the lockstep reference (every node in
+//! index order every round). Traces and per-node energy totals must be
+//! bit-identical; anything less means the barrier reordered node
+//! outputs or perturbed the accounting.
 
 use dess::{SimDuration, SimTime};
 use snap_apps::mac::{mac_program, send_on_irq_app, RX_DISPATCH_STUB};
@@ -41,28 +41,28 @@ fn build(scheduler: Scheduler) -> NetworkSim {
 
 #[test]
 fn parallel_and_sequential_runs_are_bit_identical() {
-    let mut parallel = build(Scheduler::Sharded);
-    let mut sequential = build(Scheduler::Lockstep);
-    parallel.run_until(ms(40)).unwrap();
-    sequential.run_until(ms(40)).unwrap();
+    let mut sharded = build(Scheduler::Sharded);
+    let mut lockstep = build(Scheduler::Lockstep);
+    sharded.run_until(ms(40)).unwrap();
+    lockstep.run_until(ms(40)).unwrap();
 
     // The scenario must actually do something, or the test is vacuous.
-    assert!(parallel.channel().deliveries() > 0, "no traffic delivered");
+    assert!(sharded.channel().deliveries() > 0, "no traffic delivered");
 
-    assert_eq!(parallel.trace().events(), sequential.trace().events());
+    assert_eq!(sharded.trace().events(), lockstep.trace().events());
     assert_eq!(
-        parallel.channel().deliveries(),
-        sequential.channel().deliveries()
+        sharded.channel().deliveries(),
+        lockstep.channel().deliveries()
     );
     assert_eq!(
-        parallel.channel().collisions(),
-        sequential.channel().collisions()
+        sharded.channel().collisions(),
+        lockstep.channel().collisions()
     );
     for i in 0u32..10 {
         let id = snap_node::NodeId(i + 1);
         let (p, s) = (
-            parallel.node(id).cpu().stats(),
-            sequential.node(id).cpu().stats(),
+            sharded.node(id).cpu().stats(),
+            lockstep.node(id).cpu().stats(),
         );
         assert_eq!(
             p.instructions,

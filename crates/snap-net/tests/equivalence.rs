@@ -11,9 +11,9 @@
 //! random slices, and require bit-identical results: the full trace,
 //! channel counters, and every node's instruction count, energy (to
 //! the bit), busy/sleep time and architectural registers — or, when a
-//! node faults, the same fault. Shard epochs run on the worker pool
-//! when the host has more than one CPU and inline otherwise; CI runs
-//! this suite both ways.
+//! node faults, the same fault. Shard epochs run one after another,
+//! each handed only the stimuli due inside it; stimuli due exactly at
+//! an epoch boundary are applied by the coordinator.
 //!
 //! The sharded engine keeps its shards and wake calendars from one
 //! `run_until` call to the next. `outside_operations_between_slices`
@@ -28,7 +28,7 @@ use snap_apps::mac::{mac_program, send_on_irq_app, RX_DISPATCH_STUB};
 use snap_apps::prelude::install_handler;
 use snap_energy::BatteryConfig;
 use snap_isa::Reg;
-use snap_net::{NetworkSim, Position, Scheduler, Stimulus};
+use snap_net::{NetworkSim, Position, Scheduler, Stimulus, TraceKind};
 use snap_node::{NodeError, NodeId};
 
 /// One randomized scenario: `mac_nodes` CSMA senders in a ring on a
@@ -386,6 +386,69 @@ proptest! {
             if let Some(op) = op {
                 apply_outside(&mut sim, op, false);
                 apply_outside(&mut reference, op, true);
+            }
+        }
+    }
+
+    /// Stimuli due exactly on an epoch boundary stay with the
+    /// coordinator, which applies them after the deliveries due at
+    /// their instant and before anything runs: at a delivery instant
+    /// (every delivery caps an epoch), often to that word's receiver or
+    /// twice to one node, with or without a slice ending there, and at
+    /// the horizon. The sharded engine ends every slice where the
+    /// lockstep reference does, or in the same fault.
+    #[test]
+    fn stimuli_on_epoch_boundaries(
+        s in scenario(),
+        shards in 1usize..4,
+        picks in prop::collection::vec((any::<u16>(), any::<bool>(), any::<bool>()), 1..8),
+    ) {
+        let Ok(plain) = run(&s, Scheduler::Lockstep, 1) else {
+            return;
+        };
+        let delivered: Vec<(u64, NodeId)> = plain
+            .trace
+            .iter()
+            .filter(|e| matches!(e.kind, TraceKind::Deliver { .. }))
+            .map(|e| (e.at_ps, e.node))
+            .collect();
+        if delivered.is_empty() {
+            return;
+        }
+        let end = horizon(&s).as_ps();
+        let mut sim = build(&s, Scheduler::Sharded, shards);
+        let mut reference = build(&s, Scheduler::Lockstep, 1);
+        let mut cuts = vec![end];
+        for &(pick, to_receiver, cut) in &picks {
+            let (at, receiver) = delivered[usize::from(pick) % delivered.len()];
+            let target = if to_receiver {
+                receiver
+            } else {
+                NodeId(u32::from(pick) % u32::from(s.mac_nodes) + 1)
+            };
+            for side in [&mut sim, &mut reference] {
+                side.schedule(target, SimTime::from_ps(at), Stimulus::SensorIrq);
+            }
+            if cut {
+                cuts.push(at);
+            }
+        }
+        sim.schedule(NodeId(1), SimTime::from_ps(end), Stimulus::SensorIrq);
+        reference.schedule(NodeId(1), SimTime::from_ps(end), Stimulus::SensorIrq);
+        cuts.sort_unstable();
+        cuts.dedup();
+        let nodes = node_count(&s);
+        for at in cuts {
+            let at = SimTime::from_ps(at);
+            match (sim.run_until(at), reference.run_until(at)) {
+                (Ok(()), Ok(())) => prop_assert_eq!(
+                    observe(&sim, nodes), observe(&reference, nodes),
+                    "diverged at {:?}", at
+                ),
+                (got, want) => {
+                    prop_assert_eq!(got, want, "fault diverged at {:?}", at);
+                    break;
+                }
             }
         }
     }

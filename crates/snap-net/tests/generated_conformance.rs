@@ -6,8 +6,8 @@
 //! commands issued at odd moments. Here a small mesh of nodes each
 //! runs a *different* generated program while exchanging real radio
 //! traffic, and the lockstep reference, the event-driven engine and
-//! the sharded engine (one shard per node, so its epochs run on the
-//! worker pool) must observe bit-identical universes: full trace,
+//! the sharded engine (one shard per node, so every word crosses an
+//! epoch barrier) must observe bit-identical universes: full trace,
 //! channel counters, and every node's registers, instruction count and
 //! energy bit pattern.
 

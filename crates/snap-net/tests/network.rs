@@ -209,7 +209,7 @@ fn idle_network_sleeps() {
 }
 
 /// Two identical runs produce bit-identical traces: the whole stack
-/// (LFSR backoffs, calendar FIFO tie-breaks, parallel windows) is
+/// (LFSR backoffs, calendar FIFO tie-breaks, shard epochs) is
 /// deterministic.
 #[test]
 fn simulation_is_deterministic() {
