@@ -14,7 +14,7 @@
 //! snapshotted: the golden-file and snapshot-equivalence suites in
 //! `snap-net` prove this end-to-end for mixed fleets.
 
-use crate::core::{AvrCore, IoPorts, SRAM_BYTES};
+use crate::core::{AvrCore, IoPorts, SPI_BYTE_CYCLES, SRAM_BYTES};
 use crate::isa::{AvrBranch, AvrInstr, Ptr};
 
 /// Decode failure: the blob is truncated or encodes a state the core
@@ -466,6 +466,10 @@ impl AvrCore {
         };
         let spi_done_at = r.opt_u64()?;
         let spi_byte_cycles = r.u64()?;
+        // Every core shifts a byte in this time, and it is added to the clock.
+        if spi_byte_cycles != SPI_BYTE_CYCLES {
+            return Err(AvrStateError("spi byte time"));
+        }
         let spi_rx = r.u8()?;
         let n = r.len()?;
         let mut sent = Vec::with_capacity(n);

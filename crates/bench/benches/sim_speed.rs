@@ -93,8 +93,8 @@ fn network_workload(sim: &NetworkSim) -> Workload {
 
 /// A 25-node CSMA mesh on a 5x5 grid: every node runs the MAC with a
 /// send-on-IRQ app targeting its successor, IRQs staggered so traffic
-/// overlaps. `Auto` runs the 25 nodes as one shard, so this times the
-/// wake calendar, the collision checks and delivery range scans.
+/// overlaps. This times the event-driven engine's wake calendar, the
+/// collision checks and delivery range scans.
 fn run_net_mesh() -> Workload {
     let mut sim = NetworkSim::new(12.0);
     for i in 0u8..25 {
@@ -214,9 +214,8 @@ fn run_net_sparse(programs: &[Program], scheduler: Scheduler) -> Workload {
     network_workload(&sim)
 }
 
-/// Nodes in the compute-heavy scenario. `Auto` runs them as one shard
-/// on the calling thread, so the row measures the translation engine,
-/// nothing else.
+/// Nodes in the compute-heavy scenario. They never hear each other, so
+/// the row measures the translation engine, nothing else.
 const COMPUTE_NODES: usize = 6;
 /// Simulated span of the compute-heavy scenario.
 const COMPUTE_SIM_MS: u64 = 20;
@@ -282,8 +281,7 @@ fn run_compute_heavy(program: &Program, engine: Engine) -> Workload {
 /// Duty-cycle period for grid sleepers, in timer ticks (µs).
 const GRID_PERIOD_TICKS: u16 = 2_000;
 /// MAC nodes per radio cluster in the grid scenarios (strung along a
-/// grid row, 8 m apart — with spatial sharding a cluster spans several
-/// cells, so its deliveries cross shard boundaries).
+/// grid row, 8 m apart).
 const GRID_MAC_NODES: usize = 6;
 /// Independent MAC clusters, spread across the grid on evenly spaced
 /// rows. Clusters sit far outside each other's radio range, so all of
@@ -292,11 +290,6 @@ const GRID_MAC_NODES: usize = 6;
 /// a single shared calendar still pays a global scheduling boundary
 /// for every cluster's channel events.
 const GRID_CLUSTERS: usize = 10;
-/// Shard count for the explicitly sharded grid runs (`net_grid_1m`
-/// and the probes): the count `Scheduler::Auto` picks at 100k nodes.
-/// Epochs run one shard after another, so the count moves host time
-/// only through calendar sizes and barriers.
-const GRID_SHARDS: usize = 64;
 /// Grid scenario sizes: (width, height, simulated ms).
 const GRID_10K: (usize, usize, u64) = (100, 100, 10);
 const GRID_100K: (usize, usize, u64) = (400, 250, 10);
@@ -310,12 +303,9 @@ const GRID_1M: (usize, usize, u64) = (1_000, 1_000, 10);
 ///
 /// The timer handler is a realistic sensing tick, not a bare re-arm:
 /// count the tick, derive a synthetic sample, run it through an EWMA
-/// filter and a running accumulator, then re-arm. Handler length is
-/// what separates the schedulers — a single shared calendar must chop
-/// every running burst at each other node's wake instant (~one window
-/// round-trip per instruction once wakes are denser than the
-/// instruction time), while shard epochs run each burst to completion
-/// in one call.
+/// filter and a running accumulator, then re-arm. Handler length
+/// matters: an epoch runs each burst to completion in one node call
+/// instead of chopping it at every other node's wake instant.
 fn grid_sleeper_program() -> Program {
     let app = format!(
         r"
@@ -407,15 +397,8 @@ fn grid_programs() -> GridPrograms {
 /// slots (8 m pitch), each sleeper's periodic timer started by a kick
 /// IRQ staggered across one full period — so wake instants are spread
 /// ~uniformly instead of beating in sync.
-fn build_grid(
-    (width, height, sim_ms): (usize, usize, u64),
-    scheduler: Scheduler,
-    shards: usize,
-    programs: &GridPrograms,
-) -> NetworkSim {
+fn build_grid((width, height, sim_ms): (usize, usize, u64), programs: &GridPrograms) -> NetworkSim {
     let mut sim = NetworkSim::new(12.0);
-    sim.set_scheduler(scheduler);
-    sim.set_shards(shards);
     sim.set_trace_mode(TraceMode::CountOnly);
     let cluster_rows: Vec<usize> = (0..GRID_CLUSTERS)
         .map(|c| c * height / GRID_CLUSTERS)
@@ -542,7 +525,6 @@ struct GridTiming {
 /// simulated length instead of one call.
 fn time_grid(
     size: (usize, usize, u64),
-    (scheduler, shards): (Scheduler, usize),
     slice: Option<SimDuration>,
     reps: u64,
     programs: &GridPrograms,
@@ -554,7 +536,7 @@ fn time_grid(
     let warmup = u64::from(reps > 1);
     for rep in 0..reps.max(1) + warmup {
         let before = LIVE_BYTES.load(Ordering::Relaxed);
-        let mut sim = build_grid(size, scheduler, shards, programs);
+        let mut sim = build_grid(size, programs);
         let horizon = SimTime::ZERO + SimDuration::from_ms(size.2);
         let start = Instant::now();
         let step = slice.unwrap_or(horizon - SimTime::ZERO);
@@ -752,40 +734,32 @@ fn compute_entry(reps: u64) -> Entry {
     }
 }
 
-/// Measure one grid scenario: the auto scheduler — the shard count
-/// `run_until` picks for this fleet size — (`reps` runs) against a
-/// single one-shard run (`Scheduler::EventDriven`) of the same tree as
-/// baseline. A single baseline rep is conservative — it runs warm,
-/// after the measured reps have paged everything in. Below the auto
-/// threshold both sides run one shard, so the row honestly reports
-/// ~1.0x (see DESIGN.md §6d); the multi-shard win only appears at the
-/// scales where auto splits the fleet.
+/// The note on every grid row: timed against itself.
+const GRID_NOTE: &str =
+    "baseline = the row's own fastest rep: speedup is min / mean, not a comparison";
+
+/// Measure one grid scenario (`reps` runs) under the default scheduler,
+/// timed against itself: the row tracks absolute time and memory.
+/// `tests/equivalence.rs` holds the engine to the lockstep reference.
 fn grid_entry(
     name: &'static str,
     size: (usize, usize, u64),
     reps: u64,
     programs: &GridPrograms,
-    note: Option<&'static str>,
 ) -> Entry {
-    let auto = time_grid(size, (Scheduler::Auto, GRID_SHARDS), None, reps, programs);
-    let one_shard = time_grid(size, (Scheduler::EventDriven, 1), None, 1, programs);
-    assert!(auto.deliveries > 0, "cluster must carry traffic");
-    assert_eq!(
-        (auto.deliveries, auto.collisions),
-        (one_shard.deliveries, one_shard.collisions),
-        "schedulers disagree on channel counters"
-    );
+    let t = time_grid(size, None, reps, programs);
+    assert!(t.deliveries > 0, "cluster must carry traffic");
     Entry {
         name,
-        baseline_us: one_shard.min_us,
-        min_us: auto.min_us,
-        median_us: auto.median_us,
-        mean_us: auto.mean_us,
-        iterations: auto.reps,
-        work: auto.work,
-        bytes_per_node: Some(auto.bytes_per_node),
+        baseline_us: t.min_us,
+        min_us: t.min_us,
+        median_us: t.median_us,
+        mean_us: t.mean_us,
+        iterations: t.reps,
+        work: t.work,
+        bytes_per_node: Some(t.bytes_per_node),
         extra: Vec::new(),
-        note,
+        note: Some(GRID_NOTE),
     }
 }
 
@@ -798,13 +772,7 @@ const GRID_SLICE: SimDuration = SimDuration::from_ms(1);
 /// fleet, with the one-call run as baseline: the ratio is what the
 /// calls themselves cost. The work must match the one-call row's.
 fn grid_sliced_entry(one_call: &Entry, reps: u64, programs: &GridPrograms) -> Entry {
-    let sliced = time_grid(
-        GRID_10K,
-        (Scheduler::Auto, GRID_SHARDS),
-        Some(GRID_SLICE),
-        reps,
-        programs,
-    );
+    let sliced = time_grid(GRID_10K, Some(GRID_SLICE), reps, programs);
     assert_eq!(
         sliced.work.0, one_call.work.0,
         "slicing changed the instruction count"
@@ -1162,13 +1130,7 @@ fn run_json(measurement: Duration, path: &std::path::Path, full_grids: bool) {
     let sparse_work = run_net_sparse(&programs, Scheduler::EventDriven);
 
     let grid_programs = grid_programs();
-    let grid_10k = grid_entry(
-        "net_grid_10k",
-        GRID_10K,
-        3,
-        &grid_programs,
-        Some("auto scheduler runs one shard at this scale, like the baseline: ~1.0x is honest"),
-    );
+    let grid_10k = grid_entry("net_grid_10k", GRID_10K, 3, &grid_programs);
     let grid_10k_sliced = grid_sliced_entry(&grid_10k, 3, &grid_programs);
     let mut entries = vec![
         summary_entry(
@@ -1192,35 +1154,10 @@ fn run_json(measurement: Duration, path: &std::path::Path, full_grids: bool) {
         fleet_lifetime_entry(if full_grids { 5 } else { 1 }),
     ];
     if full_grids {
-        entries.push(grid_entry(
-            "net_grid_100k",
-            GRID_100K,
-            3,
-            &grid_programs,
-            Some("auto scheduler splits the fleet into 64 shards at this scale; one shard runs it as fast, so ~1.0x"),
-        ));
-        // At a million nodes the one-shard baseline would take far
-        // longer than the measurement is worth; the 10k/100k rows
-        // establish the scaling, this row proves the size runs.
-        let m = time_grid(
-            GRID_1M,
-            (Scheduler::Sharded, GRID_SHARDS),
-            None,
-            1,
-            &grid_programs,
-        );
-        entries.push(Entry {
-            name: "net_grid_1m",
-            baseline_us: m.min_us,
-            min_us: m.min_us,
-            median_us: m.median_us,
-            mean_us: m.mean_us,
-            iterations: m.reps,
-            work: m.work,
-            bytes_per_node: Some(m.bytes_per_node),
-            extra: Vec::new(),
-            note: Some("one-shard baseline not measured at this scale; speedup vs itself"),
-        });
+        entries.push(grid_entry("net_grid_100k", GRID_100K, 3, &grid_programs));
+        // One rep at a million nodes: the 10k/100k rows establish the
+        // scaling, this row proves the size runs.
+        entries.push(grid_entry("net_grid_1m", GRID_1M, 1, &grid_programs));
     }
     let rows: Vec<String> = entries.iter().map(Entry::to_json).collect();
     let json = format!(
@@ -1260,13 +1197,13 @@ fn run_check() {
 
 /// The most live heap per node `net_grid_10k` may hold after its run.
 /// With copy-on-write memory and decode-cache pages each sleeper owns
-/// one 512 B DMEM page, and the row reads 2,743 B/node, the sharded
-/// engine's kept calendars included (2,698 before the engine kept
-/// them; 2,785 while its shards also kept a whole call's stimulus
-/// queue and per-shard output and trace buffers). A whole private
-/// decode cache on each of the 60 MAC-cluster nodes read 3,854, a node
-/// vector grown by doubling 4,819, and a private 4 KB DMEM bank per
-/// sleeper 8,417.
+/// one 512 B DMEM page, and the row reads 2,727 B/node, the
+/// event-driven engine's kept wake calendar included (2,698 before the
+/// engine kept it; 2,743 while it also kept a shard map and member
+/// lists; 2,785 while it also kept a whole call's stimulus queue and
+/// per-shard output and trace buffers). A whole private decode cache
+/// on each of the 60 MAC-cluster nodes read 3,854, a node vector grown
+/// by doubling 4,819, and a private 4 KB DMEM bank per sleeper 8,417.
 const GRID_10K_MAX_BYTES_PER_NODE: u64 = 3_000;
 
 /// The `bytes_per_node` figure of the report's `net_grid_10k` row.
@@ -1395,23 +1332,14 @@ fn run_sparse_baseline() {
     println!("minimum: {best:.0} µs  (BASELINE_SPARSE_LOCKSTEP_US)");
 }
 
-/// Development probe: time one grid size under each engine/shard
-/// count, printing raw numbers (not part of the recorded report).
+/// Development probe: time one grid size on the event-driven engine,
+/// printing raw numbers (not part of the recorded report).
 fn run_grid_probe(size: (usize, usize, u64), reps: u64) {
-    let programs = grid_programs();
-    for (label, scheduler, shards) in [
-        ("warmup", Scheduler::Sharded, GRID_SHARDS),
-        ("event-driven", Scheduler::EventDriven, 1),
-        ("sharded/1", Scheduler::Sharded, 1),
-        ("sharded/8", Scheduler::Sharded, 8),
-        ("sharded/64", Scheduler::Sharded, 64),
-    ] {
-        let t = time_grid(size, (scheduler, shards), None, reps, &programs);
-        println!(
-            "{label:<14} min {:>10.0} µs  median {:>10.0} µs  ({} instr, {} B/node, {} dlv, {} col)",
-            t.min_us, t.median_us, t.work.0, t.bytes_per_node, t.deliveries, t.collisions
-        );
-    }
+    let t = time_grid(size, None, reps, &grid_programs());
+    println!(
+        "event-driven min {:>10.0} µs  median {:>10.0} µs  ({} instr, {} B/node, {} dlv, {} col)",
+        t.min_us, t.median_us, t.work.0, t.bytes_per_node, t.deliveries, t.collisions
+    );
 }
 
 /// Development probe: time the 30k-instruction core loop alone (min
@@ -1444,18 +1372,7 @@ fn main() {
     } else if std::env::args().any(|a| a == "--grid-probe-100k") {
         run_grid_probe(GRID_100K, 1);
     } else if std::env::args().any(|a| a == "--grid-probe-1m") {
-        let programs = grid_programs();
-        let t = time_grid(
-            GRID_1M,
-            (Scheduler::Sharded, GRID_SHARDS),
-            None,
-            1,
-            &programs,
-        );
-        println!(
-            "1m sharded/8: {:.0} µs, {} instr, {} B/node, {} dlv, {} col",
-            t.min_us, t.work.0, t.bytes_per_node, t.deliveries, t.collisions
-        );
+        run_grid_probe(GRID_1M, 1);
     } else if std::env::args().any(|a| a == "--serve-probe") {
         println!("{}", serve_entry(3).to_json());
     } else if std::env::args().any(|a| a == "--fleet-probe") {

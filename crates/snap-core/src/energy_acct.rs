@@ -240,13 +240,13 @@ impl EnergyAccountant {
             *slot = Energy::from_pj(f64::from_bits(r.u64()?));
         }
         for class in &mut acct.per_class {
-            class.count = r.u64()?;
+            class.count = r.quantity()?;
             class.energy = Energy::from_pj(f64::from_bits(r.u64()?));
         }
         acct.total_energy = Energy::from_pj(f64::from_bits(r.u64()?));
-        acct.busy_time = SimDuration::from_ps(r.u64()?);
-        acct.instructions = r.u64()?;
-        acct.cycles = r.u64()?;
+        acct.busy_time = SimDuration::from_ps(r.quantity()?);
+        acct.instructions = r.quantity()?;
+        acct.cycles = r.quantity()?;
         Ok(acct)
     }
 

@@ -75,8 +75,8 @@ impl EventQueue {
         Ok(EventQueue {
             max_len: fifo.len(),
             fifo,
-            dropped: r.u64()?,
-            inserted: r.u64()?,
+            dropped: r.quantity()?,
+            inserted: r.quantity()?,
             stamps,
         })
     }

@@ -205,8 +205,8 @@ impl Decode for MsgCoprocessor {
             awaiting_tx_payload: r.bool()?,
             rx_enabled: r.bool()?,
             port: r.u16()?,
-            words_tx: r.u64()?,
-            words_rx: r.u64()?,
+            words_tx: r.quantity()?,
+            words_rx: r.quantity()?,
         })
     }
 }

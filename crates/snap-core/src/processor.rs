@@ -119,7 +119,8 @@ impl Encode for CoreConfig {
     }
 }
 
-/// Rejects operating points the energy model would panic on.
+/// Rejects operating points the energy model would panic on, and those
+/// so slow that a latency could overflow the clock.
 impl Decode for CoreConfig {
     fn decode(r: &mut Reader) -> Result<CoreConfig, SnapshotError> {
         let vdd = f64::from_bits(r.u64()?);
@@ -127,7 +128,9 @@ impl Decode for CoreConfig {
             return Err(SnapshotError::Corrupt("operating point vdd"));
         }
         let delay = f64::from_bits(r.u64()?);
-        if !delay.is_finite() || delay < 1.0 {
+        // The slowest modelled point is 8.57; at 10⁶ an instruction
+        // still takes under 10 ms, so no latency overflows the clock.
+        if !(1.0..=1e6).contains(&delay) {
             return Err(SnapshotError::Corrupt("operating point delay factor"));
         }
         // Encoded as a bool: `true` for the flat ablation bus.

@@ -127,10 +127,10 @@ impl Encode for HandlerStats {
 impl Decode for HandlerStats {
     fn decode(r: &mut Reader) -> Result<HandlerStats, SnapshotError> {
         Ok(HandlerStats {
-            dispatches: r.u64()?,
-            instructions: r.u64()?,
+            dispatches: r.quantity()?,
+            instructions: r.quantity()?,
             energy: Energy::from_pj(f64::from_bits(r.u64()?)),
-            busy_time: SimDuration::from_ps(r.u64()?),
+            busy_time: SimDuration::from_ps(r.quantity()?),
         })
     }
 }

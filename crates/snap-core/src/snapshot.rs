@@ -95,7 +95,7 @@ impl Decode for Processor {
             .map_err(|_| SnapshotError::Corrupt("dmem image"))?;
         cpu.pc = r.u16()?;
         cpu.state = CoreState::decode(r)?;
-        cpu.now = SimTime::from_ps(r.u64()?);
+        cpu.now = SimTime::from_ps(r.quantity()?);
         cpu.handler_table = r.array_u16()?;
         cpu.lfsr = Lfsr16::new(r.u16()?);
         cpu.current_event = match r.opt_u8()? {
@@ -110,10 +110,10 @@ impl Decode for Processor {
         cpu.msg = MsgCoprocessor::decode(r)?;
         cpu.acct = EnergyAccountant::decode(r, config.operating_point, config.bus)?;
         cpu.profile = HandlerProfile::decode(r)?;
-        cpu.sleep_time = SimDuration::from_ps(r.u64()?);
-        cpu.wakeup_time = SimDuration::from_ps(r.u64()?);
-        cpu.wakeups = r.u64()?;
-        cpu.handlers_dispatched = r.u64()?;
+        cpu.sleep_time = SimDuration::from_ps(r.quantity()?);
+        cpu.wakeup_time = SimDuration::from_ps(r.quantity()?);
+        cpu.wakeups = r.quantity()?;
+        cpu.handlers_dispatched = r.quantity()?;
         Ok(cpu)
     }
 }

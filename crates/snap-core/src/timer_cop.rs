@@ -148,9 +148,9 @@ impl TimerCoprocessor {
             cop.staged_hi[n] = r.u8()?;
             cop.expiry[n] = r.opt_u64()?.map(SimTime::from_ps);
         }
-        cop.scheduled = r.u64()?;
-        cop.expired = r.u64()?;
-        cop.cancelled = r.u64()?;
+        cop.scheduled = r.quantity()?;
+        cop.expired = r.quantity()?;
+        cop.cancelled = r.quantity()?;
         cop.refresh();
         Ok(cop)
     }

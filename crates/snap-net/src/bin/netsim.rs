@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! netsim [--app mac|blink|sense] [--nodes N] [--grid WxH] [--ms N]
-//!        [--vdd 1.8|0.9|0.6] [--shards N] [--engine interp|fused|aot]
+//!        [--vdd 1.8|0.9|0.6] [--engine interp|fused|aot]
 //!        [--metrics OUT.json] [--trace-out OUT.trace.json] [--jsonl OUT.jsonl]
 //! ```
 //!
@@ -16,12 +16,10 @@
 //! * `sense` — independent periodic sense-and-log nodes.
 //!
 //! `--grid WxH` lays the nodes out on a W×H grid (8 m pitch) instead
-//! of a line, overriding `--nodes` with W·H. `--shards N` switches to
-//! the sharded scheduler with N parallel wake calendars — the scalable
-//! path for very large fleets; by default the scheduler picks itself
-//! by fleet size. `--engine` selects the per-node translation tier
-//! (default `fused`; `aot` compiles snap-lint-proven handlers ahead of
-//! time). Every scheduler and engine combination is bit-identical.
+//! of a line, overriding `--nodes` with W·H. `--engine` selects the
+//! per-node translation tier (default `fused`; `aot` compiles
+//! snap-lint-proven handlers ahead of time). Every engine is
+//! bit-identical.
 //!
 //! Exports: `--metrics` writes the `snap-metrics-v1` report,
 //! `--trace-out` a Chrome `trace_event` file (open it at
@@ -44,7 +42,6 @@ fn main() -> ExitCode {
     let mut grid: Option<(usize, usize)> = None;
     let mut millis: u64 = 50;
     let mut vdd = String::from("1.8");
-    let mut shards: Option<usize> = None;
     let mut engine = snap_core::Engine::Fused;
     let mut metrics_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
@@ -68,11 +65,6 @@ fn main() -> ExitCode {
                 v.parse()
                     .map(|n| millis = n)
                     .map_err(|_| "--ms requires a number".to_string())
-            }),
-            "--shards" => take("--shards").and_then(|v| {
-                v.parse()
-                    .map(|n: usize| shards = Some(n.max(1)))
-                    .map_err(|_| "--shards requires a number".to_string())
             }),
             "--vdd" => take("--vdd").map(|v| vdd = v),
             "--engine" => take("--engine").and_then(|v| match v.as_str() {
@@ -114,10 +106,6 @@ fn main() -> ExitCode {
 
     let mut sim = NetworkSim::new(10.0);
     sim.enable_telemetry();
-    if let Some(n) = shards {
-        sim.set_scheduler(snap_net::sim::Scheduler::Sharded);
-        sim.set_shards(n);
-    }
     if let Some((w, h)) = grid {
         nodes = w * h;
     }
@@ -238,7 +226,7 @@ fn usage(err: &str) -> ExitCode {
     }
     eprintln!(
         "usage: netsim [--app mac|blink|sense] [--nodes N] [--grid WxH] [--ms N] \
-         [--vdd 1.8|0.9|0.6] [--shards N] [--engine interp|fused|aot] \
+         [--vdd 1.8|0.9|0.6] [--engine interp|fused|aot] \
          [--metrics OUT.json] [--trace-out OUT.trace.json] [--jsonl OUT.jsonl]"
     );
     if err.is_empty() {

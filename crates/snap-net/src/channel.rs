@@ -185,9 +185,9 @@ impl Encode for Channel {
 impl Decode for Channel {
     fn decode(r: &mut Reader) -> Result<Channel, SnapshotError> {
         let active = r.seq()?;
-        let collisions = r.u64()?;
-        let deliveries = r.u64()?;
-        let faded = r.u64()?;
+        let collisions = r.quantity()?;
+        let deliveries = r.quantity()?;
+        let faded = r.quantity()?;
         let loss_probability = f64::from_bits(r.u64()?);
         if !(0.0..=1.0).contains(&loss_probability) {
             return Err(SnapshotError::Corrupt("channel loss probability"));

@@ -1,54 +1,49 @@
-//! The network simulator: one sleep-aware, event-driven engine that
-//! partitions the fleet into spatial shards, plus a lockstep reference
-//! path.
+//! The network simulator: one sleep-aware, event-driven engine over a
+//! single wake calendar, plus a lockstep reference path.
 //!
 //! SNAP/LE's thesis is that an event-driven node does *zero* work while
-//! idle — the simulator mirrors the hardware. Each shard keeps a **wake
-//! calendar** ([`dess::WakeQueue`]) of its members' `next_activity`
-//! instants and advances only the members that are due, so simulation
-//! cost is proportional to *active* nodes, not node count. Sleeping
-//! nodes are skipped entirely and their clocks lazily fast-forwarded
-//! when an event finally reaches them. Fleets below
-//! [`AUTO_SHARDED_THRESHOLD`] run as a single shard.
+//! idle — the simulator mirrors the hardware. A **wake calendar**
+//! ([`dess::WakeQueue`]) keyed by node index holds every node's
+//! `next_activity` instant, and the engine advances only the nodes that
+//! are due, so simulation cost is proportional to *active* nodes, not
+//! node count. Sleeping nodes are skipped entirely and their clocks
+//! lazily fast-forwarded when an event finally reaches them.
 //!
-//! The shards and their calendars are kept from one `run_until` call to
-//! the next, so a run sliced into many calls pays for its wakes, not
-//! for rebuilding per-node state on every call. What remains O(nodes)
-//! per call is the closing clock sync: lockstep semantics have every
-//! node's clock read the call's end instant. The kept state is a cache
-//! of what the nodes already determine, and every call that could make
-//! it stale drops it (see `ShardSet`).
+//! The calendar is kept from one `run_until` call to the next, so a run
+//! sliced into many calls pays for its wakes, not for rebuilding
+//! per-node state on every call. What remains O(nodes) per call is the
+//! closing clock sync: lockstep semantics have every node's clock read
+//! the call's end instant. The kept state is a cache of what the nodes
+//! already determine, and every call that could make it stale drops it
+//! (see `WakeState`).
 //!
-//! Shards are grid cells of the [`Topology`] spatial hash, grouped
-//! contiguously, and advance independently through conservative
-//! *epochs*: since a radio word takes one full word time (≈833 µs at
-//! 19.2 kbps) to serialize, no transmission started after instant `t`
-//! can be delivered before `t + word_time`, so shards can run to
+//! The engine advances through conservative *epochs*: since a radio
+//! word takes one full word time (≈833 µs at 19.2 kbps) to serialize,
+//! no transmission started after instant `t` can be delivered before
+//! `t + word_time`, so the due nodes can run to
 //! `min(t + word_time, next scheduled delivery)` without hearing from
-//! each other. Cross-shard transmissions are exchanged at the epoch
-//! barrier through the one global delivery calendar. Epochs run one
-//! shard after another on the calling thread. Stimuli wait in the
-//! global calendar and enter a shard one epoch at a time: the shard
-//! applies those due inside its epoch, and the coordinator applies
-//! those due exactly at an epoch's start or at the horizon, after that
-//! instant's deliveries.
+//! each other. Their transmissions enter the delivery calendar at the
+//! epoch barrier. Stimuli wait in the stimulus calendar and enter the
+//! engine one epoch at a time: the epoch applies those due inside it,
+//! and phase 1 applies those due exactly at an epoch's start or at the
+//! horizon, after that instant's deliveries.
 //!
 //! The original lockstep scheduler (advance *every* node each round)
 //! survives as [`Scheduler::Lockstep`], the reference for the
 //! equivalence property tests. Both engines produce bit-identical
-//! traces, energy totals and architectural state at every shard count.
-//! The invariant that makes this hold across *different* window/epoch
-//! boundaries: every delivery and stimulus is applied at its exact due
-//! instant, to a node synced to exactly that instant; between
-//! applications a node's evolution is a pure function of its own state
-//! (splitting an idle stretch at any set of interior deadlines is
-//! bit-identical — no energy accrues while asleep and timer expiries
-//! are never skipped); channel interaction (collision checks, fade
-//! draws, counters) happens only at application, in the delivery
-//! calendar's deterministic `(time, insertion)` order; and the trace is
-//! canonically re-ordered chunk by chunk ([`Trace::seal`]), so recording
-//! order within a window is free. A run that faults reports the
-//! earliest fault, ties broken by node index, under every scheduler.
+//! traces, energy totals and architectural state. The invariant that
+//! makes this hold across *different* window/epoch boundaries: every
+//! delivery and stimulus is applied at its exact due instant, to a node
+//! synced to exactly that instant; between applications a node's
+//! evolution is a pure function of its own state (splitting an idle
+//! stretch at any set of interior deadlines is bit-identical — no
+//! energy accrues while asleep and timer expiries are never skipped);
+//! channel interaction (collision checks, fade draws, counters) happens
+//! only at application, in the delivery calendar's deterministic
+//! `(time, insertion)` order; and the trace is canonically re-ordered
+//! chunk by chunk ([`Trace::seal`]), so recording order within a window
+//! is free. A run that faults reports the earliest fault, ties broken
+//! by node index, under every scheduler.
 
 use crate::channel::{Channel, Transmission};
 use crate::topology::{Position, Topology};
@@ -67,13 +62,13 @@ use std::collections::VecDeque;
 /// Work window granted to running nodes per synchronization round.
 const RUN_QUANTUM: SimDuration = SimDuration::from_us(100);
 
-/// Default shard count for [`Scheduler::Sharded`].
+/// The shard count a new simulator stores (see
+/// [`NetworkSim::set_shards`]). No engine reads it; snapshots store the
+/// count, and snapbench's grid fleets name this constant.
 pub const DEFAULT_SHARDS: usize = 8;
 
-/// Fleet size at which [`Scheduler::Auto`] splits the fleet into
-/// several shards. Below it the whole fleet runs as one shard; at and
-/// above it the shard count scales with the fleet (see `DESIGN.md`
-/// §6d).
+/// A fleet size that snapbench's workload labels name. No engine reads
+/// it: every fleet size runs the one event-driven engine.
 pub const AUTO_SHARDED_THRESHOLD: usize = 100_000;
 
 /// Node count at which a `Full` trace is considered a mistake: the
@@ -110,18 +105,13 @@ pub enum Scheduler {
     /// Advance every node every round (the original O(nodes)-per-round
     /// scheduler; the reference implementation).
     Lockstep = 0,
-    /// The sharded engine with one shard: a single wake calendar
-    /// advances only the nodes that are due (cost proportional to
-    /// active nodes).
+    /// The event-driven engine: one wake calendar advances only the
+    /// nodes that are due (cost proportional to active nodes).
     EventDriven = 1,
-    /// The sharded engine with [`NetworkSim::set_shards`] shards:
-    /// per-shard wake calendars advance independently between delivery
-    /// barriers. Bit-identical for any shard count.
+    /// The event-driven engine. Snapshots and scenario files that name
+    /// this variant still load.
     Sharded = 2,
-    /// The sharded engine with a shard count picked per fleet at
-    /// [`NetworkSim::run_until`] time: one shard below
-    /// [`AUTO_SHARDED_THRESHOLD`] nodes, a count scaled to the fleet at
-    /// or above it. The default.
+    /// The event-driven engine. The default.
     #[default]
     Auto = 3,
 }
@@ -225,11 +215,11 @@ pub struct NetworkSim {
     /// scheduler window or epoch, and every node gets per-dispatch
     /// sampling.
     window_activity: Option<Histogram>,
-    /// The sharded engine's state, kept from one `run_until` call to
-    /// the next so that a call costs what its wakes cost. `None` until
-    /// a sharded run builds it; dropped by every call that could make
-    /// it stale (see [`ShardSet`]).
-    shard_set: Option<ShardSet>,
+    /// The event-driven engine's state, kept from one `run_until` call
+    /// to the next so that a call costs what its wakes cost. `None`
+    /// until an event-driven run builds it; dropped by every call that
+    /// could make it stale (see [`WakeState`]).
+    wakes: Option<WakeState>,
 }
 
 impl NetworkSim {
@@ -247,7 +237,7 @@ impl NetworkSim {
             num_shards: DEFAULT_SHARDS,
             trace_mode_explicit: false,
             window_activity: None,
-            shard_set: None,
+            wakes: None,
         }
     }
 
@@ -289,53 +279,16 @@ impl NetworkSim {
 
     /// Select the scheduling strategy (default: [`Scheduler::Auto`]).
     /// All strategies produce bit-identical results; lockstep exists as
-    /// the reference, the others pick the sharded engine's shard count.
+    /// the reference, the other three run the event-driven engine.
     pub fn set_scheduler(&mut self, scheduler: Scheduler) {
-        self.shard_set = None;
         self.scheduler = scheduler;
     }
 
-    /// The configured scheduling strategy (possibly
-    /// [`Scheduler::Auto`]).
-    pub fn scheduler(&self) -> Scheduler {
-        self.scheduler
-    }
-
-    /// Shard count for [`Scheduler::Auto`] at or above
-    /// [`AUTO_SHARDED_THRESHOLD`]: one shard per ~2048 nodes, rounded
-    /// up to a power of two, clamped to [[`DEFAULT_SHARDS`], 128]. Any
-    /// count is bit-identical; this one keeps shards big enough to
-    /// amortize the epoch barrier and small enough that a mostly-idle
-    /// shard's calendar stays cheap.
-    fn auto_shards(nodes: usize) -> usize {
-        (nodes / 2048)
-            .next_power_of_two()
-            .clamp(DEFAULT_SHARDS, 128)
-    }
-
-    /// The shard count the sharded engine runs with under the
-    /// configured scheduler.
-    fn effective_shards(&self) -> usize {
-        let n = self.nodes.len();
-        match self.scheduler {
-            Scheduler::EventDriven => 1,
-            Scheduler::Auto if n < AUTO_SHARDED_THRESHOLD => 1,
-            Scheduler::Auto => Self::auto_shards(n),
-            Scheduler::Sharded | Scheduler::Lockstep => self.num_shards,
-        }
-    }
-
-    /// Shard count for [`Scheduler::Sharded`] (default:
-    /// [`DEFAULT_SHARDS`]); clamped to at least 1. Results are
-    /// bit-identical for every shard count.
+    /// Store a shard count (default: [`DEFAULT_SHARDS`]), clamped to at
+    /// least 1. No engine reads it; snapshots store it, so a restored
+    /// fleet re-encodes to the bytes it was read from.
     pub fn set_shards(&mut self, shards: usize) {
-        self.shard_set = None;
         self.num_shards = shards.max(1);
-    }
-
-    /// The configured shard count.
-    pub fn shards(&self) -> usize {
-        self.num_shards
     }
 
     /// Select how the trace stores events (default: keep everything).
@@ -377,7 +330,7 @@ impl NetworkSim {
         position: Position,
         core: CoreConfig,
     ) -> NodeId {
-        self.shard_set = None;
+        self.wakes = None;
         let id = NodeId(self.nodes.len() as u32 + 1);
         let cfg = NodeConfig {
             id,
@@ -418,7 +371,7 @@ impl NetworkSim {
     where
         I: IntoIterator<Item = Position>,
     {
-        self.shard_set = None;
+        self.wakes = None;
         let cfg = NodeConfig {
             id: NodeId(1), // placeholder; every clone gets its own id
             core,
@@ -459,7 +412,7 @@ impl NetworkSim {
     /// AVR motes carry no SNAP dispatch sampler — telemetry reports
     /// them through the kind-aware node metrics instead.
     pub fn add_avr_node(&mut self, core: AvrCore, position: Position) -> NodeId {
-        self.shard_set = None;
+        self.wakes = None;
         let id = NodeId(self.nodes.len() as u32 + 1);
         let node = Node::new_avr(id, core);
         self.topology.place(id, position);
@@ -490,7 +443,7 @@ impl NetworkSim {
         position: Position,
         core: CoreConfig,
     ) -> NodeId {
-        self.shard_set = None;
+        self.wakes = None;
         let id = NodeId(self.nodes.len() as u32 + 1);
         let cfg = NodeConfig {
             id,
@@ -518,7 +471,7 @@ impl NetworkSim {
     ///
     /// Panics for unknown ids.
     pub fn set_battery(&mut self, id: NodeId, battery: Option<BatteryConfig>) {
-        self.shard_set = None;
+        self.wakes = None;
         self.nodes[Self::idx(id)].set_battery(battery);
     }
 
@@ -537,14 +490,14 @@ impl NetworkSim {
     }
 
     /// Mutable access to a node (fixtures: sensors, etc.). A change
-    /// through it can move the node's next activity, so the sharded
-    /// engine rebuilds its wake calendars on the next run.
+    /// through it can move the node's next activity, so the
+    /// event-driven engine rebuilds its wake calendar on the next run.
     ///
     /// # Panics
     ///
     /// Panics for unknown ids.
     pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        self.shard_set = None;
+        self.wakes = None;
         &mut self.nodes[Self::idx(id)]
     }
 
@@ -593,10 +546,10 @@ impl NetworkSim {
         match self.scheduler {
             Scheduler::Lockstep => {
                 // Lockstep moves nodes without the calendars.
-                self.shard_set = None;
+                self.wakes = None;
                 self.run_lockstep(t_end)
             }
-            _ => self.run_sharded(t_end),
+            _ => self.run_event_driven(t_end),
         }
     }
 
@@ -752,104 +705,57 @@ impl NetworkSim {
         Ok(())
     }
 
-    // ---- sharded scheduler (conservative lookahead epochs) ----
+    // ---- event-driven engine (conservative lookahead epochs) ----
 
-    fn run_sharded(&mut self, t_end: SimTime) -> Result<(), NodeError> {
+    fn run_event_driven(&mut self, t_end: SimTime) -> Result<(), NodeError> {
         // The kept state goes back only when the call succeeds: a
         // fault can leave a node its calendar entry does not describe.
-        let mut set = self.shard_set.take().unwrap_or_else(|| self.build_shards());
-        self.run_epochs_until(&mut set, t_end)?;
-        self.shard_set = Some(set);
+        let mut wakes = self
+            .wakes
+            .take()
+            .unwrap_or_else(|| WakeState::new(&self.nodes));
+        self.run_epochs_until(&mut wakes, t_end)?;
+        self.wakes = Some(wakes);
         Ok(())
     }
 
-    fn run_epochs_until(&mut self, set: &mut ShardSet, t_end: SimTime) -> Result<(), NodeError> {
+    fn run_epochs_until(&mut self, w: &mut WakeState, t_end: SimTime) -> Result<(), NodeError> {
         loop {
-            // The earliest instant anything can happen, over the global
-            // delivery and stimulus calendars and every shard's wakes
-            // (shard stimulus queues are empty between epochs).
-            let mut first = Self::min_time(self.deliveries.peek_time(), self.stimuli.peek_time());
-            for shard in &set.shards {
-                first = Self::min_time(first, shard.wake.peek().map(|(t, _)| t));
-            }
+            // The earliest instant anything can happen, over the
+            // delivery and stimulus calendars and the wakes (the
+            // epoch's stimulus queue is empty between epochs).
+            let calendars = Self::min_time(self.deliveries.peek_time(), self.stimuli.peek_time());
+            let first = Self::min_time(calendars, w.wake.peek().map(|(t, _)| t));
             let Some(t) = first.filter(|&t| t < t_end) else {
-                return self.finish_sharded(set, t_end);
+                return self.finish_epochs(w, t_end);
             };
-            // Phase 1 (coordinator): deliveries, then stimuli, due at
-            // exactly `t` — the lockstep order.
-            self.apply_due_sharded(t, set)?;
-            // Phase 2: every shard runs to the conservative epoch
+            // Phase 1: deliveries, then stimuli, due at exactly `t` —
+            // the lockstep order.
+            self.apply_due(t, w)?;
+            // Phase 2: the due nodes run to the conservative epoch
             // bound. A word needs `word_floor` to serialize, so no
             // transmission started after `t` can be delivered before
             // `t + word_floor`; already-scheduled deliveries cap the
-            // epoch explicitly. Within the bound shards cannot affect
-            // each other, so they advance independently.
-            let mut to = t + set.word_floor;
-            if let Some(d) = self.deliveries.peek_time() {
-                to = to.min(d);
-            }
-            to = to.min(t_end);
-            self.hand_out_stimuli(set, to);
-            self.run_epochs(set, to)?;
+            // epoch explicitly. Within the bound nodes cannot affect
+            // each other, so each runs on its own.
+            let next_delivery = self.deliveries.peek_time().unwrap_or(t_end);
+            let to = (t + w.word_floor).min(next_delivery).min(t_end);
+            self.hand_out_stimuli(w, to);
+            let ran = w.run_epoch(&mut self.nodes, &mut self.trace, to);
+            self.note_window(ran);
+            self.barrier(w)?;
             self.now = to;
         }
     }
 
-    /// Partition the fleet into shards and key each shard's wake
-    /// calendar. Several shards split the fleet sorted by grid cell
-    /// (whole cells stay together, so most radio neighbourhoods are
-    /// shard-local), each node's cell looked up once; one shard takes
-    /// the fleet in index order, as nothing observes member order
-    /// inside a shard.
-    fn build_shards(&self) -> ShardSet {
-        let n = self.nodes.len();
-        let shard_count = self.effective_shards().min(n.max(1));
-        let mut shards: Vec<Shard> = if shard_count == 1 {
-            vec![Shard::new((0..n).collect())]
-        } else {
-            let mut keyed: Vec<(Option<(i64, i64)>, usize)> = (0..n)
-                .map(|i| (self.topology.cell(self.nodes[i].id()), i))
-                .collect();
-            keyed.sort_unstable();
-            keyed
-                .chunks(n.div_ceil(shard_count))
-                .map(|c| Shard::new(c.iter().map(|&(_, i)| i).collect()))
-                .collect()
-        };
-        let mut shard_of = vec![(0u32, 0u32); n];
-        for (s, shard) in shards.iter_mut().enumerate() {
-            for local in 0..shard.members.len() {
-                let gi = shard.members[local];
-                shard_of[gi] = (s as u32, local as u32);
-                shard.rekey(&self.nodes[gi], local);
-            }
-        }
-        // The epoch lookahead: the shortest radio word time in the
-        // fleet. A word takes this long to serialize, so nothing a node
-        // does after `t` can reach another node before `t + word_floor`.
-        let word_floor = self
-            .nodes
-            .iter()
-            .map(|n| n.radio().word_time())
-            .min()
-            .unwrap_or(RUN_QUANTUM);
-        ShardSet {
-            shards,
-            shard_of,
-            word_floor,
-            outputs: Vec::new(),
-        }
-    }
-
-    /// Hand each shard the stimuli due strictly before the epoch bound
-    /// `to`, in global pop order. A stimulus due exactly at `to` stays
-    /// in the global calendar for the next phase 1 or the tail, which
-    /// apply it after that instant's deliveries.
-    fn hand_out_stimuli(&mut self, set: &mut ShardSet, to: SimTime) {
+    /// Hand the epoch the stimuli due strictly before its bound `to`,
+    /// in calendar pop order. A stimulus due exactly at `to` stays in
+    /// the calendar for the next phase 1 or the tail, which apply it
+    /// after that instant's deliveries.
+    fn hand_out_stimuli(&mut self, w: &mut WakeState, to: SimTime) {
         while self.stimuli.peek_time().is_some_and(|due| due < to) {
             let (due, (id, stim)) = self.stimuli.pop().expect("peeked");
-            let (s, local) = set.shard_of[Self::idx(id)];
-            set.shards[s as usize].push_stimulus(due, local as usize, stim);
+            w.push_stimulus(due, Self::idx(id), stim);
         }
     }
 
@@ -858,7 +764,7 @@ impl NetworkSim {
     /// at every epoch's start and the tail at the horizon (where every
     /// clock already reads `t`, so the syncs do nothing). Every node
     /// whose next activity moved is re-keyed.
-    fn apply_due_sharded(&mut self, t: SimTime, set: &mut ShardSet) -> Result<(), NodeError> {
+    fn apply_due(&mut self, t: SimTime, w: &mut WakeState) -> Result<(), NodeError> {
         while let Some(due) = self.deliveries.peek_time() {
             if due > t {
                 break;
@@ -869,87 +775,66 @@ impl NetworkSim {
                 self.sync_node(Self::idx(id), t)?;
             }
             self.deliver(tx);
-            self.rekey_receivers(set, tx.from);
+            for &id in self.topology.neighbours(tx.from) {
+                w.rekey(&self.nodes[Self::idx(id)], Self::idx(id));
+            }
         }
         while let Some(due) = self.stimuli.peek_time() {
             if due > t {
                 break;
             }
             let (due, (id, stim)) = self.stimuli.pop().expect("peeked");
-            let gi = Self::idx(id);
-            self.sync_node(gi, t)?;
-            self.apply_stimulus(id, stim, due);
-            set.rekey(&self.nodes[gi], gi);
+            let i = Self::idx(id);
+            self.sync_node(i, t)?;
+            stimulate(&mut self.nodes[i], &mut self.trace, stim, due);
+            w.rekey(&self.nodes[i], i);
         }
         self.expire_channel(t);
         Ok(())
     }
 
-    /// Refresh the calendar entries of everyone who heard `from`.
-    fn rekey_receivers(&self, set: &mut ShardSet, from: NodeId) {
-        for &id in self.topology.neighbours(from) {
-            let gi = Self::idx(id);
-            set.rekey(&self.nodes[gi], gi);
-        }
-    }
-
-    /// Run every shard's epoch to `to`, one shard after another, and
-    /// merge the results at the barrier.
-    fn run_epochs(&mut self, set: &mut ShardSet, to: SimTime) -> Result<(), NodeError> {
-        let mut ran = 0;
-        for shard in &mut set.shards {
-            ran += shard.run_epoch(&mut self.nodes, &mut self.trace, &mut set.outputs, to);
-        }
-        self.note_window(ran);
-        self.barrier(set)
-    }
-
-    /// Epoch barrier: merge the epoch's outputs into the global
-    /// channel/calendar in a deterministic order, and propagate the
-    /// earliest fault, if any.
-    fn barrier(&mut self, set: &mut ShardSet) -> Result<(), NodeError> {
-        let mut failed = None;
-        for shard in &mut set.shards {
-            if let Some(f) = shard.error.take() {
-                keep_earliest(&mut failed, f);
-            }
-        }
+    /// Epoch barrier: fold the epoch's outputs into the channel and
+    /// delivery calendar in a deterministic order, and propagate the
+    /// epoch's earliest fault, if any.
+    fn barrier(&mut self, w: &mut WakeState) -> Result<(), NodeError> {
+        let failed = w.error.take();
         debug_assert!(
-            failed.is_some() || set.shards.iter().all(|s| s.stimuli.is_empty()),
+            failed.is_some() || w.stimuli.is_empty(),
             "an epoch without a fault applies every stimulus it was handed"
         );
         // Sort by output instant, then node index (stable, so one
         // node's outputs keep their chronological order). Everywhere
-        // the global fold order is observable — FIFO ties in the
-        // delivery calendar — this reproduces lockstep's node-index
-        // fold order, because equal-length words that end together
-        // also started together.
-        set.outputs.sort_by_key(|&(at, gi, _)| (at, gi));
-        for (_, gi, output) in set.outputs.drain(..) {
-            let from = self.nodes[gi].id();
+        // the fold order is observable — FIFO ties in the delivery
+        // calendar — this reproduces lockstep's node-index fold order,
+        // because equal-length words that end together also started
+        // together.
+        w.outputs.sort_by_key(|&(at, i, _)| (at, i));
+        for (_, i, output) in w.outputs.drain(..) {
+            let from = self.nodes[i].id();
             self.fold_output(from, output);
         }
         self.trace.seal();
         failed.map_or(Ok(()), |(_, _, e)| Err(e))
     }
 
-    /// Tail of a sharded run: bring every node to the horizon, then
-    /// apply anything due at exactly `t_end` on clocks already there —
-    /// the order lockstep uses. Every node whose next activity moved is
-    /// re-keyed as it goes, so the calendars leave the call exact.
-    fn finish_sharded(&mut self, set: &mut ShardSet, t_end: SimTime) -> Result<(), NodeError> {
+    /// Tail of an event-driven run: bring every node to the horizon,
+    /// then apply anything due at exactly `t_end` on clocks already
+    /// there — the order lockstep uses. Every node whose next activity
+    /// moved is re-keyed as it goes, so the calendar leaves the call
+    /// exact.
+    fn finish_epochs(&mut self, w: &mut WakeState, t_end: SimTime) -> Result<(), NodeError> {
         let mut failed = None;
         for i in 0..self.nodes.len() {
             // Most nodes sleep past the horizon: their clocks move and
             // nothing else does, calendar entries included.
-            if set.time_of(i).is_some_and(|t| t > t_end) && self.nodes[i].sleep_until(t_end) {
+            if w.wake.time_of(i).is_some_and(|t| t > t_end) && self.nodes[i].sleep_until(t_end) {
                 continue;
             }
             match self.nodes[i].run_until(t_end) {
                 Ok(outputs) => {
                     let from = self.nodes[i].id();
                     self.fold_outputs(from, outputs);
-                    set.rekey(&self.nodes[i], i);
+                    w.rekey(&self.nodes[i], i);
                 }
                 Err(e) => keep_earliest(&mut failed, fault(&self.nodes[i], i, e)),
             }
@@ -957,7 +842,7 @@ impl NetworkSim {
         if let Some((_, _, e)) = failed {
             return Err(e);
         }
-        self.apply_due_sharded(t_end, set)?;
+        self.apply_due(t_end, w)?;
         self.now = t_end;
         self.trace.seal();
         Ok(())
@@ -974,8 +859,8 @@ impl NetworkSim {
         }
     }
 
-    /// Fold a single node output (the sharded barrier merge interleaves
-    /// outputs from different nodes, so it folds one at a time).
+    /// Fold a single node output (the epoch barrier interleaves outputs
+    /// from different nodes, so it folds one at a time).
     fn fold_output(&mut self, from: NodeId, output: NodeOutput) {
         match output {
             NodeOutput::Transmitted { word, start, end } => {
@@ -1011,9 +896,10 @@ impl NetworkSim {
     }
 
     /// Deliver transmissions and apply stimuli due at or before `t`
-    /// (every node is already at `t`: a lockstep round). The sharded
-    /// engine has its own copy, `apply_due_sharded`, which also syncs
-    /// and re-keys; the reference shares no code with what it checks.
+    /// (every node is already at `t`: a lockstep round). The
+    /// event-driven engine has its own copy, `apply_due`, which also
+    /// syncs and re-keys; the reference shares no code with what it
+    /// checks.
     fn process_due(&mut self, t: SimTime) {
         while let Some(due) = self.deliveries.peek_time() {
             if due > t {
@@ -1026,8 +912,8 @@ impl NetworkSim {
             if due > t {
                 break;
             }
-            let (due, (id, stimulus)) = self.stimuli.pop().expect("peeked");
-            self.apply_stimulus(id, stimulus, due);
+            let (due, (id, stim)) = self.stimuli.pop().expect("peeked");
+            stimulate(&mut self.nodes[Self::idx(id)], &mut self.trace, stim, due);
         }
         self.expire_channel(t);
     }
@@ -1070,109 +956,90 @@ impl NetworkSim {
             }
         }
     }
-
-    fn apply_stimulus(&mut self, id: NodeId, stimulus: Stimulus, at: SimTime) {
-        let idx = Self::idx(id);
-        match stimulus {
-            Stimulus::SensorIrq => {
-                self.nodes[idx].trigger_sensor_irq();
-            }
-            Stimulus::SensorReading { id: sensor, value } => {
-                self.nodes[idx].sensors_mut().set_reading(sensor, value);
-            }
-        }
-        self.trace.record(TraceEvent {
-            at_ps: at.as_ps(),
-            node: id,
-            kind: TraceKind::Stimulus,
-        });
-    }
 }
 
-/// An epoch output: `(output instant ps, global node index, output)`.
-/// The barrier merge sorts by that pair.
+/// Apply `stimulus` to `node` at `at` and record it: how every
+/// scheduler applies a stimulus.
+fn stimulate(node: &mut Node, trace: &mut Trace, stimulus: Stimulus, at: SimTime) {
+    match stimulus {
+        Stimulus::SensorIrq => {
+            node.trigger_sensor_irq();
+        }
+        Stimulus::SensorReading { id, value } => node.sensors_mut().set_reading(id, value),
+    }
+    trace.record(TraceEvent {
+        at_ps: at.as_ps(),
+        node: node.id(),
+        kind: TraceKind::Stimulus,
+    });
+}
+
+/// An epoch output: `(output instant ps, node index, output)`. The
+/// barrier sorts by that pair.
 type EpochOutput = (u64, usize, NodeOutput);
 
-/// The sharded engine's state between `run_until` calls: a cache of
-/// values the node state already determines, so it is never encoded.
-/// At every epoch barrier that finds no fault, and between calls:
+/// The event-driven engine's state between `run_until` calls: a cache
+/// of values the node state already determines, so it is never
+/// encoded. At every epoch barrier that finds no fault, and between
+/// calls:
 ///
-/// * every shard's stimulus queue is empty, and its per-member counts
-///   are zero (an epoch is handed only the stimuli due inside it, and
+/// * the epoch's stimulus queue is empty, and its per-node counts are
+///   zero (an epoch is handed only the stimuli due inside it, and
 ///   applies them all);
 /// * the epoch output buffer is empty.
 ///
-/// Between calls, also:
-///
-/// * every calendar entry equals its node's `next_activity()`, and a
-///   node without one has no entry;
-/// * shard membership is a function of topology and shard count.
+/// Between calls, also: every calendar entry equals its node's
+/// `next_activity()`, and a node without one has no entry.
 ///
 /// Each call restores these before it returns `Ok`; the calls that
 /// could break them from outside (adding nodes, `node_mut`,
-/// `set_battery`, a scheduler or shard-count change, a lockstep run, a
-/// call that faults) drop the set, and the next sharded run rebuilds
-/// it exactly as a fresh one would.
-struct ShardSet {
-    shards: Vec<Shard>,
-    /// Global node index → (shard, member position).
-    shard_of: Vec<(u32, u32)>,
+/// `set_battery`, a lockstep run, a call that faults) drop the state,
+/// and the next event-driven run rebuilds it exactly as a fresh one
+/// would.
+struct WakeState {
+    /// Wake calendar keyed by node index.
+    wake: WakeQueue,
+    /// This epoch's stimuli — `(due, node index, stimulus)` — ascending
+    /// by due time (stimulus-calendar pop order).
+    stimuli: VecDeque<(SimTime, usize, Stimulus)>,
+    /// Pending-stimulus count per node index: lets `run_node` skip the
+    /// queue scan for the (vast) majority of wakes whose node has no
+    /// stimulus left this epoch.
+    pending_stimuli: Vec<u32>,
     /// The epoch lookahead: the shortest radio word time in the fleet.
     word_floor: SimDuration,
-    /// Outputs of the current epoch, from every shard. The barrier
-    /// drains it in place, so it keeps its capacity.
+    /// Outputs of the current epoch. The barrier drains it in place, so
+    /// it keeps its capacity.
     outputs: Vec<EpochOutput>,
-}
-
-impl ShardSet {
-    /// Node `gi`'s calendar entry, if it has one.
-    fn time_of(&self, gi: usize) -> Option<SimTime> {
-        let (s, local) = self.shard_of[gi];
-        self.shards[s as usize].wake.time_of(local as usize)
-    }
-
-    /// Refresh one node's entry in its owning shard's wake calendar.
-    fn rekey(&mut self, node: &Node, gi: usize) {
-        let (s, local) = self.shard_of[gi];
-        self.shards[s as usize].rekey(node, local as usize);
-    }
-}
-
-/// One spatial shard of a [`Scheduler::Sharded`] run: a group of grid
-/// cells' nodes with a private wake calendar, advanced independently of
-/// every other shard inside each conservative epoch. All cross-shard
-/// interaction flows through the coordinator at epoch barriers.
-struct Shard {
-    /// Global node indices owned by this shard (grid-cell order).
-    members: Vec<usize>,
-    /// Wake calendar keyed by position in `members`.
-    wake: WakeQueue,
-    /// This epoch's stimuli for member nodes — `(due, member position,
-    /// stimulus)` — ascending by due time (global-calendar pop order).
-    stimuli: VecDeque<(SimTime, usize, Stimulus)>,
-    /// Pending-stimulus count per member position: lets `run_member`
-    /// skip the queue scan for the (vast) majority of wakes whose node
-    /// has no stimulus left this epoch.
-    pending_stimuli: Vec<u32>,
-    /// Earliest fault this epoch, with the global node index.
+    /// Earliest fault this epoch.
     error: Option<Fault>,
 }
 
-impl Shard {
-    fn new(members: Vec<usize>) -> Shard {
-        Shard {
-            pending_stimuli: vec![0; members.len()],
-            wake: WakeQueue::with_keys(members.len()),
-            members,
+impl WakeState {
+    /// Key every node's wake and measure the epoch lookahead.
+    fn new(nodes: &[Node]) -> WakeState {
+        let mut w = WakeState {
+            wake: WakeQueue::with_keys(nodes.len()),
             stimuli: VecDeque::new(),
+            pending_stimuli: vec![0; nodes.len()],
+            word_floor: nodes
+                .iter()
+                .map(|n| n.radio().word_time())
+                .min()
+                .unwrap_or(RUN_QUANTUM),
+            outputs: Vec::new(),
             error: None,
+        };
+        for (i, node) in nodes.iter().enumerate() {
+            w.rekey(node, i);
         }
+        w
     }
 
     /// Enqueue one stimulus (entries arrive in ascending due order).
-    fn push_stimulus(&mut self, due: SimTime, local: usize, stim: Stimulus) {
-        self.pending_stimuli[local] += 1;
-        self.stimuli.push_back((due, local, stim));
+    fn push_stimulus(&mut self, due: SimTime, i: usize, stim: Stimulus) {
+        self.pending_stimuli[i] += 1;
+        self.stimuli.push_back((due, i, stim));
     }
 
     /// Dequeue the earliest pending stimulus.
@@ -1182,29 +1049,22 @@ impl Shard {
         Some(entry)
     }
 
-    /// Advance this shard's due members up to (but excluding) `to`,
-    /// applying its stimuli on the way. Stimulus records go to `trace`
-    /// and node outputs to `outputs`. Returns how many member runs the
-    /// epoch made (telemetry).
+    /// Advance the due nodes up to (but excluding) `to`, applying the
+    /// epoch's stimuli on the way. Stimulus records go to `trace` and
+    /// node outputs to the output buffer. Returns how many node runs
+    /// the epoch made (telemetry).
     ///
-    /// `to` is a conservative bound chosen by the coordinator: no radio
-    /// delivery can become due strictly inside the epoch, so the shard
-    /// needs nothing from the rest of the network until the barrier.
-    /// Work falling exactly *at* `to` (wakes, stimuli) is left for the
-    /// next epoch's phase 1, so deliveries at `to` keep lockstep's
+    /// `to` is a conservative bound: no radio delivery can become due
+    /// strictly inside the epoch, so the nodes need nothing from one
+    /// another until the barrier. Work falling exactly *at* `to`
+    /// (wakes, stimuli) is left for the next epoch's phase 1, so
+    /// deliveries at `to` keep lockstep's
     /// deliveries-before-stimuli-before-execution order.
     ///
     /// After a fault the epoch goes on with the work due at or before
-    /// the fault instant: a member never faults before it wakes, so
-    /// only those members can fault earlier (or tie with a lower
-    /// index).
-    fn run_epoch(
-        &mut self,
-        nodes: &mut [Node],
-        trace: &mut Trace,
-        outputs: &mut Vec<EpochOutput>,
-        to: SimTime,
-    ) -> usize {
+    /// the fault instant: a node never faults before it wakes, so only
+    /// those nodes can fault earlier (or tie with a lower index).
+    fn run_epoch(&mut self, nodes: &mut [Node], trace: &mut Trace, to: SimTime) -> usize {
         let mut ran = 0;
         loop {
             let fault_at = self.error.as_ref().map(|f| f.0);
@@ -1216,49 +1076,41 @@ impl Shard {
                 // Stimuli win ties: lockstep applies a stimulus due at
                 // `t` before running the window that starts at `t`.
                 (w, Some(st)) if w.is_none_or(|wt| st <= wt) => {
-                    let (due, local, stim) = self.pop_stimulus().expect("peeked");
-                    self.apply_stimulus(nodes, trace, outputs, due, local, stim);
+                    let (due, i, stim) = self.pop_stimulus().expect("peeked");
+                    self.apply_stimulus(nodes, trace, due, i, stim);
                 }
-                // The member stays in the calendar while it runs and is
+                // The node stays in the calendar while it runs and is
                 // re-keyed in place afterwards: one sift, not a pop and
                 // a push.
                 _ => {
-                    let (_, local) = self.wake.peek().expect("peeked");
-                    self.run_member(nodes, outputs, local, to);
+                    let (_, i) = self.wake.peek().expect("peeked");
+                    self.run_node(nodes, i, to);
                     ran += 1;
                 }
             }
         }
     }
 
-    /// Run one member to the epoch bound, collecting its outputs.
+    /// Run node `i` to the epoch bound, collecting its outputs.
     ///
-    /// A pending stimulus for this member caps its advance below the
+    /// A pending stimulus for this node caps its advance below the
     /// bound: lockstep ends its window at the stimulus instant and
     /// interrupts the node there, so running past it would deliver the
     /// interrupt late in node-local time. The stimulus queue is
-    /// time-ordered, so the first entry for this member is its
-    /// earliest.
-    fn run_member(
-        &mut self,
-        nodes: &mut [Node],
-        outputs: &mut Vec<EpochOutput>,
-        local: usize,
-        to: SimTime,
-    ) {
-        let gi = self.members[local];
+    /// time-ordered, so the first entry for this node is its earliest.
+    fn run_node(&mut self, nodes: &mut [Node], i: usize, to: SimTime) {
         // The scan is O(queue), which holds one epoch's stimuli, and it
-        // only runs for members that still have a stimulus pending —
-        // for everyone else the per-member count short-circuits it.
-        let cap = if self.pending_stimuli[local] == 0 {
+        // only runs for nodes that still have a stimulus pending — for
+        // everyone else the per-node count short-circuits it.
+        let cap = if self.pending_stimuli[i] == 0 {
             to
         } else {
             self.stimuli
                 .iter()
-                .find(|s| s.1 == local)
+                .find(|s| s.1 == i)
                 .map_or(to, |s| s.0.min(to))
         };
-        let node = &mut nodes[gi];
+        let node = &mut nodes[i];
         match node.run_until(cap) {
             Ok(out) => {
                 for output in out {
@@ -1267,15 +1119,15 @@ impl Shard {
                         NodeOutput::LedWrite { at, .. } => at.as_ps(),
                         NodeOutput::Died { at } => at.as_ps(),
                     };
-                    outputs.push((at, gi, output));
+                    self.outputs.push((at, i, output));
                 }
-                self.rekey(node, local);
+                self.rekey(node, i);
             }
             Err(e) => {
                 // Out of the calendar, so the epoch's remaining work
-                // does not pick the faulted member again.
-                self.wake.remove(local);
-                keep_earliest(&mut self.error, fault(node, gi, e));
+                // does not pick the faulted node again.
+                self.wake.remove(i);
+                keep_earliest(&mut self.error, fault(node, i, e));
             }
         }
     }
@@ -1285,16 +1137,14 @@ impl Shard {
         &mut self,
         nodes: &mut [Node],
         trace: &mut Trace,
-        outputs: &mut Vec<EpochOutput>,
         due: SimTime,
-        local: usize,
+        i: usize,
         stim: Stimulus,
     ) {
-        let gi = self.members[local];
-        let node = &mut nodes[gi];
+        let node = &mut nodes[i];
         // Sync the target's clock to the stimulus instant. `due` is no
-        // later than any member wake (the epoch loop always picks the
-        // minimum instant), so this executes nothing.
+        // later than any wake (the epoch loop always picks the minimum
+        // instant), so this executes nothing.
         match node.run_until(due) {
             Ok(out) => {
                 for output in out {
@@ -1305,39 +1155,29 @@ impl Shard {
                         "clock sync must not produce outputs (beyond battery death)"
                     );
                     if let NodeOutput::Died { at } = output {
-                        outputs.push((at.as_ps(), gi, output));
+                        self.outputs.push((at.as_ps(), i, output));
                     }
                 }
             }
             Err(e) => {
-                keep_earliest(&mut self.error, fault(node, gi, e));
+                keep_earliest(&mut self.error, fault(node, i, e));
                 return;
             }
         }
-        match stim {
-            Stimulus::SensorIrq => {
-                node.trigger_sensor_irq();
-            }
-            Stimulus::SensorReading { id, value } => node.sensors_mut().set_reading(id, value),
-        }
-        trace.record(TraceEvent {
-            at_ps: due.as_ps(),
-            node: node.id(),
-            kind: TraceKind::Stimulus,
-        });
-        self.rekey(node, local);
+        stimulate(node, trace, stim, due);
+        self.rekey(node, i);
     }
 
-    /// Refresh one member's wake-calendar entry from its node state,
-    /// touching the heap only when the instant moved.
-    fn rekey(&mut self, node: &Node, local: usize) {
+    /// Refresh node `i`'s wake-calendar entry from its state, touching
+    /// the heap only when the instant moved.
+    fn rekey(&mut self, node: &Node, i: usize) {
         let next = node.next_activity();
-        if self.wake.time_of(local) == next {
+        if self.wake.time_of(i) == next {
             return;
         }
         match next {
-            Some(wt) => self.wake.set(local, wt),
-            None => self.wake.remove(local),
+            Some(wt) => self.wake.set(i, wt),
+            None => self.wake.remove(i),
         }
     }
 }

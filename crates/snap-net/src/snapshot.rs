@@ -18,17 +18,17 @@
 //!
 //! A snapshot is only taken between [`NetworkSim::run_until`] calls
 //! (`export_snapshot` takes `&self`; a run holds `&mut self`). At that
-//! boundary the sharded engine may keep its shards and wake calendars
-//! from the last call, but they hold nothing this module does not
-//! write: every calendar entry equals its node's `next_activity()`,
-//! every shard stimulus queue and the epoch output buffer are empty
-//! (pending stimuli wait in the global calendar, which is written),
-//! and membership follows from topology and shard count. A restored
-//! fleet builds the same calendars on its first run. The observable
-//! state is exactly {nodes, topology, channel, calendars, trace,
-//! clock} — what this module serializes. In particular a *mid-epoch*
-//! sharded snapshot cannot exist, which is the safety argument for
-//! `Scheduler::Sharded` (DESIGN.md §11).
+//! boundary the event-driven engine may keep its wake calendar from the
+//! last call, but it holds nothing this module does not write: every
+//! calendar entry equals its node's `next_activity()`, and the epoch's
+//! stimulus queue and output buffer are empty (pending stimuli wait in
+//! the stimulus calendar, which is written). A restored fleet builds
+//! the same wake calendar on its first run. The observable state is
+//! exactly {nodes, topology, channel, calendars, trace, clock} — what
+//! this module serializes. In particular a *mid-epoch* snapshot cannot
+//! exist, which is the safety argument for the event-driven engine
+//! (DESIGN.md §11). No engine reads the header's shard count; it is
+//! kept so a restored fleet re-encodes to its own bytes.
 //!
 //! Calendar FIFO order survives the round trip: entries are exported
 //! sorted by `(time, insertion seq)` and re-`schedule`d in that order,
@@ -107,7 +107,7 @@ impl Encode for NetworkSim {
 /// every stimulus targets an existing node.
 impl Decode for NetworkSim {
     fn decode(r: &mut Reader) -> Result<NetworkSim, SnapshotError> {
-        let now = SimTime::from_ps(r.u64()?);
+        let now = SimTime::from_ps(r.quantity()?);
         let scheduler = Scheduler::decode(r)?;
         let num_shards = r.u64()?;
         if num_shards == 0 {

@@ -1,8 +1,8 @@
 //! Node positions and radio connectivity.
 //!
 //! [`Topology`] keeps each node's position and cached neighbour list in
-//! plain vectors indexed by node id, so looking up a node's position,
-//! grid cell or neighbours is one index. A hash of grid cells one radio
+//! plain vectors indexed by node id, so looking up a node's position or
+//! neighbours is one index. A hash of grid cells one radio
 //! range wide bounds every neighbour search to the 3×3 cells around a
 //! node, so placement costs O(local density), not O(n).
 
@@ -34,8 +34,8 @@ impl Position {
 ///
 /// Storage is dense: node id `i + 1` lives at index `i` of plain
 /// vectors (the ids [`NetworkSim`](crate::NetworkSim) hands out run
-/// 1, 2, 3, …), so a node's position, cell and neighbour list are one
-/// index away. Placing id `n` reserves slots for every id up to `n`;
+/// 1, 2, 3, …), so a node's position and neighbour list are one index
+/// away. Placing id `n` reserves slots for every id up to `n`;
 /// `NodeId(0)` has no slot and cannot be placed.
 ///
 /// Connectivity is queried far more often than it changes (every
@@ -119,14 +119,6 @@ impl Topology {
             (position.x / self.range).floor() as i64,
             (position.y / self.range).floor() as i64,
         )
-    }
-
-    /// The grid cell a placed node occupies, if placed. Cells have side
-    /// length equal to the radio range, so all of a node's neighbours
-    /// live in the 3×3 block centred on its cell — the property the
-    /// sharded scheduler's spatial partitioning relies on.
-    pub fn cell(&self, node: NodeId) -> Option<(i64, i64)> {
-        self.position(node).map(|p| self.cell_of(p))
     }
 
     /// Store `position` for `node`, growing the dense vectors to reach
@@ -380,7 +372,6 @@ mod tests {
         for &(node, _) in &layout {
             assert_eq!(bulk.neighbours(node), incremental.neighbours(node));
             assert_eq!(bulk.position(node), incremental.position(node));
-            assert_eq!(bulk.cell(node), incremental.cell(node));
         }
         assert!(bulk.neighbours(NodeId(99)).is_empty());
     }
@@ -403,10 +394,10 @@ mod tests {
         let mut t = Topology::new(10.0);
         t.place(NodeId(1), Position::new(-0.5, 0.0));
         t.place(NodeId(2), Position::new(0.5, 0.0));
-        assert_eq!(t.cell(NodeId(1)), Some((-1, 0)));
-        assert_eq!(t.cell(NodeId(2)), Some((0, 0)));
+        let cell = |id| t.cell_of(t.position(NodeId(id)).unwrap());
+        assert_eq!(cell(1), (-1, 0));
+        assert_eq!(cell(2), (0, 0));
         // Different cells, still neighbours: the 3×3 scan covers it.
         assert_eq!(t.neighbours(NodeId(1)), vec![NodeId(2)]);
-        assert_eq!(t.cell(NodeId(9)), None);
     }
 }

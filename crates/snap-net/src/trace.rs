@@ -174,13 +174,13 @@ impl Trace {
 
     /// Canonically order the events recorded since the last `seal`.
     ///
-    /// Schedulers call this at every chunk boundary (scheduling window
-    /// or shard epoch). Within a chunk, nodes execute in arbitrary
-    /// order — whichever batch layout or shard the scheduler chose — so
-    /// raw recording order is scheduler-dependent. Sorting each chunk
-    /// by a canonical total key makes the final trace a pure function
-    /// of simulated behaviour: every scheduler produces the identical
-    /// event vector (the equivalence suite relies on this).
+    /// Schedulers call this at every chunk boundary (lockstep window or
+    /// event-driven epoch). Within a chunk, nodes execute in the order
+    /// the scheduler chose — node index in a window, wake order in an
+    /// epoch — so raw recording order is scheduler-dependent. Sorting
+    /// each chunk by a canonical total key makes the final trace a pure
+    /// function of simulated behaviour: every scheduler produces the
+    /// identical event vector (the equivalence suite relies on this).
     pub fn seal(&mut self) {
         self.events[self.sealed..].sort_unstable_by_key(canonical_key);
         self.sealed = self.events.len();
@@ -242,7 +242,7 @@ impl Decode for Trace {
     fn decode(r: &mut Reader) -> Result<Trace, SnapshotError> {
         let modes = [TraceMode::Full, TraceMode::CountOnly];
         let mode = r.variant(&modes, "trace mode discriminant")?;
-        let recorded = r.u64()?;
+        let recorded = r.quantity()?;
         let sealed = r.u64()?;
         let events: Vec<TraceEvent> = r.seq()?;
         if sealed > events.len() as u64 {

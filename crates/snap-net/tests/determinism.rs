@@ -1,11 +1,11 @@
-//! Sharded/lockstep equivalence: shard epochs must be invisible.
+//! Event-driven/lockstep equivalence: epochs must be invisible.
 //!
-//! The same 10-node scenario runs twice — once on four shards (each
-//! epoch runs the shards one after another, and the barrier merges
-//! their outputs) and once under the lockstep reference (every node in
-//! index order every round). Traces and per-node energy totals must be
-//! bit-identical; anything less means the barrier reordered node
-//! outputs or perturbed the accounting.
+//! The same 10-node scenario runs twice — once on the event-driven
+//! engine (each epoch runs the due nodes in wake order, and the barrier
+//! merges their outputs) and once under the lockstep reference (every
+//! node in index order every round). Traces and per-node energy totals
+//! must be bit-identical; anything less means the barrier reordered
+//! node outputs or perturbed the accounting.
 
 use dess::{SimDuration, SimTime};
 use snap_apps::mac::{mac_program, send_on_irq_app, RX_DISPATCH_STUB};
@@ -22,7 +22,6 @@ fn ms(n: u64) -> SimTime {
 fn build(scheduler: Scheduler) -> NetworkSim {
     let mut sim = NetworkSim::new(12.0);
     sim.set_scheduler(scheduler);
-    sim.set_shards(4);
     for i in 0u8..10 {
         let dst = if i == 9 { 1 } else { i + 2 };
         let extra = install_handler("EV_IRQ", "app_send_irq");
@@ -40,28 +39,31 @@ fn build(scheduler: Scheduler) -> NetworkSim {
 }
 
 #[test]
-fn parallel_and_sequential_runs_are_bit_identical() {
-    let mut sharded = build(Scheduler::Sharded);
+fn event_driven_and_lockstep_runs_are_bit_identical() {
+    let mut event_driven = build(Scheduler::EventDriven);
     let mut lockstep = build(Scheduler::Lockstep);
-    sharded.run_until(ms(40)).unwrap();
+    event_driven.run_until(ms(40)).unwrap();
     lockstep.run_until(ms(40)).unwrap();
 
     // The scenario must actually do something, or the test is vacuous.
-    assert!(sharded.channel().deliveries() > 0, "no traffic delivered");
+    assert!(
+        event_driven.channel().deliveries() > 0,
+        "no traffic delivered"
+    );
 
-    assert_eq!(sharded.trace().events(), lockstep.trace().events());
+    assert_eq!(event_driven.trace().events(), lockstep.trace().events());
     assert_eq!(
-        sharded.channel().deliveries(),
+        event_driven.channel().deliveries(),
         lockstep.channel().deliveries()
     );
     assert_eq!(
-        sharded.channel().collisions(),
+        event_driven.channel().collisions(),
         lockstep.channel().collisions()
     );
     for i in 0u32..10 {
         let id = snap_node::NodeId(i + 1);
         let (p, s) = (
-            sharded.node(id).cpu().stats(),
+            event_driven.node(id).cpu().stats(),
             lockstep.node(id).cpu().stats(),
         );
         assert_eq!(

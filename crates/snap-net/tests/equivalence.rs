@@ -1,25 +1,24 @@
-//! Scheduler equivalence: wake calendars and shards must be invisible.
+//! Scheduler equivalence: the wake calendar must be invisible.
 //!
-//! The sharded engine skips sleeping nodes and fast-forwards their
+//! The event-driven engine skips sleeping nodes and fast-forwards their
 //! clocks lazily; the lockstep scheduler advances every node every
-//! round. If a shard's wake calendar ever disagrees with what a full
+//! round. If the wake calendar ever disagrees with what a full
 //! `next_activity` scan would return — a missed re-key after a timer
 //! arm, a delivery posted to a stale clock — the two diverge. These
 //! property tests throw randomized mixed workloads (periodic timers,
 //! CSMA traffic under random loss, staggered sensor interrupts) at
-//! every scheduler and shard count, in one `run_until` call and in
-//! random slices, and require bit-identical results: the full trace,
-//! channel counters, and every node's instruction count, energy (to
-//! the bit), busy/sleep time and architectural registers — or, when a
-//! node faults, the same fault. Shard epochs run one after another,
-//! each handed only the stimuli due inside it; stimuli due exactly at
-//! an epoch boundary are applied by the coordinator.
+//! every scheduler, in one `run_until` call and in random slices, and
+//! require bit-identical results: the full trace, channel counters,
+//! and every node's instruction count, energy (to the bit), busy/sleep
+//! time and architectural registers — or, when a node faults, the same
+//! fault. Each epoch is handed only the stimuli due inside it; stimuli
+//! due exactly at an epoch boundary are applied by phase 1.
 //!
-//! The sharded engine keeps its shards and wake calendars from one
-//! `run_until` call to the next. `outside_operations_between_slices`
-//! pokes the fleet between slices through every public door that can
-//! move a node's next activity, and holds the kept state to the
-//! lockstep reference fed the same operations.
+//! The event-driven engine keeps its wake calendar from one `run_until`
+//! call to the next. `outside_operations_between_slices` pokes the
+//! fleet between slices through every public door that can move a
+//! node's next activity, and holds the kept state to the lockstep
+//! reference fed the same operations.
 
 use dess::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -56,10 +55,12 @@ fn add_mac_node(sim: &mut NetworkSim, i: u8, ring: u8) -> NodeId {
     sim.add_node(&program, Position::new(col * 8.0, row * 8.0))
 }
 
-fn build(s: &Scenario, scheduler: Scheduler, shards: usize) -> NetworkSim {
+/// The three schedulers that run the event-driven engine.
+const EVENT_DRIVEN: [Scheduler; 3] = [Scheduler::EventDriven, Scheduler::Sharded, Scheduler::Auto];
+
+fn build(s: &Scenario, scheduler: Scheduler) -> NetworkSim {
     let mut sim = NetworkSim::new(12.0);
     sim.set_scheduler(scheduler);
-    sim.set_shards(shards);
     if s.loss_ppm > 0 {
         sim.set_loss(f64::from(s.loss_ppm) / 1_000_000.0, s.loss_seed);
     }
@@ -155,21 +156,16 @@ fn node_count(s: &Scenario) -> u32 {
 
 /// What a run to the horizon observes: the whole universe, or the
 /// fault it ended in.
-fn run(s: &Scenario, scheduler: Scheduler, shards: usize) -> Result<Observed, NodeError> {
-    let mut sim = build(s, scheduler, shards);
+fn run(s: &Scenario, scheduler: Scheduler) -> Result<Observed, NodeError> {
+    let mut sim = build(s, scheduler);
     sim.run_until(horizon(s))?;
     Ok(observe(&sim, node_count(s)))
 }
 
 /// [`run`], reaching the horizon through `run_until` slices that end
 /// at the given parts-per-million of it.
-fn run_sliced(
-    s: &Scenario,
-    scheduler: Scheduler,
-    shards: usize,
-    cuts_ppm: &[u64],
-) -> Result<Observed, NodeError> {
-    let mut sim = build(s, scheduler, shards);
+fn run_sliced(s: &Scenario, scheduler: Scheduler, cuts_ppm: &[u64]) -> Result<Observed, NodeError> {
+    let mut sim = build(s, scheduler);
     let end = horizon(s).as_ps();
     let mut cuts: Vec<u64> = cuts_ppm.iter().map(|&c| end * c / 1_000_000).collect();
     cuts.sort_unstable();
@@ -196,7 +192,7 @@ enum Outside {
     /// `add_node`: a MAC node that joins the ring's radio range
     /// (`true`), or a timer-periodic blink node (`false`).
     AddNode(bool),
-    /// `set_scheduler` on the sharded side: Auto, EventDriven or
+    /// `set_scheduler` on the event-driven side: Auto, EventDriven or
     /// Sharded (the reference stays lockstep).
     Scheduler(u8),
 }
@@ -289,35 +285,28 @@ fn observe(sim: &NetworkSim, nodes: u32) -> Observed {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Every scheduler × shard-count combination observes the same
-    /// universe, bit for bit, or reports the same fault.
+    /// Every scheduler observes the same universe, bit for bit, or
+    /// reports the same fault.
     #[test]
     fn schedulers_are_observationally_equivalent(s in scenario()) {
         // Lockstep is the reference the others must hit.
-        let reference = run(&s, Scheduler::Lockstep, 1);
+        let reference = run(&s, Scheduler::Lockstep);
         if let Ok(r) = &reference {
             prop_assert!(!r.trace.is_empty(), "vacuous scenario: no traffic at all");
         }
-        let configs = [
-            (Scheduler::EventDriven, 1usize, "event-driven"),
-            (Scheduler::Sharded, 1, "sharded/1"),
-            (Scheduler::Sharded, 2, "sharded/2"),
-            (Scheduler::Sharded, 4, "sharded/4"),
-            (Scheduler::Sharded, 8, "sharded/8"),
-        ];
-        for (scheduler, shards, label) in configs {
-            let got = run(&s, scheduler, shards);
+        for scheduler in EVENT_DRIVEN {
+            let got = run(&s, scheduler);
             match (&got, &reference) {
                 (Ok(got), Ok(reference)) => {
                     prop_assert_eq!(
                         &got.trace, &reference.trace,
-                        "trace diverged under {}", label
+                        "trace diverged under {:?}", scheduler
                     );
-                    prop_assert_eq!(got, reference, "state diverged under {}", label);
+                    prop_assert_eq!(got, reference, "state diverged under {:?}", scheduler);
                 }
                 (got, reference) => prop_assert_eq!(
                     got.as_ref().err(), reference.as_ref().err(),
-                    "fault diverged under {}", label
+                    "fault diverged under {:?}", scheduler
                 ),
             }
         }
@@ -332,22 +321,15 @@ proptest! {
         s in scenario(),
         cuts_ppm in prop::collection::vec(1u64..1_000_000, 1..8),
     ) {
-        let configs = [
-            (Scheduler::Lockstep, 1usize, "lockstep"),
-            (Scheduler::EventDriven, 1, "event-driven"),
-            (Scheduler::Auto, 1, "auto"),
-            (Scheduler::Sharded, 1, "sharded/1"),
-            (Scheduler::Sharded, 3, "sharded/3"),
-        ];
-        for (scheduler, shards, label) in configs {
-            let whole = run(&s, scheduler, shards);
-            let sliced = run_sliced(&s, scheduler, shards, &cuts_ppm);
-            prop_assert_eq!(sliced, whole, "slicing diverged under {}", label);
+        for scheduler in [Scheduler::Lockstep].into_iter().chain(EVENT_DRIVEN) {
+            let whole = run(&s, scheduler);
+            let sliced = run_sliced(&s, scheduler, &cuts_ppm);
+            prop_assert_eq!(sliced, whole, "slicing diverged under {:?}", scheduler);
         }
     }
 
-    /// The sharded engine keeps its shards and calendars between
-    /// calls: random slices with random outside operations between
+    /// The event-driven engine keeps its wake calendar between calls:
+    /// random slices with random outside operations between
     /// them (stimuli, interrupts and sensor readings through
     /// `node_mut`, batteries, new nodes, scheduler flips) end where the
     /// lockstep reference, fed the same operations, ends — after every
@@ -355,11 +337,11 @@ proptest! {
     #[test]
     fn outside_operations_between_slices(
         s in scenario(),
-        shards in 1usize..4,
+        scheduler in prop::sample::select(EVENT_DRIVEN.to_vec()),
         steps in prop::collection::vec((1u64..1_000_000, outside()), 1..8),
     ) {
-        let mut sim = build(&s, Scheduler::Sharded, shards);
-        let mut reference = build(&s, Scheduler::Lockstep, 1);
+        let mut sim = build(&s, scheduler);
+        let mut reference = build(&s, Scheduler::Lockstep);
         let end = horizon(&s).as_ps();
         let mut steps = steps;
         steps.sort_by_key(|&(cut, _)| cut);
@@ -390,20 +372,20 @@ proptest! {
         }
     }
 
-    /// Stimuli due exactly on an epoch boundary stay with the
-    /// coordinator, which applies them after the deliveries due at
-    /// their instant and before anything runs: at a delivery instant
-    /// (every delivery caps an epoch), often to that word's receiver or
-    /// twice to one node, with or without a slice ending there, and at
-    /// the horizon. The sharded engine ends every slice where the
-    /// lockstep reference does, or in the same fault.
+    /// Stimuli due exactly on an epoch boundary stay in the stimulus
+    /// calendar for phase 1, which applies them after the deliveries
+    /// due at their instant and before anything runs: at a delivery
+    /// instant (every delivery caps an epoch), often to that word's
+    /// receiver or twice to one node, with or without a slice ending
+    /// there, and at the horizon. The event-driven engine ends every
+    /// slice where the lockstep reference does, or in the same fault.
     #[test]
     fn stimuli_on_epoch_boundaries(
         s in scenario(),
-        shards in 1usize..4,
+        scheduler in prop::sample::select(EVENT_DRIVEN.to_vec()),
         picks in prop::collection::vec((any::<u16>(), any::<bool>(), any::<bool>()), 1..8),
     ) {
-        let Ok(plain) = run(&s, Scheduler::Lockstep, 1) else {
+        let Ok(plain) = run(&s, Scheduler::Lockstep) else {
             return;
         };
         let delivered: Vec<(u64, NodeId)> = plain
@@ -416,8 +398,8 @@ proptest! {
             return;
         }
         let end = horizon(&s).as_ps();
-        let mut sim = build(&s, Scheduler::Sharded, shards);
-        let mut reference = build(&s, Scheduler::Lockstep, 1);
+        let mut sim = build(&s, scheduler);
+        let mut reference = build(&s, Scheduler::Lockstep);
         let mut cuts = vec![end];
         for &(pick, to_receiver, cut) in &picks {
             let (at, receiver) = delivered[usize::from(pick) % delivered.len()];
@@ -453,11 +435,10 @@ proptest! {
         }
     }
 
-    /// Sharding is invisible at scale: on a randomized dense grid (64
-    /// to ~500 nodes) with CSMA traffic spanning the whole width — so
-    /// transmissions routinely cross shard boundaries — every shard
-    /// count observes the universe the lockstep scheduler does, bit for
-    /// bit.
+    /// The wake calendar is invisible at scale: on a randomized dense
+    /// grid (64 to ~500 nodes) with CSMA traffic spanning the whole
+    /// width, every scheduler observes the universe the lockstep
+    /// scheduler does, bit for bit.
     #[test]
     fn sharded_grid_matches_sequential(
         side in 8usize..23,
@@ -467,16 +448,14 @@ proptest! {
         stagger_us in 300u64..1_200,
         run_ms in 6u64..14,
     ) {
-        let build_grid = |scheduler: Scheduler, shards: usize| {
+        let build_grid = |scheduler: Scheduler| {
             let mut sim = NetworkSim::new(12.0);
             sim.set_scheduler(scheduler);
-            sim.set_shards(shards);
             if loss_ppm > 0 {
                 sim.set_loss(f64::from(loss_ppm) / 1_000_000.0, loss_seed);
             }
             // A CSMA ring strung along row 0 of the grid: neighbours
-            // are 8 m apart (in range), and with shard cells sorted
-            // spatially the ring spans several shards.
+            // are 8 m apart (in range).
             for i in 0..mac_nodes {
                 let dst = if i + 1 == mac_nodes { 1 } else { i + 2 };
                 let extra = install_handler("EV_IRQ", "app_send_irq");
@@ -494,8 +473,8 @@ proptest! {
                 );
             }
             // The rest of the grid is timer-periodic filler: each node
-            // wakes on its own schedule, exercising the per-shard wake
-            // calendars without adding radio traffic.
+            // wakes on its own schedule, exercising the wake calendar
+            // without adding radio traffic.
             let filler = side * side - usize::from(mac_nodes);
             let blink = blink_program().unwrap();
             sim.add_nodes_from(
@@ -513,29 +492,29 @@ proptest! {
         };
         let nodes = (side * side) as u32;
         let horizon = SimTime::ZERO + SimDuration::from_ms(run_ms);
-        let mut reference_sim = build_grid(Scheduler::Lockstep, 1);
+        let mut reference_sim = build_grid(Scheduler::Lockstep);
         reference_sim.run_until(horizon).unwrap();
         let reference = observe(&reference_sim, nodes);
         prop_assert!(!reference.trace.is_empty(), "vacuous grid scenario");
-        for shards in [1usize, 2, 4, 8] {
-            let mut sim = build_grid(Scheduler::Sharded, shards);
+        for scheduler in EVENT_DRIVEN {
+            let mut sim = build_grid(scheduler);
             sim.run_until(horizon).unwrap();
             let got = observe(&sim, nodes);
             prop_assert_eq!(
                 &got.trace, &reference.trace,
-                "trace diverged at {} shards", shards
+                "trace diverged under {:?}", scheduler
             );
-            prop_assert_eq!(&got, &reference, "state diverged at {} shards", shards);
+            prop_assert_eq!(&got, &reference, "state diverged under {:?}", scheduler);
         }
     }
 }
 
-/// The fade RNG is drawn by the coordinator in delivery order, so the
-/// loss/fade sequence must not depend on how the fleet is sharded:
-/// with 30% word loss the faded/delivered/collided counters and the
-/// full trace are identical at every shard count.
+/// The fade RNG is drawn at delivery, in delivery-calendar order, so
+/// the loss/fade sequence must not depend on the scheduler: with 30%
+/// word loss the faded/delivered/collided counters and the full trace
+/// are identical under every scheduler.
 #[test]
-fn fade_sequence_is_independent_of_shard_count() {
+fn fade_sequence_is_independent_of_scheduler() {
     let s = Scenario {
         mac_nodes: 7,
         blink_nodes: 2,
@@ -545,22 +524,22 @@ fn fade_sequence_is_independent_of_shard_count() {
         extra_irqs: vec![(2, 9_000), (5, 15_000), (0, 21_000)],
         run_ms: 35,
     };
-    let reference = run(&s, Scheduler::Lockstep, 1).unwrap();
+    let reference = run(&s, Scheduler::Lockstep).unwrap();
     assert!(reference.faded > 0, "scenario never exercised the fade RNG");
-    for shards in [1usize, 2, 3, 4, 8] {
-        let got = run(&s, Scheduler::Sharded, shards).unwrap();
+    for scheduler in EVENT_DRIVEN {
+        let got = run(&s, scheduler).unwrap();
         assert_eq!(
             (got.faded, got.deliveries, got.collisions),
             (reference.faded, reference.deliveries, reference.collisions),
-            "channel counters diverged at {shards} shards"
+            "channel counters diverged under {scheduler:?}"
         );
-        assert_eq!(got, reference, "state diverged at {shards} shards");
+        assert_eq!(got, reference, "state diverged under {scheduler:?}");
     }
 }
 
-/// A long quiet tail after the traffic dies down: the sharded engine
-/// skips all of it, the lockstep one grinds through — both must land
-/// on identical clocks, sleep totals and energy.
+/// A long quiet tail after the traffic dies down: the event-driven
+/// engine skips all of it, the lockstep one grinds through — both must
+/// land on identical clocks, sleep totals and energy.
 #[test]
 fn quiet_tail_is_fast_forwarded_identically() {
     let s = Scenario {
@@ -572,9 +551,8 @@ fn quiet_tail_is_fast_forwarded_identically() {
         extra_irqs: vec![],
         run_ms: 120, // traffic is over in ~10 ms; 110 ms of near-silence
     };
-    let reference = run(&s, Scheduler::Lockstep, 1).unwrap();
-    let event_driven = run(&s, Scheduler::EventDriven, 1).unwrap();
-    assert_eq!(event_driven, reference);
-    let sharded = run(&s, Scheduler::Sharded, 4).unwrap();
-    assert_eq!(sharded, reference);
+    let reference = run(&s, Scheduler::Lockstep).unwrap();
+    for scheduler in EVENT_DRIVEN {
+        assert_eq!(run(&s, scheduler).unwrap(), reference, "{scheduler:?}");
+    }
 }

@@ -45,14 +45,13 @@ fn avr_cell() -> BatteryConfig {
     }
 }
 
-fn build(engine: Engine, scheduler: Scheduler, shards: usize) -> NetworkSim {
+fn build(engine: Engine, scheduler: Scheduler) -> NetworkSim {
     let core = CoreConfig {
         engine,
         ..CoreConfig::default()
     };
     let mut sim = NetworkSim::new(12.0);
     sim.set_scheduler(scheduler);
-    sim.set_shards(shards);
     for i in 0..MAC_NODES {
         let dst = if i + 1 == MAC_NODES { 1 } else { i + 2 };
         let extra = install_handler("EV_IRQ", "app_send_irq");
@@ -143,8 +142,8 @@ fn observe(sim: &NetworkSim) -> Observed {
     }
 }
 
-fn run(engine: Engine, scheduler: Scheduler, shards: usize) -> Observed {
-    let mut sim = build(engine, scheduler, shards);
+fn run(engine: Engine, scheduler: Scheduler) -> Observed {
+    let mut sim = build(engine, scheduler);
     sim.run_until(SimTime::ZERO + SimDuration::from_us(RUN_TO_US))
         .unwrap();
     observe(&sim)
@@ -154,7 +153,7 @@ fn run(engine: Engine, scheduler: Scheduler, shards: usize) -> Observed {
 /// identical picosecond and observes the identical universe.
 #[test]
 fn battery_death_is_bit_identical_across_engines_and_schedulers() {
-    let reference = run(Engine::Interp, Scheduler::Lockstep, 1);
+    let reference = run(Engine::Interp, Scheduler::Lockstep);
     // The scenario must actually exercise death on *both* platforms,
     // and the gateway must have bridged traffic before the ring died.
     let dead: Vec<u32> = reference.deaths.iter().map(|&(n, _)| n).collect();
@@ -173,21 +172,20 @@ fn battery_death_is_bit_identical_across_engines_and_schedulers() {
         "gateway bridged nothing"
     );
     for engine in [Engine::Interp, Engine::Fused, Engine::Aot] {
-        for (scheduler, shards) in [
-            (Scheduler::Lockstep, 1usize),
-            (Scheduler::EventDriven, 1),
-            (Scheduler::Sharded, 1),
-            (Scheduler::Sharded, 2),
-            (Scheduler::Sharded, 4),
+        for scheduler in [
+            Scheduler::Lockstep,
+            Scheduler::EventDriven,
+            Scheduler::Sharded,
+            Scheduler::Auto,
         ] {
-            let got = run(engine, scheduler, shards);
+            let got = run(engine, scheduler);
             assert_eq!(
                 got.deaths, reference.deaths,
-                "death instants diverged under {engine:?}/{scheduler:?}/{shards}"
+                "death instants diverged under {engine:?}/{scheduler:?}"
             );
             assert_eq!(
                 got, reference,
-                "state diverged under {engine:?}/{scheduler:?}/{shards}"
+                "state diverged under {engine:?}/{scheduler:?}"
             );
         }
     }
@@ -199,7 +197,7 @@ fn battery_death_is_bit_identical_across_engines_and_schedulers() {
 /// them forward).
 #[test]
 fn dead_nodes_stay_frozen() {
-    let reference = run(Engine::Fused, Scheduler::EventDriven, 1);
+    let reference = run(Engine::Fused, Scheduler::EventDriven);
     for &(node, died_at) in &reference.deaths {
         for e in &reference.trace {
             let node_produced = matches!(
@@ -223,7 +221,7 @@ fn dead_nodes_stay_frozen() {
 #[test]
 fn death_instants_survive_snapshot_straddle() {
     let horizon = SimTime::ZERO + SimDuration::from_us(RUN_TO_US);
-    let mut straight = build(Engine::Fused, Scheduler::EventDriven, 1);
+    let mut straight = build(Engine::Fused, Scheduler::EventDriven);
     straight.run_until(horizon).unwrap();
     let reference = observe(&straight);
     assert!(!reference.deaths.is_empty(), "vacuous scenario: no deaths");
@@ -235,7 +233,7 @@ fn death_instants_survive_snapshot_straddle() {
         (first_death + last_death) / 2, // some corpses aboard
         last_death + 1,                 // all deaths already in the trace
     ] {
-        let mut first_leg = build(Engine::Fused, Scheduler::EventDriven, 1);
+        let mut first_leg = build(Engine::Fused, Scheduler::EventDriven);
         first_leg
             .run_until(SimTime::ZERO + SimDuration::from_ps(snap_at_ps))
             .unwrap();

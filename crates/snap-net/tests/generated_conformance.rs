@@ -5,11 +5,10 @@
 //! self-modification, carry-chain arithmetic inside handlers, radio
 //! commands issued at odd moments. Here a small mesh of nodes each
 //! runs a *different* generated program while exchanging real radio
-//! traffic, and the lockstep reference, the event-driven engine and
-//! the sharded engine (one shard per node, so every word crosses an
-//! epoch barrier) must observe bit-identical universes: full trace,
-//! channel counters, and every node's registers, instruction count and
-//! energy bit pattern.
+//! traffic, and the lockstep reference and the event-driven engine
+//! (under each scheduler that runs it) must observe bit-identical
+//! universes: full trace, channel counters, and every node's registers,
+//! instruction count and energy bit pattern.
 
 use dess::{SimDuration, SimTime};
 use snap_isa::Reg;
@@ -110,7 +109,7 @@ fn generated_meshes_are_scheduler_invariant() {
             total > 1_000,
             "seeds {seeds:?}: vacuous scenario, only {total} instructions"
         );
-        for scheduler in [Scheduler::EventDriven, Scheduler::Sharded] {
+        for scheduler in [Scheduler::EventDriven, Scheduler::Sharded, Scheduler::Auto] {
             let got = run(&seeds, loss, scheduler);
             assert_eq!(
                 got, reference,

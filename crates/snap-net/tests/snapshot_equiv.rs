@@ -7,7 +7,7 @@
 //! channel counters, same event order, same registers, same energy
 //! `f64` bits on every node. The property test exercises the full
 //! engine × scheduler matrix ({Interp, Fused, Aot} × {Lockstep,
-//! EventDriven, Sharded}) with randomized CSMA traffic, random
+//! EventDriven, Sharded, Auto}) with randomized CSMA traffic, random
 //! per-word loss (so the fade RNG state must survive the round trip),
 //! timer-periodic background nodes and mid-run sensor interrupts, with
 //! the snapshot instant drawn at random — including instants with
@@ -43,7 +43,6 @@ fn build(s: &Scenario, engine: Engine, scheduler: Scheduler) -> NetworkSim {
     };
     let mut sim = NetworkSim::new(12.0);
     sim.set_scheduler(scheduler);
-    sim.set_shards(3);
     if s.loss_ppm > 0 {
         sim.set_loss(f64::from(s.loss_ppm) / 1_000_000.0, s.loss_seed);
     }
@@ -181,16 +180,17 @@ fn straight_vs_resumed(
 }
 
 const ENGINES: [Engine; 3] = [Engine::Interp, Engine::Fused, Engine::Aot];
-const SCHEDULERS: [Scheduler; 3] = [
+const SCHEDULERS: [Scheduler; 4] = [
     Scheduler::Lockstep,
     Scheduler::EventDriven,
     Scheduler::Sharded,
+    Scheduler::Auto,
 ];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The defining property, over the full 3 × 3 matrix.
+    /// The defining property, over the full 3 × 4 matrix.
     #[test]
     fn resume_from_snapshot_is_bit_identical(
         mac_nodes in 3u8..7,
@@ -370,12 +370,12 @@ fn chained_checkpoints_accumulate_no_drift() {
     assert_eq!(observe(&sim), straight);
 }
 
-/// The sharded engine keeps its shards and wake calendars between
-/// `run_until` calls; a restored fleet starts without them and builds
-/// them on its first call. Both must continue bit-identically: the
-/// kept state holds nothing a snapshot does not carry. Checked slice by
-/// slice after a checkpoint taken mid-traffic, under every scheduler
-/// that runs the sharded engine.
+/// The event-driven engine keeps its wake calendar between `run_until`
+/// calls; a restored fleet starts without it and builds it on its first
+/// call. Both must continue bit-identically: the kept state holds
+/// nothing a snapshot does not carry. Checked slice by slice after a
+/// checkpoint taken mid-traffic, under every scheduler that runs the
+/// event-driven engine.
 #[test]
 fn kept_engine_state_and_restored_copy_continue_identically() {
     let s = Scenario {

@@ -2,9 +2,10 @@
 //!
 //! Two checked-in, byte-exact fleet snapshots pin `snap-snapshot`'s
 //! wire format: the SNAP-only `mac` demo at a fixed tick, and a mixed
-//! fleet (SNAP MAC ring, ATmega motes, a gateway, batteries, a sharded
-//! scheduler, a count-only trace and a pending sensor-reading stimulus)
-//! that covers every section the first one leaves at its defaults. If this
+//! fleet (SNAP MAC ring, ATmega motes, a gateway, batteries,
+//! `Scheduler::Sharded` with a stored shard count of 2, a count-only
+//! trace and a pending sensor-reading stimulus) that covers every
+//! section the first one leaves at its defaults. If this
 //! test fails, you changed the serialized representation — which breaks
 //! every snapshot already sitting on disk (`srun --restore`,
 //! `snap-serve` forks).
@@ -60,8 +61,9 @@ fn golden_fleet() -> NetworkSim {
 
 /// The `fleet_death.rs` scenario frozen mid-run: a 2-node SNAP MAC
 /// ring and 2 ATmega beacon motes on micro batteries, plus a
-/// mains-powered gateway, under the sharded scheduler with a
-/// count-only trace. Same rule as [`golden_fleet`]: do not edit.
+/// mains-powered gateway, under `Scheduler::Sharded` (the header
+/// stores it and the shard count) with a count-only trace. Same rule as
+/// [`golden_fleet`]: do not edit.
 fn mixed_fleet() -> NetworkSim {
     let core = CoreConfig {
         engine: Engine::Fused,

@@ -3,14 +3,17 @@
 //! Starting from each blessed golden snapshot, every case mutates the
 //! payload (set a byte, flip a bit, truncate, or overwrite a run with
 //! 0xff) and re-frames it with a correct FNV-1a checksum, so the
-//! mutant gets past the framing and into the payload decoder. Two
+//! mutant gets past the framing and into the payload decoder. Three
 //! properties must hold for every mutant:
 //!
 //! * neither [`Snapshot::from_bytes`] nor [`NetworkSim::from_snapshot`]
-//!   panics, and
+//!   panics,
 //! * a mutant that restores re-encodes to exactly its own bytes:
 //!   restore rejects what the live state cannot hold instead of
-//!   normalising it into a different simulation.
+//!   normalising it into a different simulation, and
+//! * a mutant that restores runs for 2 ms without panicking (it may
+//!   fault): restore rejects clocks, spans and counts that later
+//!   arithmetic would overflow.
 //!
 //! The regression cases below pin one mutant for each class of input
 //! restore must reject rather than normalise or crash on.
@@ -83,18 +86,20 @@ fn mutate(payload: &[u8], m: &Mutation) -> Vec<u8> {
     out
 }
 
-/// The two properties, for one mutant of `golden_bytes`.
+/// The three properties, for one mutant of `golden_bytes`.
 fn check(golden_bytes: &[u8], m: &Mutation) {
     let mutant = frame(&mutate(&golden_bytes[17..], m));
     let Ok(snap) = Snapshot::from_bytes(&mutant) else {
         return;
     };
-    if let Ok(sim) = NetworkSim::from_snapshot(snap.as_fleet().expect("fleet kind")) {
+    if let Ok(mut sim) = NetworkSim::from_snapshot(snap.as_fleet().expect("fleet kind")) {
         let again = Snapshot::Fleet(Box::new(sim.export_snapshot())).to_bytes();
         assert!(
             again == mutant,
             "accepted mutant {m:?} re-encodes to different bytes"
         );
+        // A fault is an outcome of the restored state; a panic is not.
+        let _ = sim.run_for(SimDuration::from_ms(2));
     }
 }
 
@@ -141,6 +146,29 @@ fn huge_position_is_rejected() {
     let mut p = golden("mac_fleet")[17..].to_vec();
     p[FIRST_X_AT..FIRST_X_AT + 8].copy_from_slice(&1e300f64.to_bits().to_le_bytes());
     assert_eq!(verdict(&p), corrupt("node position"));
+}
+
+/// A run of 0xff bytes over a core's busy time is rejected: adding the
+/// next instruction's latency to it would overflow.
+#[test]
+fn busy_time_past_the_clock_is_rejected() {
+    let mut sim = small_fleet();
+    sim.run_for(SimDuration::from_ms(2)).unwrap();
+    let busy = sim.node(NodeId(1)).cpu().acct().busy_time();
+    assert!(!busy.is_zero(), "the core ran");
+    let mut p = payload(&sim);
+    let pattern = busy.as_ps().to_le_bytes();
+    let at = p
+        .windows(8)
+        .position(|w| w == pattern)
+        .expect("busy time in payload");
+    assert_eq!(
+        p[at + 1..].windows(8).position(|w| w == pattern),
+        None,
+        "the busy time's bytes are unique in the payload"
+    );
+    p[at..at + 8].fill(0xff);
+    assert_eq!(verdict(&p), corrupt("clock, span or count past 2^62"));
 }
 
 /// A zero shard count is rejected, not clamped to 1.

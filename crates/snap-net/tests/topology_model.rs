@@ -4,7 +4,7 @@
 //! node id and finds neighbours through a grid of range-sized cells.
 //! This property places random layouts through `place` and `place_many`
 //! (mixed, with re-placements, gaps in the ids and ids repeated inside
-//! one batch) and after every step checks `nodes()`, `position`, `cell`,
+//! one batch) and after every step checks `nodes()`, `position`,
 //! `in_range` and every neighbour list against an O(n²) disc check over
 //! a map of last-placed positions. Coordinates sit on a quarter-unit
 //! lattice around the origin, so layouts include negative coordinates,
@@ -49,8 +49,6 @@ fn check(topo: &Topology, model: &BTreeMap<u32, Position>) {
         let node = NodeId(id);
         let at = model.get(&id).copied();
         assert_eq!(topo.position(node), at, "position of {id}");
-        let cell = at.map(|p| ((p.x / range).floor() as i64, (p.y / range).floor() as i64));
-        assert_eq!(topo.cell(node), cell, "cell of {id}");
         let expected: Vec<NodeId> = match at {
             Some(p) => (model.iter())
                 .filter(|&(&other, q)| other != id && p.distance(q) <= range)
@@ -59,15 +57,6 @@ fn check(topo: &Topology, model: &BTreeMap<u32, Position>) {
             None => Vec::new(),
         };
         assert_eq!(topo.neighbours(node), expected, "neighbours of {id}");
-        for &other in &expected {
-            let (cx, cy) = cell.expect("placed");
-            let (ox, oy) = topo.cell(other).expect("placed");
-            assert!(
-                (cx - ox).abs() <= 1 && (cy - oy).abs() <= 1,
-                "neighbours {id} and {} are more than one cell apart",
-                other.0
-            );
-        }
         for other in 0..=MAX_ID + 1 {
             let heard = match (at, model.get(&other)) {
                 (Some(p), Some(q)) => other != id && p.distance(q) <= range,

@@ -176,8 +176,8 @@ impl Radio {
             mode: RadioMode::decode(r)?,
             tx_done_at: r.opt_u64()?.map(SimTime::from_ps),
             tx_word: r.opt_u16()?,
-            words_sent: r.u64()?,
-            words_heard: r.u64()?,
+            words_sent: r.quantity()?,
+            words_heard: r.quantity()?,
         };
         // An in-flight transmission carries both its word and its
         // completion time, or neither, and only while transmitting.

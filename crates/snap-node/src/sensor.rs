@@ -96,8 +96,8 @@ impl Decode for SensorBank {
         }
         Ok(SensorBank {
             readings,
-            reply_latency: SimDuration::from_ps(r.u64()?),
-            queries: r.u64()?,
+            reply_latency: SimDuration::from_ps(r.quantity()?),
+            queries: r.quantity()?,
         })
     }
 }

@@ -24,7 +24,7 @@
 //! recompiles, exactly as loading the program did. All tiers are
 //! bit-identical, so this only restores speed.
 
-use crate::avr::AvrMote;
+use crate::avr::{AvrMote, AVR_CYCLE_PS};
 use crate::led::LedPort;
 use crate::node::{Node, NodeCpu, NodeKind, Pending};
 use crate::radio::Radio;
@@ -34,7 +34,7 @@ use atmega::AvrCore;
 use dess::{Calendar, SimTime};
 use snap_core::{AotRegion, Engine, Processor};
 use snap_energy::BatteryConfig;
-use snap_snapshot::{Decode, Encode, NodeSnapshot, Reader, SnapshotError, Writer};
+use snap_snapshot::{Decode, Encode, NodeSnapshot, Reader, SnapshotError, Writer, MAX_QUANTITY};
 
 impl Node {
     /// Capture the complete observable node state.
@@ -98,6 +98,14 @@ impl Decode for Node {
             NodeKind::Avr => {
                 let core = AvrCore::restore_state(&r.bytes()?)
                     .map_err(|_| SnapshotError::Corrupt("avr core state blob"))?;
+                // `Reader::quantity`'s bound, as on a SNAP core's clock.
+                let (wall, active) = (core.wall_cycles(), core.active_cycles());
+                if wall > MAX_QUANTITY / AVR_CYCLE_PS || active > wall {
+                    return Err(SnapshotError::Corrupt("avr cycle counts"));
+                }
+                if core.irqs_taken() > MAX_QUANTITY {
+                    return Err(SnapshotError::Corrupt("avr irq count"));
+                }
                 let tx_emitted = r.u64()?;
                 if tx_emitted > core.spi_sent().len() as u64 {
                     return Err(SnapshotError::Corrupt("avr tx drain cursor"));
@@ -136,7 +144,7 @@ impl Decode for Node {
             pending.schedule(at, Pending::decode(r)?);
         }
         let step_limit = r.u64()?;
-        let run_steps = r.u64()?;
+        let run_steps = r.quantity()?;
         let battery = if r.bool()? {
             Some(decode_battery(r)?)
         } else {

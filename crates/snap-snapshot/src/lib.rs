@@ -51,7 +51,7 @@
 
 pub mod wire;
 
-pub use crate::wire::{fnv1a, Decode, Encode, Reader, SnapshotError, Writer};
+pub use crate::wire::{fnv1a, Decode, Encode, Reader, SnapshotError, Writer, MAX_QUANTITY};
 use std::fmt;
 
 /// The four magic bytes opening every snapshot file.

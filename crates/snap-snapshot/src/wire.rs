@@ -17,6 +17,12 @@
 
 use std::fmt;
 
+/// The largest clock, span or event count a snapshot may hold: 2⁶²
+/// (picoseconds: about 53 days of simulated time). A run adds delays,
+/// spans and counts to restored values; starting at or below this
+/// bound, none of those sums leaves the `u64`.
+pub const MAX_QUANTITY: u64 = 1 << 62;
+
 /// Errors produced while decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
@@ -243,6 +249,16 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
+    }
+
+    /// Read a clock, span or event count, rejecting values above
+    /// [`MAX_QUANTITY`].
+    pub fn quantity(&mut self) -> Result<u64, SnapshotError> {
+        let n = self.u64()?;
+        if n > MAX_QUANTITY {
+            return Err(SnapshotError::Corrupt("clock, span or count past 2^62"));
+        }
+        Ok(n)
     }
 
     /// Read a one-byte enum discriminant and return the variant it
