@@ -15,12 +15,12 @@
 //! on — compare-and-branch pairs, `add`/`addc` carry chains,
 //! load-op-store sequences, and counted-loop back-edges.
 //!
-//! Correctness contract (shared with tier 2 in [`crate::translate`]):
-//! replaying a trace is **bit-identical** to interpreting its
-//! constituent instructions. Instructions that *can* fault, act on the
-//! environment, or end a handler (`r15` operands, `done`, `halt`,
-//! calls, timer/event ops, `isw`/`ilw`, `rand`/`seed`) are never fused;
-//! the trace hands control back to the interpreter at those points.
+//! Correctness contract: replaying a trace is **bit-identical** to
+//! interpreting its constituent instructions. Instructions that *can*
+//! fault, act on the environment, or end a handler (`r15` operands,
+//! `done`, `halt`, calls, timer/event ops, `isw`/`ilw`, `rand`/`seed`)
+//! are never fused; the trace hands control back to the interpreter at
+//! those points.
 //! One fit rule, [`FusedTrace::fits`], decides every replay: the whole
 //! trace must fit the caller's step budget, its time limit, and the
 //! next timer expiry (`expiry > now + total_latency`). Then none of
@@ -40,11 +40,10 @@ use snap_isa::{
     Addr, AluImmOp, AluOp, BranchCond, Instruction, InstructionClass, Reg, ShiftOp, Word,
 };
 
-/// Maximum micro-ops in one tier-1 trace. Tier 2 compiles whole basic
-/// blocks and has no cap.
+/// Maximum micro-ops in one trace.
 pub(crate) const MAX_FUSED_OPS: usize = 6;
 
-/// Maximum IMEM words a tier-1 trace can span: `MAX_FUSED_OPS` two-word
+/// Maximum IMEM words a trace can span: `MAX_FUSED_OPS` two-word
 /// instructions plus a two-word branch/jump terminator. The decode
 /// cache invalidates this span below an `isw` write.
 pub(crate) const MAX_TRACE_WORDS: usize = 2 * MAX_FUSED_OPS + 2;
@@ -178,50 +177,30 @@ pub(crate) fn uop_of(ins: &Instruction) -> Option<UOp> {
     }
 }
 
-/// Try to build a fused trace whose first instruction is at `at`.
-/// `decode` supplies the predecoded instruction and costs at an
-/// address, or `None` where no valid instruction starts. Runs of fewer
-/// than two instructions are [`FusedSlot::NoFuse`] — the interpreter
-/// handles them at no extra cost.
+/// Try to build a fused trace whose first instruction is at `at`:
+/// up to [`MAX_FUSED_OPS`] closed micro-ops, folding in a trailing
+/// branch/`jmp` terminator when one follows. `decode` supplies the
+/// predecoded instruction and costs at an address, or `None` where no
+/// valid instruction starts. Runs of fewer than two instructions are
+/// [`FusedSlot::NoFuse`] — the interpreter handles them at no extra
+/// cost.
 pub(crate) fn build_trace(
     at: Addr,
     decode: impl Fn(Addr) -> Option<(Instruction, InstrCosts)>,
 ) -> FusedSlot {
-    match build_run(at, MAX_FUSED_OPS, |_| true, decode) {
-        Some((trace, _end)) => FusedSlot::Trace(Box::new(trace)),
-        None => FusedSlot::NoFuse,
-    }
-}
-
-/// The shared trace builder behind both tiers: collect up to `max_ops`
-/// closed micro-ops starting at `at`, folding in a trailing
-/// branch/`jmp` terminator when one follows, but never crossing an
-/// address where `allowed` is false (tier 2 stops at its proven
-/// region's boundary; tier 1 allows everything). Returns the trace and
-/// the end-exclusive word address of the run (the span
-/// `[at, end)` is what an IMEM write must invalidate), or `None` for
-/// runs of fewer than two instructions.
-pub(crate) fn build_run(
-    at: Addr,
-    max_ops: usize,
-    allowed: impl Fn(Addr) -> bool,
-    decode: impl Fn(Addr) -> Option<(Instruction, InstrCosts)>,
-) -> Option<(FusedTrace, Addr)> {
     let mut ops: Vec<(UOp, InstrCosts)> = Vec::new();
     let mut lats: Vec<SimDuration> = Vec::new();
     let mut cursor = at;
     let mut term: Option<FusedTerm> = None;
-    loop {
-        if ops.len() == max_ops || !allowed(cursor) {
-            break;
-        }
+    while ops.len() < MAX_FUSED_OPS {
         let Some((ins, costs)) = decode(cursor) else {
             break;
         };
+        let next = cursor.wrapping_add(ins.word_count() as Addr);
         if let Some(u) = uop_of(&ins) {
             lats.push(costs.latency);
             ops.push((u, costs));
-            cursor = cursor.wrapping_add(ins.word_count() as Addr);
+            cursor = next;
             continue;
         }
         match ins {
@@ -238,14 +217,12 @@ pub(crate) fn build_run(
                     ra,
                     rb,
                     taken: target,
-                    fall: cursor.wrapping_add(ins.word_count() as Addr),
+                    fall: next,
                 });
-                cursor = cursor.wrapping_add(ins.word_count() as Addr);
             }
             Instruction::Jmp { target } => {
                 lats.push(costs.latency);
                 term = Some(FusedTerm::Jmp { costs, to: target });
-                cursor = cursor.wrapping_add(ins.word_count() as Addr);
             }
             _ => {}
         }
@@ -253,7 +230,7 @@ pub(crate) fn build_run(
     }
     let len = lats.len() as u64;
     if len < 2 {
-        return None;
+        return FusedSlot::NoFuse;
     }
     let prefix = lats[..lats.len() - 1]
         .iter()
@@ -278,23 +255,20 @@ pub(crate) fn build_run(
             FusedTerm::Fall { .. } => {}
         }
     }
-    Some((
-        FusedTrace {
-            ops: ops.into_boxed_slice(),
-            term,
-            len,
-            prefix,
-            total_latency,
-            total_cycles,
-            counts: counts.into_boxed_slice(),
-        },
-        cursor,
-    ))
+    FusedSlot::Trace(Box::new(FusedTrace {
+        ops: ops.into_boxed_slice(),
+        term,
+        len,
+        prefix,
+        total_latency,
+        total_cycles,
+        counts: counts.into_boxed_slice(),
+    }))
 }
 
 /// The mutable processor fields a trace replay touches. Split out of
 /// [`crate::Processor`] so the trace can stay borrowed from the decode
-/// cache (or AOT image) while execution mutates the rest of the core.
+/// cache while execution mutates the rest of the core.
 /// `bucket` is the profile bucket for the running handler — the current
 /// event cannot change inside a trace, so the dispatcher resolves it
 /// once per replay instead of once per instruction.
@@ -471,7 +445,7 @@ pub(crate) fn exec_uop(op: &UOp, regs: &mut RegFile, dmem: &mut MemBank) {
 }
 
 /// Binary ALU op with carry-flag effects — the single implementation
-/// shared by the interpreter and both translation tiers.
+/// shared by the interpreter and fused replay.
 #[inline]
 pub(crate) fn alu_binary(regs: &mut RegFile, op: AluOp, a: Word, b: Word) -> Word {
     match op {
@@ -504,7 +478,7 @@ pub(crate) fn alu_binary(regs: &mut RegFile, op: AluOp, a: Word, b: Word) -> Wor
     }
 }
 
-/// Shift helper shared by the interpreter and both translation tiers.
+/// Shift helper shared by the interpreter and fused replay.
 #[inline]
 pub(crate) fn shift(op: ShiftOp, a: Word, amount: u32) -> Word {
     match op {

@@ -16,9 +16,6 @@
 //!   decode and model costs computed once per address, invalidated on
 //!   self-modifying `isw` stores; also holds the tier-1 superinstruction
 //!   fusion verdicts.
-//! * [`translate`] — tier-2 AOT translation: whole basic blocks of
-//!   proven-terminating handlers compiled to closed micro-op traces
-//!   (see [`processor::Engine`]).
 //! * [`energy_acct`] — per-instruction energy/latency accounting against
 //!   the calibrated `snap-energy` model, attributed per component and
 //!   per instruction class (reproducing Fig. 4 and §4.4).
@@ -63,16 +60,16 @@ pub mod regfile;
 pub mod sampler;
 pub mod snapshot;
 pub mod timer_cop;
-pub mod translate;
 
 pub use decode_cache::DecodeCache;
 pub use energy_acct::EnergyAccountant;
 pub use event_queue::EventQueue;
 pub use memory::{Bank, MemBank};
 pub use msg_cop::{EnvAction, MsgCoprocessor};
-pub use processor::{CoreConfig, CoreState, CoreStats, Engine, Processor, StepError, StepOutcome};
+pub use processor::{
+    AotRegion, CoreConfig, CoreState, CoreStats, Engine, Processor, StepError, StepOutcome,
+};
 pub use profile::{HandlerProfile, HandlerStats};
 pub use regfile::RegFile;
 pub use sampler::{HandlerSample, HandlerSampler};
 pub use timer_cop::TimerCoprocessor;
-pub use translate::{AotImage, AotRegion};

@@ -23,7 +23,6 @@ use crate::profile::HandlerProfile;
 use crate::regfile::RegFile;
 use crate::sampler::HandlerSampler;
 use crate::timer_cop::TimerCoprocessor;
-use crate::translate::{AotImage, AotRegion};
 use dess::{Lfsr16, SimDuration, SimTime};
 use snap_energy::model::BusModel;
 use snap_energy::{Energy, OperatingPoint};
@@ -52,10 +51,23 @@ pub enum Engine {
     /// multi-word idioms replay as threaded micro-op traces.
     #[default]
     Fused = 1,
-    /// Tier 2: fusion plus AOT-compiled basic blocks for regions
-    /// installed via [`Processor::install_aot`] (snap-lint-proven
-    /// handlers); falls back to tier 1, then the interpreter.
+    /// Runs the tier-1 fused loop, exactly as [`Engine::Fused`]. Kept
+    /// only for its readers: format v3 snapshots may store discriminant
+    /// 2, scenario JSON accepts `"aot"`, and snapbench's `aot` probe and
+    /// oracle select it.
     Aot = 2,
+}
+
+/// One proven-terminating handler region: the handler's entry address
+/// plus every instruction-start address in its CFG. Kept only for
+/// snapbench's `aot` probe, which still builds these from snap-lint's
+/// analysis; [`Processor::install_aot`] ignores them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AotRegion {
+    /// The handler's entry address.
+    pub entry: Addr,
+    /// Every instruction-start address in the handler's CFG.
+    pub addrs: Vec<Addr>,
 }
 
 impl Encode for Engine {
@@ -359,9 +371,6 @@ pub struct Processor {
     pub(crate) regs: RegFile,
     pub(crate) imem: MemBank,
     pub(crate) decode: DecodeCache,
-    /// Tier-2 compiled basic blocks (empty unless installed). Clones
-    /// share the compiled image Arc-CoW style, like the decode cache.
-    pub(crate) aot: AotImage,
     pub(crate) dmem: MemBank,
     pub(crate) event_queue: EventQueue,
     pub(crate) timer: TimerCoprocessor,
@@ -395,7 +404,6 @@ impl Processor {
             regs: RegFile::new(),
             imem: MemBank::new(Bank::Imem),
             decode: DecodeCache::new(),
-            aot: AotImage::default(),
             dmem: MemBank::new(Bank::Dmem),
             event_queue: EventQueue::new(),
             timer: TimerCoprocessor::default(),
@@ -433,7 +441,6 @@ impl Processor {
         let words: Vec<Word> = program.iter().flat_map(|i| i.encode()).collect();
         self.imem.load(0, &words)?;
         self.decode.invalidate_all();
-        self.aot = AotImage::default();
         Ok(())
     }
 
@@ -449,31 +456,12 @@ impl Processor {
     ) -> Result<(), crate::memory::LoadError> {
         self.imem.load(base, image)?;
         self.decode.invalidate_all();
-        self.aot = AotImage::default();
         Ok(())
     }
 
-    /// Compile tier-2 AOT blocks for `regions` — handler CFGs a static
-    /// analysis (snap-lint) has proven done-terminating — and install
-    /// them. Replaces any previously installed image; loading a new
-    /// program or image drops it (install after loading). Only
-    /// consulted when the engine is [`Engine::Aot`].
-    ///
-    /// Execution remains bit-identical to the interpreter: blocks only
-    /// cover closed instructions inside the given regions, and any
-    /// unproven edge falls back to tier 1 / the interpreter. `isw`
-    /// stores into a compiled region drop the affected blocks.
-    pub fn install_aot(&mut self, regions: &[AotRegion]) {
-        let image = AotImage::compile(regions, |a| {
-            self.decode_at(a).ok().map(|p| (p.ins, p.costs))
-        });
-        self.aot = image;
-    }
-
-    /// Number of tier-2 compiled blocks currently installed.
-    pub fn aot_block_count(&self) -> usize {
-        self.aot.block_count()
-    }
+    /// Does nothing. Kept only for snapbench's `aot` probe, which
+    /// still calls it.
+    pub fn install_aot(&mut self, _regions: &[AotRegion]) {}
 
     /// Load a raw word image into DMEM at `base`.
     ///
@@ -744,12 +732,11 @@ impl Processor {
     /// asleep or halted executes nothing — waking still goes through
     /// [`Processor::step`].
     ///
-    /// Which translation tier runs here is the configured
-    /// [`Engine`]; all tiers honor the same boundary conditions (a
-    /// fused trace or compiled block only replays when *all* of it fits
-    /// the step budget, the time limit and the next timer expiry, since
-    /// its constituents cannot produce actions or leave the running
-    /// state).
+    /// Which tier runs here is the configured [`Engine`]; both honor
+    /// the same boundary conditions (a fused trace only replays when
+    /// *all* of it fits the step budget, the time limit and the next
+    /// timer expiry, since its constituents cannot produce actions or
+    /// leave the running state).
     ///
     /// # Errors
     ///
@@ -757,8 +744,7 @@ impl Processor {
     pub fn run_burst(&mut self, limit: SimTime, budget: u64) -> Result<Burst, StepError> {
         match self.config.engine {
             Engine::Interp => self.run_burst_interp(limit, budget),
-            Engine::Fused => self.run_burst_fast(limit, budget, false),
-            Engine::Aot => self.run_burst_fast(limit, budget, true),
+            Engine::Fused | Engine::Aot => self.run_burst_fast(limit, budget),
         }
     }
 
@@ -786,53 +772,33 @@ impl Processor {
         })
     }
 
-    /// The translated burst loop: replay tier-2 compiled blocks (when
-    /// `aot`) and tier-1 fused traces where available, interpreting
-    /// single instructions everywhere else.
-    fn run_burst_fast(
-        &mut self,
-        limit: SimTime,
-        budget: u64,
-        aot: bool,
-    ) -> Result<Burst, StepError> {
+    /// The fused burst loop: replay tier-1 fused traces where available,
+    /// interpreting single instructions everywhere else.
+    fn run_burst_fast(&mut self, limit: SimTime, budget: u64) -> Result<Burst, StepError> {
         let mut steps = 0u64;
-        // Replay `$trace` while it fits; `false` when it does not fit
-        // at all. Written as a macro so the trace can stay borrowed from
-        // `self.decode`/`self.aot` while the context borrows the
-        // sibling fields.
-        macro_rules! try_trace {
-            ($trace:expr) => {{
-                let mut cx = ExecCtx {
-                    regs: &mut self.regs,
-                    dmem: &mut self.dmem,
-                    acct: &mut self.acct,
-                    bucket: self.profile.bucket_mut(self.current_event),
-                    now: &mut self.now,
-                    pc: &mut self.pc,
-                };
-                let replayed = fuse::exec_trace_burst(
-                    $trace,
-                    budget - steps,
-                    limit,
-                    self.timer.next_expiry(),
-                    &mut cx,
-                );
-                steps += replayed;
-                replayed > 0
-            }};
-        }
         while self.state == CoreState::Running && self.now < limit && steps < budget {
             let at = self.pc;
-            if aot {
-                if let Some(block) = self.aot.block_at(at) {
-                    if try_trace!(block) {
-                        continue;
-                    }
-                }
-            }
             match self.decode.fused_get(at) {
                 FusedSlot::Trace(trace) => {
-                    if try_trace!(&**trace) {
+                    // The trace stays borrowed from `self.decode` while
+                    // the context borrows the sibling fields.
+                    let mut cx = ExecCtx {
+                        regs: &mut self.regs,
+                        dmem: &mut self.dmem,
+                        acct: &mut self.acct,
+                        bucket: self.profile.bucket_mut(self.current_event),
+                        now: &mut self.now,
+                        pc: &mut self.pc,
+                    };
+                    let replayed = fuse::exec_trace_burst(
+                        trace,
+                        budget - steps,
+                        limit,
+                        self.timer.next_expiry(),
+                        &mut cx,
+                    );
+                    steps += replayed;
+                    if replayed > 0 {
                         continue;
                     }
                 }
@@ -1069,7 +1035,6 @@ impl Processor {
                 let value = rd_op!(rs);
                 self.imem.write(addr, value);
                 self.decode.invalidate_write(addr);
-                self.aot.invalidate_write(addr);
             }
             Instruction::Branch {
                 cond,

@@ -15,13 +15,10 @@
 //!
 //! Two classes of state are deliberately *not* captured:
 //!
-//! * **Caches** (predecode verdicts, fused traces, tier-2 AOT blocks):
-//!   pure functions of IMEM and the config. The restored core starts
-//!   with cold caches and refills them lazily; because every execution
-//!   tier is bit-identical, warm-vs-cold is observationally invisible.
-//!   Embedders running [`crate::Engine::Aot`] may re-run their static
-//!   analysis and [`Processor::install_aot`] after restore to get the
-//!   tier-2 speed back — correctness does not depend on it.
+//! * **Caches** (predecode verdicts, fused traces): pure functions of
+//!   IMEM and the config. The restored core starts with cold caches and
+//!   refills them lazily; because both execution tiers are
+//!   bit-identical, warm-vs-cold is observationally invisible.
 //! * **Telemetry** (the per-dispatch sampler, the `swev` counters and
 //!   the queue high-water mark): observation-only by construction. A
 //!   restored core has sampling off; queue stamps are preserved so
@@ -165,6 +162,9 @@ mod tests {
         cpu
     }
 
+    /// `Engine::Aot` (discriminant 2) stays in both tests: format v3
+    /// snapshots may carry it, and it must decode, re-encode to its own
+    /// bytes and resume bit-identically on the fused loop.
     #[test]
     fn round_trip_through_bytes_is_exact() {
         for engine in [Engine::Interp, Engine::Fused, Engine::Aot] {

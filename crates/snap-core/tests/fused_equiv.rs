@@ -1,38 +1,21 @@
 //! Bit-identity of the translation tiers, including under `isw`
-//! self-modification of a hot (fused and AOT-compiled) region and a
-//! timer expiring inside one.
+//! self-modification of a hot (fused) region and a timer expiring
+//! inside one.
 //!
 //! The broad conformance net is snap-smith's differential matrix; this
-//! suite pins the specific contract the tiers were built around — the
-//! same program run under [`Engine::Interp`], [`Engine::Fused`] and
-//! [`Engine::Aot`] must agree on every architectural register, both
-//! memories, the final pc and simulated time, every statistic down to
-//! the raw `f64` bits of the energy total, and each dispatch's queue
-//! wait — with deterministic regressions for the invalidation path (a
-//! loop that rewrites its own body after getting hot) and for a timer
-//! token stamped mid-loop, and a property test over the loop shape and
-//! the timer phase.
+//! suite pins the specific contract the fused tier was built around —
+//! the same program run under [`Engine::Interp`] and [`Engine::Fused`]
+//! must agree on every architectural register, both memories, the
+//! final pc and simulated time, every statistic down to the raw `f64`
+//! bits of the energy total, and each dispatch's queue wait — with
+//! deterministic regressions for the invalidation path (a loop that
+//! rewrites its own body after getting hot) and for a timer token
+//! stamped mid-loop, and a property test over the loop shape and the
+//! timer phase.
 
 use proptest::prelude::*;
-use snap_core::{AotRegion, CoreConfig, Engine, Processor};
+use snap_core::{CoreConfig, Engine, Processor};
 use snap_isa::{AluOp, Instruction, Reg};
-
-/// Every instruction-start address of a straight-assembled image (the
-/// addresses snap-lint's proof would export for a fully proved
-/// program). Stops at the first undecodable word (data padding).
-fn instruction_starts(imem: &[u16]) -> Vec<u16> {
-    let mut addrs = Vec::new();
-    let mut a = 0usize;
-    while a < imem.len() {
-        let second = imem.get(a + 1).copied();
-        let Ok(ins) = Instruction::decode(imem[a], second) else {
-            break;
-        };
-        addrs.push(a as u16);
-        a += ins.word_count();
-    }
-    addrs
-}
 
 /// Everything the tiers must agree on, in bit-comparable form.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,19 +41,13 @@ struct Snapshot {
 
 fn run(source: &str, engine: Engine, max_steps: u64) -> Snapshot {
     let program = snap_asm::assemble(source).expect("test program assembles");
-    let image = program.imem_image();
     let mut cpu = Processor::new(CoreConfig {
         engine,
         ..CoreConfig::default()
     });
     cpu.enable_sampling(64);
-    cpu.load_image(0, &image).unwrap();
+    cpu.load_image(0, &program.imem_image()).unwrap();
     cpu.load_data(0, &program.dmem_image()).unwrap();
-    if engine == Engine::Aot {
-        let addrs = instruction_starts(&image);
-        cpu.install_aot(&[AotRegion { entry: 0, addrs }]);
-        assert!(cpu.aot_block_count() > 0, "AOT tier must actually engage");
-    }
     cpu.run_to_halt(max_steps).unwrap();
     let stats = cpu.stats();
     Snapshot {
@@ -98,26 +75,23 @@ fn run(source: &str, engine: Engine, max_steps: u64) -> Snapshot {
     }
 }
 
-/// Run under all three engines and insist on bit-equality; returns the
+/// Run under both engines and insist on bit-equality; returns the
 /// agreed snapshot for scenario-specific assertions.
 fn assert_engines_agree(source: &str, max_steps: u64) -> Snapshot {
     let interp = run(source, Engine::Interp, max_steps);
     let fused = run(source, Engine::Fused, max_steps);
-    let aot = run(source, Engine::Aot, max_steps);
     assert_eq!(interp, fused, "interp vs fused");
-    assert_eq!(interp, aot, "interp vs aot");
     interp
 }
 
 /// A counter loop that rewrites its own body once it has run hot:
 /// phase 1 accumulates into `r2`, then the loop's first instruction
 /// (`add r2, r1`) is overwritten via `isw` with `add rd, r1` for a
-/// caller-chosen `rd`, and the same loop re-runs as phase 2. Both the
-/// fused trace and the AOT block covering the loop must be invalidated
-/// by the store — silently replaying the stale body would accumulate
-/// phase 2 into `r2`. Timer 0 is armed for `ticks` µs at boot; its
-/// handler halts, so the expiry may land before, inside or after
-/// either loop.
+/// caller-chosen `rd`, and the same loop re-runs as phase 2. The
+/// fused trace covering the loop must be invalidated by the store —
+/// silently replaying the stale body would accumulate phase 2 into
+/// `r2`. Timer 0 is armed for `ticks` µs at boot; its handler halts,
+/// so the expiry may land before, inside or after either loop.
 fn self_modifying_loop(phase1: u16, phase2: u16, rd: Reg, ticks: u16) -> String {
     let patched = Instruction::AluReg {
         op: AluOp::Add,

@@ -977,7 +977,7 @@ pub(crate) fn analyze(
         paper_band: None,
     };
     let mut boot_report = empty_boot.clone();
-    // Done-terminating regions exported for AOT translation: a root
+    // Done-terminating regions exported in `Analysis::regions`: a root
     // qualifies only when its verdict is Proved (which root_report
     // already degrades to Unknown under global degradation).
     let mut regions: Vec<crate::ProvenRegion> = Vec::new();

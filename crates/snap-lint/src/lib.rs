@@ -167,12 +167,11 @@ pub struct HandlerReport {
     pub paper_band: Option<PaperBand>,
 }
 
-/// One done-terminating code region, exported for ahead-of-time
-/// translation (snap-core's tier-2 engine): the root entry plus every
+/// One done-terminating code region: the root entry plus every
 /// instruction-start address the termination proof covered. Only
 /// regions whose root verdict is [`Termination::Proved`] — and only
 /// when the whole-program analysis is not degraded — are exported, so
-/// a consumer may compile them without re-checking the proof.
+/// a consumer may rely on them without re-checking the proof.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProvenRegion {
     /// The dispatching event (`None` for the boot path).
@@ -294,8 +293,9 @@ pub struct Analysis {
     pub diagnostics: Vec<Diagnostic>,
     /// Provided image size in words.
     pub imem_words: usize,
-    /// Done-terminating regions safe for ahead-of-time translation
-    /// (boot first when proved, then handler roots in event order).
+    /// Done-terminating regions (boot first when proved, then handler
+    /// roots in event order). Kept only for snapbench's `aot` probe, its
+    /// one reader outside this crate's tests.
     pub regions: Vec<ProvenRegion>,
     /// Whole-image event-flow graph and activation-chain proofs.
     pub flow: FlowReport,

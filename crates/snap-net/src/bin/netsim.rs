@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! netsim [--app mac|blink|sense] [--nodes N] [--grid WxH] [--ms N]
-//!        [--vdd 1.8|0.9|0.6] [--engine interp|fused|aot]
+//!        [--vdd 1.8|0.9|0.6] [--engine interp|fused]
 //!        [--metrics OUT.json] [--trace-out OUT.trace.json] [--jsonl OUT.jsonl]
 //! ```
 //!
@@ -17,8 +17,7 @@
 //!
 //! `--grid WxH` lays the nodes out on a W×H grid (8 m pitch) instead
 //! of a line, overriding `--nodes` with W·H. `--engine` selects the
-//! per-node translation tier (default `fused`; `aot` compiles
-//! snap-lint-proven handlers ahead of time). Every engine is
+//! per-node execution tier (default `fused`). Both engines are
 //! bit-identical.
 //!
 //! Exports: `--metrics` writes the `snap-metrics-v1` report,
@@ -76,11 +75,7 @@ fn main() -> ExitCode {
                     engine = snap_core::Engine::Fused;
                     Ok(())
                 }
-                "aot" => {
-                    engine = snap_core::Engine::Aot;
-                    Ok(())
-                }
-                other => Err(format!("unknown engine `{other}` (interp, fused or aot)")),
+                other => Err(format!("unknown engine `{other}` (interp or fused)")),
             }),
             "--metrics" => take("--metrics").map(|v| metrics_out = Some(v)),
             "--trace-out" => take("--trace-out").map(|v| trace_out = Some(v)),
@@ -226,7 +221,7 @@ fn usage(err: &str) -> ExitCode {
     }
     eprintln!(
         "usage: netsim [--app mac|blink|sense] [--nodes N] [--grid WxH] [--ms N] \
-         [--vdd 1.8|0.9|0.6] [--engine interp|fused|aot] \
+         [--vdd 1.8|0.9|0.6] [--engine interp|fused] \
          [--metrics OUT.json] [--trace-out OUT.trace.json] [--jsonl OUT.jsonl]"
     );
     if err.is_empty() {

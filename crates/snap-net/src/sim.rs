@@ -175,26 +175,6 @@ impl Decode for Stimulus {
     }
 }
 
-/// When the core asks for the tier-2 engine, run snap-lint's
-/// termination proof over `program` and compile every proved handler
-/// region ahead of time (after the node is loaded — loading drops any
-/// compiled image). No-op for the other engines.
-fn install_aot(node: &mut Node, program: &Program, core: &CoreConfig) {
-    if core.engine != snap_core::Engine::Aot {
-        return;
-    }
-    let analysis = snap_lint::analyze_program(program, core.operating_point);
-    let regions: Vec<snap_core::AotRegion> = analysis
-        .regions
-        .iter()
-        .map(|r| snap_core::AotRegion {
-            entry: r.entry,
-            addrs: r.addrs.clone(),
-        })
-        .collect();
-    node.cpu_mut().install_aot(&regions);
-}
-
 /// The multi-node network simulator.
 ///
 /// Fields are `pub(crate)` for one consumer only: [`crate::snapshot`].
@@ -343,7 +323,6 @@ impl NetworkSim {
                 .enable_sampling(snap_telemetry::DEFAULT_RETAIN);
         }
         node.load(program).expect("program fits the node memories");
-        install_aot(&mut node, program, &core);
         self.topology.place(id, position);
         self.nodes.push(node);
         id
@@ -382,9 +361,6 @@ impl NetworkSim {
             .load(program)
             .expect("program fits the node memories");
         template.cpu_mut().predecode_all();
-        // Analyze and compile once on the template; every clone shares
-        // the compiled image copy-on-write like the memories.
-        install_aot(&mut template, program, &core);
         let telemetry = self.telemetry_enabled();
         // Collect first: a filtered iterator's size hint is 0, and a
         // vector grown by doubling ends with up to twice the slots.
@@ -456,7 +432,6 @@ impl NetworkSim {
                 .enable_sampling(snap_telemetry::DEFAULT_RETAIN);
         }
         node.load(program).expect("program fits the node memories");
-        install_aot(&mut node, program, &core);
         self.topology.place(id, position);
         self.nodes.push(node);
         id

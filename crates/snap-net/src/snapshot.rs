@@ -35,9 +35,7 @@
 //! which reassigns fresh-but-ordered sequence numbers.
 //!
 //! Not captured, by design: telemetry (observation-only — call
-//! [`NetworkSim::enable_telemetry`] again after restore) and AOT
-//! artifacts (each node's restore recompiles them; see
-//! [`snap_node::snapshot`]).
+//! [`NetworkSim::enable_telemetry`] again after restore).
 
 use crate::channel::{Channel, Transmission};
 use crate::sim::{NetworkSim, Scheduler, Stimulus};
@@ -55,9 +53,7 @@ impl NetworkSim {
     }
 
     /// Rebuild a fleet from a snapshot. The restored simulation resumes
-    /// bit-identically under every scheduler; for
-    /// [`snap_core::Engine::Aot`] nodes the tier-2 image is recompiled
-    /// from the restored IMEM.
+    /// bit-identically under every scheduler.
     ///
     /// # Errors
     ///

@@ -171,7 +171,7 @@ fn battery_death_is_bit_identical_across_engines_and_schedulers() {
         reference.per_node[GATEWAY as usize - 1].uplink_words > 0,
         "gateway bridged nothing"
     );
-    for engine in [Engine::Interp, Engine::Fused, Engine::Aot] {
+    for engine in [Engine::Interp, Engine::Fused] {
         for scheduler in [
             Scheduler::Lockstep,
             Scheduler::EventDriven,

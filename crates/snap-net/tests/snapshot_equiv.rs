@@ -6,7 +6,7 @@
 //! from those bytes, and running that to `T2` — same trace, same
 //! channel counters, same event order, same registers, same energy
 //! `f64` bits on every node. The property test exercises the full
-//! engine × scheduler matrix ({Interp, Fused, Aot} × {Lockstep,
+//! engine × scheduler matrix ({Interp, Fused} × {Lockstep,
 //! EventDriven, Sharded, Auto}) with randomized CSMA traffic, random
 //! per-word loss (so the fade RNG state must survive the round trip),
 //! timer-periodic background nodes and mid-run sensor interrupts, with
@@ -179,7 +179,7 @@ fn straight_vs_resumed(
     )
 }
 
-const ENGINES: [Engine; 3] = [Engine::Interp, Engine::Fused, Engine::Aot];
+const ENGINES: [Engine; 2] = [Engine::Interp, Engine::Fused];
 const SCHEDULERS: [Scheduler; 4] = [
     Scheduler::Lockstep,
     Scheduler::EventDriven,

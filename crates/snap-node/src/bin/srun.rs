@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! srun [--trace] [--lint] [--ms N] [--vdd 1.8|0.9|0.6] [--c]
-//!      [--engine interp|fused|aot]
+//!      [--engine interp|fused]
 //!      [--checkpoint-every N] [--restore FILE.snap]
 //!      [--metrics OUT.json] [--trace-out OUT.trace.json] FILE(.s|.c|.bin)
 //! ```
@@ -19,14 +19,12 @@
 //! * `--restore FILE.snap` resumes from a checkpoint instead of loading
 //!   a program (`--ms` then counts additional milliseconds; the
 //!   engine/vdd flags are ignored — the checkpoint carries its
-//!   configuration, and AOT-engine nodes are re-proved and recompiled
-//!   from the restored IMEM);
+//!   configuration);
 //! * `--trace` prints every executed instruction with its address;
 //! * `--lint` runs the `snap-lint` static analysis as a preflight and
 //!   refuses to run a program with error-severity findings;
-//! * `--engine` selects the translation tier (default `fused`); `aot`
-//!   runs the snap-lint termination proof and compiles every proved
-//!   handler ahead of time — results are bit-identical across engines;
+//! * `--engine` selects the execution tier (default `fused`) — results
+//!   are bit-identical across engines;
 //! * `--metrics OUT.json` writes a `snap-metrics-v1` report (counters,
 //!   energy attribution, handler distributions — see
 //!   `docs/OBSERVABILITY.md`);
@@ -85,11 +83,10 @@ fn main() -> ExitCode {
             "--engine" => match args.next().as_deref() {
                 Some("interp") => engine = snap_core::Engine::Interp,
                 Some("fused") => engine = snap_core::Engine::Fused,
-                Some("aot") => engine = snap_core::Engine::Aot,
                 Some(other) => {
-                    return usage(&format!("unknown engine `{other}` (interp, fused or aot)"))
+                    return usage(&format!("unknown engine `{other}` (interp or fused)"))
                 }
-                None => return usage("--engine requires interp, fused or aot"),
+                None => return usage("--engine requires interp or fused"),
             },
             "--help" | "-h" => return usage(""),
             other => input = Some(other.to_string()),
@@ -198,25 +195,6 @@ fn main() -> ExitCode {
             }
         }
 
-        // Tier 2 needs the termination proof: every handler snap-lint
-        // proves done-terminating becomes an AOT compilation region.
-        let aot_regions: Vec<snap_core::AotRegion> = if engine == snap_core::Engine::Aot {
-            let analysis = match &loaded {
-                Loaded::Program(program) => snap_lint::analyze_program(program, point),
-                Loaded::Raw { imem, .. } => snap_lint::analyze_image(imem, point),
-            };
-            analysis
-                .regions
-                .iter()
-                .map(|r| snap_core::AotRegion {
-                    entry: r.entry,
-                    addrs: r.addrs.clone(),
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-
         let (imem, dmem) = match loaded {
             Loaded::Program(program) => (program.imem_image(), program.dmem_image()),
             Loaded::Raw { imem, dmem } => (imem, dmem),
@@ -238,15 +216,6 @@ fn main() -> ExitCode {
             .load_image(0, &imem)
             .expect("image fits IMEM");
         node.cpu_mut().load_data(0, &dmem).expect("image fits DMEM");
-        if engine == snap_core::Engine::Aot {
-            // Install after loading: loading drops any compiled image.
-            node.cpu_mut().install_aot(&aot_regions);
-            println!(
-                "aot:          {} compiled blocks over {} proved regions",
-                node.cpu().aot_block_count(),
-                aot_regions.len()
-            );
-        }
     }
 
     if trace {
@@ -382,9 +351,7 @@ fn print_distributions(cpu: &snap_core::Processor) {
     println!("handler nJ:   {}", span(&nj));
 }
 
-/// Restore a node from a `snap-snapshot` checkpoint (the restore
-/// re-proves and recompiles the AOT image when the checkpointed engine
-/// is tier 2).
+/// Restore a node from a `snap-snapshot` checkpoint.
 fn load_checkpoint(path: &str) -> Result<Node, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
     let snap = snap_snapshot::Snapshot::from_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
@@ -432,7 +399,7 @@ fn usage(err: &str) -> ExitCode {
     }
     eprintln!(
         "usage: srun [--trace] [--lint] [--ms N] [--vdd 1.8|0.9|0.6] [--c] \
-         [--engine interp|fused|aot] \
+         [--engine interp|fused] \
          [--checkpoint-every N] [--restore FILE.snap] \
          [--metrics OUT.json] [--trace-out OUT.trace.json] FILE(.s|.c|.bin)"
     );

@@ -18,11 +18,6 @@
 //! the node's fields in order. [`BatteryConfig`] and the calendar come
 //! from crates that know nothing of snapshots, so they are written
 //! field by field here.
-//!
-//! AOT artifacts are caches, not state: for [`Engine::Aot`] cores the
-//! restore re-runs snap-lint's proof over the restored IMEM and
-//! recompiles, exactly as loading the program did. All tiers are
-//! bit-identical, so this only restores speed.
 
 use crate::avr::{AvrMote, AVR_CYCLE_PS};
 use crate::led::LedPort;
@@ -32,7 +27,7 @@ use crate::sensor::SensorBank;
 use crate::NodeId;
 use atmega::AvrCore;
 use dess::{Calendar, SimTime};
-use snap_core::{AotRegion, Engine, Processor};
+use snap_core::Processor;
 use snap_energy::BatteryConfig;
 use snap_snapshot::{Decode, Encode, NodeSnapshot, Reader, SnapshotError, Writer, MAX_QUANTITY};
 
@@ -43,8 +38,7 @@ impl Node {
     }
 
     /// Rebuild a node from a snapshot. The restored node resumes
-    /// bit-identically to the original; a tier-2 core gets its AOT
-    /// image recompiled (see the module docs).
+    /// bit-identically to the original.
     ///
     /// # Errors
     ///
@@ -115,23 +109,7 @@ impl Decode for Node {
                 mote.listen = r.bool()?;
                 NodeCpu::Avr(mote)
             }
-            NodeKind::Snap | NodeKind::Gateway => {
-                let mut cpu = Processor::decode(r)?;
-                if cpu.config().engine == Engine::Aot {
-                    let point = cpu.config().operating_point;
-                    let analysis = snap_lint::analyze_image(&cpu.imem().to_vec(), point);
-                    let regions: Vec<AotRegion> = analysis
-                        .regions
-                        .iter()
-                        .map(|r| AotRegion {
-                            entry: r.entry,
-                            addrs: r.addrs.clone(),
-                        })
-                        .collect();
-                    cpu.install_aot(&regions);
-                }
-                NodeCpu::Snap(cpu)
-            }
+            NodeKind::Snap | NodeKind::Gateway => NodeCpu::Snap(Processor::decode(r)?),
         };
         let radio = Radio::decode(r, kind.bit_rate())?;
         let sensors = SensorBank::decode(r)?;

@@ -114,13 +114,6 @@ fn checkpoint_restore_matches_straight_run_fused() {
 }
 
 #[test]
-fn checkpoint_restore_matches_straight_run_aot() {
-    // The AOT image is not serialized; restore re-proves and recompiles
-    // from the restored IMEM and must still be bit-identical.
-    checkpoint_equivalence("aot", "aot");
-}
-
-#[test]
 fn restore_rejects_garbage() {
     let dir = scratch_dir("garbage");
     let bad = dir.join("bad.snap");

@@ -251,6 +251,8 @@ pub fn parse_scenario(text: &str) -> Result<Scenario, String> {
         s.engine = match e.as_str() {
             Some("interp") => Engine::Interp,
             Some("fused") => Engine::Fused,
+            // Kept so scenarios written for the removed AOT tier still
+            // parse; `Engine::Aot` runs the fused tier.
             Some("aot") => Engine::Aot,
             _ => return Err("engine: expected \"interp\", \"fused\" or \"aot\"".to_string()),
         };
@@ -467,6 +469,7 @@ mod tests {
         assert!(build(&s).is_ok());
     }
 
+    /// Also pins that the kept `"aot"` value still parses and builds.
     #[test]
     fn full_scenario_parses() {
         let s = parse_scenario(
@@ -477,6 +480,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s.mac_nodes, 4);
+        assert_eq!(s.engine, Engine::Aot);
         assert_eq!(s.irqs, vec![(2, 4_000)]);
         assert!(s.start_paused);
         let sim = build(&s).unwrap();

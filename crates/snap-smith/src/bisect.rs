@@ -23,7 +23,7 @@
 //!
 //! The replay step is also an end-to-end exercise of the snapshot
 //! layer: it only finds the same divergence the straight runs showed
-//! if restore is bit-exact, AOT re-proof included.
+//! if restore is bit-exact.
 //!
 //! Bisection needs snapshot-capable targets, so both legs are core
 //! configurations ([`Runner::Oracle`] is rejected). The usual pairing
@@ -509,10 +509,10 @@ mod tests {
             engine: Engine::Interp,
             ..CoreConfig::default()
         });
-        let aot = booted(CoreConfig {
-            engine: Engine::Aot,
+        let fused = booted(CoreConfig {
+            engine: Engine::Fused,
             ..CoreConfig::default()
         });
-        assert!(arch_eq(&interp, &aot) && snapshot_diff(&interp, &aot).is_none());
+        assert!(arch_eq(&interp, &fused) && snapshot_diff(&interp, &fused).is_none());
     }
 }

@@ -26,9 +26,7 @@ pub enum Runner {
     /// `snap_core::Processor` via `step()` (`step` always interprets,
     /// whatever the engine).
     CoreStep,
-    /// `snap_core::Processor` via `run_burst()` under one translation
-    /// tier. [`Engine::Aot`] additionally runs snap-lint over the
-    /// loaded image and installs every proved handler region.
+    /// `snap_core::Processor` via `run_burst()` under one translation tier.
     CoreBurst {
         /// Translation tier under test.
         engine: Engine,
@@ -38,16 +36,13 @@ pub enum Runner {
 impl Runner {
     /// All core configurations the oracle is diffed against: the
     /// stepped interpreter and every batched tier.
-    pub const CORE_CONFIGS: [Runner; 4] = [
+    pub const CORE_CONFIGS: [Runner; 3] = [
         Runner::CoreStep,
         Runner::CoreBurst {
             engine: Engine::Interp,
         },
         Runner::CoreBurst {
             engine: Engine::Fused,
-        },
-        Runner::CoreBurst {
-            engine: Engine::Aot,
         },
     ];
 
@@ -254,12 +249,8 @@ impl CoreTarget {
         CoreTarget::with_cpu(runner, cpu)
     }
 
-    /// Wrap `cpu` for `runner`. An AOT core gets every handler region
-    /// snap-lint proves over its current IMEM compiled (generated `isw`
-    /// self-modification and unproven fallback edges are exercised
-    /// too); compiled blocks are never serialized, so a restored core
-    /// needs this as much as a fresh one.
-    fn with_cpu(runner: Runner, mut cpu: Processor) -> Result<CoreTarget, String> {
+    /// Wrap `cpu` for `runner`.
+    fn with_cpu(runner: Runner, cpu: Processor) -> Result<CoreTarget, String> {
         let burst = match runner {
             Runner::Oracle => {
                 return Err("the oracle is not a core configuration: it cannot checkpoint".into());
@@ -267,19 +258,6 @@ impl CoreTarget {
             Runner::CoreStep => false,
             Runner::CoreBurst { .. } => true,
         };
-        if cpu.config().engine == Engine::Aot {
-            let analysis =
-                snap_lint::analyze_image(&cpu.imem().to_vec(), cpu.config().operating_point);
-            let regions: Vec<snap_core::AotRegion> = analysis
-                .regions
-                .iter()
-                .map(|r| snap_core::AotRegion {
-                    entry: r.entry,
-                    addrs: r.addrs.clone(),
-                })
-                .collect();
-            cpu.install_aot(&regions);
-        }
         Ok(CoreTarget { cpu, burst })
     }
 }

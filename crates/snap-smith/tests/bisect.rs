@@ -133,7 +133,7 @@ fn bisect_is_insensitive_to_the_checkpoint_interval() {
 /// Cross-configuration agreement on generated programs: the stepped
 /// interpreter checkpointed against every batched tier must come back
 /// [`BisectOutcome::Agree`] — this exercises the config-blind state
-/// comparison and the AOT re-proof on restore.
+/// comparison and restore.
 #[test]
 fn generated_programs_agree_across_tiers_under_checkpointing() {
     for seed in [3u64, 11, 29] {
@@ -144,7 +144,7 @@ fn generated_programs_agree_across_tiers_under_checkpointing() {
             script: &case.script,
             runner: Runner::CoreStep,
         };
-        for engine in [Engine::Interp, Engine::Fused, Engine::Aot] {
+        for engine in [Engine::Interp, Engine::Fused] {
             let suspect = LegSpec {
                 program: &program,
                 script: &case.script,

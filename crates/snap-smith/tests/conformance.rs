@@ -1,6 +1,6 @@
 //! Bounded differential conformance sweep — the in-tree smoke version
 //! of the `snap-smith` fuzzing binary. Every generated program must
-//! behave bit-identically under the naive oracle and all four
+//! behave bit-identically under the naive oracle and all three
 //! `snap-core` configurations (stepped, and batched under each
 //! translation tier).
 

@@ -24,8 +24,8 @@
 //!   of the hardware, the length of a fixed-size array, a count or id
 //!   that another field already fixes, and a placeholder for a section
 //!   a node's kind lacks are not written.
-//! * **Caches are not state.** Predecode, fusion and AOT artifacts are
-//!   pure functions of IMEM + config; they rebuild on restore. All
+//! * **Caches are not state.** Predecode and fusion artifacts are pure
+//!   functions of IMEM + config; they rebuild on restore. Both
 //!   execution tiers are bit-identical, so this is invisible.
 //! * **Fail closed.** Decoding foreign bytes never panics; every
 //!   discriminant, length and checksum is validated. A payload that
